@@ -15,7 +15,6 @@ from .algebra import (
     integrate_log_derivative,
     partial_fractions,
     poly_gcd,
-    weightexpr_ratio_to_poly,
 )
 from .aim import (
     AimProblem,
@@ -48,8 +47,8 @@ from .hypergeometric import (
     to_aim_form,
     validate,
 )
-from .nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_lambda_n, nu_solve
-from .rationals import format_rational, make_rational, parse_rational, rational_sqrt
+from .nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
+from .rationals import format_rational, parse_rational, rational_sqrt
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "poly_gcd",
     "partial_fractions",
     "integrate_log_derivative",
-    "weightexpr_ratio_to_poly",
     "AimProblem",
     "AimSequence",
     "EigenvalueEstimate",
@@ -82,7 +80,6 @@ __all__ = [
     "NuProblem",
     "NuReduction",
     "nu_find_k",
-    "nu_lambda_n",
     "build_phi",
     "nu_solve",
     "EigenPolynomial",
@@ -97,7 +94,6 @@ __all__ = [
     "catalog_get",
     "catalog_list",
     "expected_eigenvalue",
-    "make_rational",
     "parse_rational",
     "format_rational",
     "rational_sqrt",

@@ -2,12 +2,12 @@
 
 Provides immutable polynomials, normalized rational functions, partial
 fraction decompositions over rational roots, and weight expressions of the
-form  P(r) * prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),  the smallest class
-closed under differentiation that covers every classical weight handled by
-the package (including exp(-2/r) for the Bessel-type equations).
+form  P(r) * prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),  which hold every
+weight that integrating a rational log-derivative with rational poles
+gives: the Pearson weights and the Nikiforov--Uvarov factors phi
+(including exp(-2/r) for the Bessel-type equations).
 
-All arithmetic is exact; floating point only appears in the explicitly
-named ``evaluate_float`` helper used by finite-difference cross-checks.
+All arithmetic is exact; no floating-point value is ever produced.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "partial_fractions",
     "rational_roots",
     "integrate_log_derivative",
-    "weightexpr_ratio_to_poly",
 ]
 
 #: Degree of the zero polynomial.  A true minus-infinity sentinel so that
@@ -227,8 +226,6 @@ class Poly:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
                 var = "r" if i == 1 else f"r^{i}"
                 term = f"{'-' if c < 0 else ''}{mag}{var}"
-                if parts and not term.startswith("-"):
-                    term = term
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -496,8 +493,7 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 class WeightExpr:
     """P(r) * prod_i (r - c_i)^{mu_i} * exp(g(r)) with P, g rational functions.
 
-    The class is closed under differentiation: the product/chain rules only
-    ever grow the prefactor P.  Normalization pulls every rational linear
+    The prefactor is never zero.  Normalization pulls every rational linear
     factor of the prefactor into the factor list, so that equal values built
     along different routes compare equal.
     """
@@ -511,22 +507,20 @@ class WeightExpr:
         exp_arg: RatFunc | Poly | _FractionLike = 0,
     ):
         prefactor = _coerce_ratfunc(prefactor)
+        if prefactor.is_zero:
+            raise InvalidInput("a weight expression is never zero")
         exp_arg = _coerce_ratfunc(exp_arg)
         merged: dict[Fraction, Fraction] = {}
         for root, mu in factors:
             root, mu = _as_fraction(root), _as_fraction(mu)
             merged[root] = merged.get(root, Fraction(0)) + mu
-        if prefactor.is_zero:
-            merged.clear()
-            exp_arg = RatFunc(0)
-        else:
-            num_roots, num_res = rational_roots(prefactor.num)
-            den_roots, den_res = rational_roots(prefactor.den)
-            for root, m in num_roots:
-                merged[root] = merged.get(root, Fraction(0)) + m
-            for root, m in den_roots:
-                merged[root] = merged.get(root, Fraction(0)) - m
-            prefactor = RatFunc(num_res, den_res)
+        num_roots, num_res = rational_roots(prefactor.num)
+        den_roots, den_res = rational_roots(prefactor.den)
+        for root, m in num_roots:
+            merged[root] = merged.get(root, Fraction(0)) + m
+        for root, m in den_roots:
+            merged[root] = merged.get(root, Fraction(0)) - m
+        prefactor = RatFunc(num_res, den_res)
         object.__setattr__(self, "prefactor", prefactor)
         object.__setattr__(
             self,
@@ -538,56 +532,12 @@ class WeightExpr:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("WeightExpr is immutable")
 
-    @classmethod
-    def one(cls) -> "WeightExpr":
-        return cls(1)
-
-    @classmethod
-    def exp(cls, arg: RatFunc | Poly | _FractionLike) -> "WeightExpr":
-        return cls(1, (), arg)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.prefactor.is_zero
-
-    def __mul__(self, other: "WeightExpr | RatFunc | Poly | _FractionLike") -> "WeightExpr":
-        if not isinstance(other, WeightExpr):
-            return WeightExpr(
-                self.prefactor * _coerce_ratfunc(other), self.factors, self.exp_arg
-            )
-        return WeightExpr(
-            self.prefactor * other.prefactor,
-            self.factors + other.factors,
-            self.exp_arg + other.exp_arg,
-        )
-
-    __rmul__ = __mul__
-
     def log_derivative(self) -> RatFunc:
-        """(w'/w) as an exact rational function; requires a nonzero weight."""
-        if self.is_zero:
-            raise DivisionByZero("log-derivative of the zero weight")
+        """(w'/w) as an exact rational function."""
         total = self.prefactor.derivative() / self.prefactor
         for root, mu in self.factors:
             total = total + RatFunc(Poly.const(mu), Poly.linear_root(root))
         return total + self.exp_arg.derivative()
-
-    def derivative(self) -> "WeightExpr":
-        """Exact derivative in the same representation class."""
-        if self.is_zero:
-            return self
-        new_pref = self.prefactor * self.log_derivative()
-        return WeightExpr(new_pref, self.factors, self.exp_arg)
-
-    def evaluate_float(self, x: float | Fraction) -> float:
-        """Floating evaluation for cross-checks only; never used in core math."""
-        xf = Fraction(x)
-        value = float(self.prefactor.evaluate(xf))
-        for root, mu in self.factors:
-            base = float(xf - root)
-            value *= base ** float(mu)
-        value *= math.exp(float(self.exp_arg.evaluate(xf)))
-        return value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightExpr):
@@ -635,29 +585,3 @@ def integrate_log_derivative(f: RatFunc) -> WeightExpr:
                 Poly.linear_root(root) ** (order - 1),
             )
     return WeightExpr(1, factors, exp_arg)
-
-
-def weightexpr_ratio_to_poly(a: WeightExpr, b: WeightExpr) -> Poly:
-    """Return a/b when the quotient is a polynomial; NotPolynomial otherwise.
-
-    Used as an exactness assertion by the Rodrigues generator: exponential
-    arguments must match and residual factor exponents must be non-negative
-    integers.
-    """
-    if b.is_zero:
-        raise DivisionByZero("ratio with zero weight")
-    if a.exp_arg != b.exp_arg:
-        raise NotPolynomial("exponential arguments differ")
-    exps: dict[Fraction, Fraction] = {root: mu for root, mu in a.factors}
-    for root, mu in b.factors:
-        exps[root] = exps.get(root, Fraction(0)) - mu
-    product = a.prefactor / b.prefactor
-    for root, mu in exps.items():
-        if mu == 0:
-            continue
-        if mu.denominator != 1 or mu < 0:
-            raise NotPolynomial(f"residual exponent {mu} at root {root}")
-        product = product * RatFunc(Poly.linear_root(root) ** int(mu))
-    if not product.is_poly:
-        raise NotPolynomial(f"quotient is not polynomial: {product}")
-    return product.num

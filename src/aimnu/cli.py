@@ -274,7 +274,7 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, scan_points, fmt):
         sys.exit(1)
 
 
-def _sample_grid(spec: str, count_hint: int | None = None):
+def _sample_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise BadParameter(f"expected a:b:count, got {spec!r}")
@@ -386,7 +386,7 @@ def cmd_nu(problem_file, n, fmt):
             "phi": str(c.phi) if c.phi is not None else None,
         }
         if n is not None:
-            lam_n = nu_mod.nu_lambda_n(c.tau, problem.sigma, n)
+            lam_n = hg.gamma_n(c.tau, problem.sigma, n)
             row.append(format_rational(lam_n))
             entry[f"lambdaBar_{n}"] = format_rational(lam_n)
         rows.append(row)

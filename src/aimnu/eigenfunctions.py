@@ -5,7 +5,9 @@ Three generators for the degree-n solution of sigma y'' + tau y' + g_n y = 0:
 * ``polynomial_solution`` -- exact linear solve on the coefficient vector;
 * ``y_low_order``         -- explicit closed forms for n <= 3;
 * ``rodrigues``           -- (1/rho) d^n/dr^n [sigma^n rho] with the Pearson
-                             weight rho solving (sigma rho)' = tau rho.
+                             weight rho solving (sigma rho)' = tau rho, in
+                             the polynomial form that Pearson's equation
+                             gives it, so rho itself is never built.
 
 They must agree up to a nonzero scalar; the verification suite enforces
 this three-way agreement.  A fourth, potential-specific route evaluates the
@@ -18,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Poly,
-    RatFunc,
-    WeightExpr,
-    integrate_log_derivative,
-    weightexpr_ratio_to_poly,
-)
+from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative
 from .errors import (
     DegenerateSpectrum,
     InconsistentGamma,
@@ -152,18 +148,22 @@ def pearson_weight(tau: Poly, sigma: Poly) -> PearsonWeight:
 
 
 def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
-    """(1/rho) d^n/dr^n [sigma^n rho]; the result always has degree n."""
+    """(1/rho) d^n/dr^n [sigma^n rho]; the result always has degree n.
+
+    With d^m/dr^m [sigma^n rho] = sigma^(n-m) rho P_m, Pearson's equation
+    sigma rho' = (tau - sigma') rho turns each derivative into the
+    polynomial step P_(m+1) = sigma P_m' + ((n-m-1) sigma' + tau) P_m from
+    P_0 = 1, and P_n is the exact result (Nikiforov & Uvarov, Special
+    Functions of Mathematical Physics, 1988).
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    rho = pearson_weight(tau, sigma).weight
-    work = rho * RatFunc(sigma**n)
-    for _ in range(n):
-        work = work.derivative()
-    result = weightexpr_ratio_to_poly(work, rho)
+    sigma_prime = sigma.derivative()
+    result = Poly.const(1)
+    for m in range(n):
+        result = sigma * result.derivative() + ((n - m - 1) * sigma_prime + tau) * result
     if result.degree != n:
-        raise InconsistentGamma(
-            f"Rodrigues output degree {result.degree} != {n}"
-        )  # pragma: no cover
+        raise InconsistentGamma(f"Rodrigues output degree {result.degree} != {n}")
     return result
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "NuProblem",
     "NuReduction",
     "nu_find_k",
-    "nu_lambda_n",
     "build_phi",
     "nu_solve",
 ]
@@ -157,17 +156,6 @@ def _make_reduction(problem: NuProblem, k: Fraction, pi: Poly) -> NuReduction:
     return NuReduction(k=k, pi=pi, lambda_bar=lambda_bar, tau=tau, phi=phi)
 
 
-def nu_lambda_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
-    """Eigenparameter -n tau' - n(n-1)/2 sigma'' for the reduced equation.
-
-    Identical to the closed-form quantization constant of the iteration
-    route; the identity is exercised by the verification suite.
-    """
-    if tau.degree > 1 or sigma.degree > 2:
-        raise NotHypergeometricType("degree bounds violated")
-    return gamma_n(tau, sigma, n)
-
-
 def build_phi(pi: Poly, sigma: Poly) -> WeightExpr:
     """Integrate phi'/phi = pi/sigma into a weight expression."""
     return integrate_log_derivative(RatFunc(pi, sigma))
@@ -197,4 +185,4 @@ def nu_solve(
                 f"(candidates: {candidates})"
             )
         chosen = negative[0]
-    return nu_lambda_n(chosen.tau, problem.sigma, n), chosen
+    return gamma_n(chosen.tau, problem.sigma, n), chosen

@@ -1,4 +1,4 @@
-"""Exact rational helpers: construction, parsing, formatting, square roots.
+"""Exact rational helpers: parsing, formatting, square roots.
 
 The package stores every coefficient as `fractions.Fraction`.  These helpers
 add the canonical "p/q" string form used on the command line and in JSON
@@ -13,28 +13,18 @@ from fractions import Fraction
 from .errors import InvalidRational
 
 __all__ = [
-    "make_rational",
     "parse_rational",
     "format_rational",
     "rational_sqrt",
 ]
 
 
-def make_rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Return numerator/denominator in canonical reduced form.
-
-    The denominator of the result is always positive and gcd-reduced;
-    zero is represented as 0/1.
-    """
-    if denominator == 0:
-        raise InvalidRational("zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer "p" into a Fraction.
 
     Floating-point literals are rejected: exactness is part of the contract.
+    The result is reduced with a positive denominator; a zero denominator
+    raises InvalidRational.
     """
     s = text.strip()
     if not s:
@@ -47,7 +37,9 @@ def parse_rational(text: str) -> Fraction:
         d = int(den) if sep else 1
     except ValueError as exc:
         raise InvalidRational(f"cannot parse rational: {text!r}") from exc
-    return make_rational(n, d)
+    if d == 0:
+        raise InvalidRational("zero denominator")
+    return Fraction(n, d)
 
 
 def format_rational(value: Fraction) -> str:

@@ -243,23 +243,47 @@ def suite_eigenfunctions() -> list[CheckResult]:
     return out
 
 
-def suite_nu() -> list[CheckResult]:
-    out = []
-    rng = random.Random(20240105)
-    ok = True
-    for _ in range(100):
-        tau = Poly([_random_fraction(rng), _random_fraction(rng)])
-        sigma = Poly([_random_fraction(rng), _random_fraction(rng), _random_fraction(rng)])
-        if sigma.is_zero:
-            sigma = Poly.const(1)
-        for n in range(21):
-            if nu.nu_lambda_n(tau, sigma, n) != hypergeometric.gamma_n(tau, sigma, n):
-                ok = False
-    out.append(_result("nu", "eigenparameter identity vs gamma_n, 100 random, n <= 20", ok))
+def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -> bool:
+    """The NU reduction psi = phi y with phi'/phi = pi/sigma, multiplied through.
 
+    Checks, for y in 1, r, r^2 and in exact polynomial arithmetic,
+
+        sigma^2 y'' + sigma (2 pi + tauTilde) y'
+            + (sigma pi' - pi sigma' + pi^2 + tauTilde pi + sigmaTilde) y
+        == sigma (sigma y'' + tau y' + lambdaBar y),
+
+    the original equation times sigma^2/phi on the left and the reduced
+    hypergeometric-type equation on the right.
+    """
+    sigma, tau_tilde, pi = problem.sigma, problem.tau_tilde, reduction.pi
+    potential = (
+        sigma * pi.derivative()
+        - pi * sigma.derivative()
+        + pi * pi
+        + tau_tilde * pi
+        + problem.sigma_tilde
+    )
+    r = Poly.variable()
+    for y in (Poly.const(1), r, r * r):
+        original = (
+            sigma * sigma * y.derivative().derivative()
+            + sigma * (2 * pi + tau_tilde) * y.derivative()
+            + potential * y
+        )
+        reduced = sigma * eigenfunctions.ode_residual(
+            reduction.tau, sigma, reduction.lambda_bar, y
+        )
+        if original != reduced:
+            return False
+    return True
+
+
+def suite_nu() -> list[CheckResult]:
+    rng = random.Random(20240105)
     ok = True
     recovered = 0
     attempts = 0
+    reductions: list[tuple[nu.NuProblem, nu.NuReduction]] = []
     while recovered < 50 and attempts < 500:
         attempts += 1
         tau = Poly([_random_fraction(rng), _random_fraction(rng)])
@@ -271,17 +295,28 @@ def suite_nu() -> list[CheckResult]:
         tau_tilde = tau - 2 * pi
         half = (sigma.derivative() - tau_tilde) * F(1, 2)
         sigma_tilde = half * half + k0 * sigma - (pi - half) * (pi - half)
+        problem = nu.NuProblem(tau_tilde, sigma, sigma_tilde)
         try:
-            candidates = nu.nu_find_k(nu.NuProblem(tau_tilde, sigma, sigma_tilde))
+            candidates = nu.nu_find_k(problem)
         except NoRationalReduction:
             continue  # degenerate draw (e.g. sigma a perfect square family)
+        reductions.extend((problem, c) for c in candidates)
         if any(c.k == k0 and c.pi == pi for c in candidates):
             recovered += 1
         else:
             ok = False
-    out.append(
-        _result("nu", "round-trip recovery of (k, pi), 50 random constructions", ok and recovered == 50)
-    )
+    bad = sum(not reduction_identity_holds(p, c) for p, c in reductions)
+    out = [
+        _result(
+            "nu",
+            "reduction identity psi = phi y, every round-trip candidate",
+            bad == 0 and bool(reductions),
+            f"{bad} of {len(reductions)} candidates fail",
+        ),
+        _result(
+            "nu", "round-trip recovery of (k, pi), 50 random constructions", ok and recovered == 50
+        ),
+    ]
 
     ok = True
     for n in range(6):

@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from aimnu.algebra import Poly
 from aimnu.cli import main
+from aimnu.eigenfunctions import ode_residual
+from aimnu.rationals import parse_rational
 
 
 @pytest.fixture
@@ -143,6 +146,25 @@ class TestEigenfunction:
             ["eigenfunction", "hermite", "--n", "2", "--method", "rodrigues", "--format", "json"],
         )
         assert json.loads(result.output)["coefficients"] == ["-2", "0", "4"]
+
+    def test_rodrigues_sigma_without_rational_roots(self, runner, tmp_path):
+        # sigma = 1 + r^2 has no rational roots, so its Pearson weight is no WeightExpr
+        doc = {
+            "tau": {"r1": {"const": "-10"}},
+            "sigma": ["1", "0", "1"],
+            "gamma": {"const": "0", "param": "1"},
+        }
+        path = tmp_path / "sigma_irreducible.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(
+            runner, ["eigenfunction", str(path), "--n", "3", "--method", "rodrigues", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        y = Poly([parse_rational(c) for c in out["coefficients"]])
+        tau, sigma = Poly([0, -10]), Poly([1, 0, 1])
+        assert y.degree == 3
+        assert ode_residual(tau, sigma, parse_rational(out["eigenvalue"]), y).is_zero
 
     def test_explicit_out_of_range_exits_2(self, runner):
         result = runner.invoke(

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aimnu.algebra import Poly, RatFunc, WeightExpr
 from aimnu.catalog import catalog_get
@@ -12,7 +14,7 @@ from aimnu.eigenfunctions import (
     rodrigues,
     y_low_order,
 )
-from aimnu.errors import DegenerateSpectrum, OutOfRange, PochhammerPole
+from aimnu.errors import DegenerateSpectrum, InconsistentGamma, OutOfRange, PochhammerPole
 from aimnu.hypergeometric import gamma_n
 
 R = Poly.variable()
@@ -20,6 +22,15 @@ R = Poly.variable()
 HERMITE = (Poly([0, -2]), Poly.const(1))
 LAGUERRE = (Poly([1, -1]), R)
 LEGENDRE = (Poly([0, 2]), Poly([-1, 0, 1]))
+
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_SIGMAS_WITHOUT_RATIONAL_ROOTS = (
+    Poly([1, 0, 1]),
+    Poly([2, 0, -1]),
+    Poly([1, 1, 1]),
+    Poly([F(-1, 2), 0, 3]),
+)
 
 
 def _proportional(a, b):
@@ -80,7 +91,7 @@ class TestLowOrder:
 class TestPearsonWeight:
     def test_hermite_gaussian(self):
         rho = pearson_weight(*HERMITE).weight
-        assert rho == WeightExpr.exp(-R * R)
+        assert rho == WeightExpr(1, (), -R * R)
 
     def test_laguerre_exponential(self):
         rho = pearson_weight(*LAGUERRE).weight
@@ -117,6 +128,32 @@ class TestRodrigues:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             rodrigues(*HERMITE, -1)
+
+    def test_degree_drop_raises(self):
+        # tau' + (n+k-1) sigma''/2 vanishes at k = 0 for n = 2
+        with pytest.raises(InconsistentGamma):
+            rodrigues(-R, R * R, 2)
+
+    @given(
+        tau=st.lists(_FRACTIONS, min_size=2, max_size=2).map(Poly),
+        sigma=st.one_of(
+            st.sampled_from(_SIGMAS_WITHOUT_RATIONAL_ROOTS),
+            st.lists(_FRACTIONS, min_size=1, max_size=3).map(Poly).filter(
+                lambda p: not p.is_zero
+            ),
+        ),
+        n=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_solves_the_equation(self, tau, sigma, n):
+        leading = F(1)
+        for k in range(n):
+            leading *= tau.coeff(1) + (n + k - 1) * sigma.coeff(2)
+        assume(leading != 0)
+        y = rodrigues(tau, sigma, n)
+        assert y.degree == n
+        assert ode_residual(tau, sigma, gamma_n(tau, sigma, n), y).is_zero
+        assert y.leading == leading
 
 
 class TestHulthenEigenfunction:

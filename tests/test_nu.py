@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from aimnu.algebra import Poly, RatFunc
 from aimnu.errors import AmbiguousBranch, NoRationalReduction, NotHypergeometricType
 from aimnu.hypergeometric import gamma_n
-from aimnu.nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_lambda_n, nu_solve
+from aimnu.nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
+from aimnu.verify import reduction_identity_holds
 
 R = Poly.variable()
 
@@ -64,20 +66,25 @@ class TestFindK:
         assert any(c.k == k0 and c.pi == pi for c in candidates)
 
 
-class TestLambdaN:
-    def test_matches_gamma_n(self):
-        cases = [
-            (Poly([0, -2]), Poly.const(1)),
-            (Poly([1, -1]), R),
-            (Poly([0, -3]), Poly([1, 0, -1])),
-        ]
-        for tau, sigma in cases:
-            for n in range(8):
-                assert nu_lambda_n(tau, sigma, n) == gamma_n(tau, sigma, n)
+class TestReductionIdentity:
+    PROBLEMS = (
+        NuProblem(Poly(), Poly.const(1), Poly([F(5), 0, -1])),  # oscillator at E = 5/2
+        NuProblem(-R, Poly([0, 1, -1]), Poly([0, 4, -5])),  # four candidates
+    )
 
-    def test_degree_check(self):
-        with pytest.raises(NotHypergeometricType):
-            nu_lambda_n(R * R, Poly.const(1), 1)
+    def test_every_candidate_satisfies_it(self):
+        for problem in self.PROBLEMS:
+            for c in nu_find_k(problem):
+                assert reduction_identity_holds(problem, c)
+
+    def test_wrong_lambda_bar_or_tau_fails(self):
+        for problem in self.PROBLEMS:
+            for c in nu_find_k(problem):
+                for wrong in (
+                    dataclasses.replace(c, lambda_bar=c.lambda_bar + 1),
+                    dataclasses.replace(c, tau=c.tau + R),
+                ):
+                    assert not reduction_identity_holds(problem, wrong)
 
 
 class TestBuildPhi:
