@@ -1,26 +1,28 @@
-"""Original asymptotic-iteration machinery.
+"""Asymptotic-iteration machinery.
 
 Implements the (lambda_k, s_k) recursion
 
     lambda_k = lambda_{k-1}' + s_{k-1} + lambda_0 lambda_{k-1}
     s_k      = s_{k-1}' + s_0 lambda_{k-1}
 
-the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k,
-the alpha-ratio termination diagnostic, and a numeric eigenvalue solver
-that scans an energy bracket and refines sign changes of delta_k by
-exact-sign bisection on rational midpoints.
-
-The trial energy is substituted as an exact rational before the recursion
-runs; the variable r stays symbolic because the recursion differentiates
-in r.  Every probe is exact, so root locations are reproducible bit for bit.
+and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
+in two independent forms.  ``iterate``/``delta_k`` run it on rational
+functions of r at one numeric trial value, with the alpha-ratio
+termination diagnostic; they serve as the oracle.  ``determinants`` runs
+it on Taylor coefficients about the evaluation point r0 with the trial
+value E symbolic, so each level gives delta_k(r0, E) as one exact
+polynomial in E.  ``solve_iterative`` reads the eigenvalues off the
+certified real roots of those polynomials, level by level; every step is
+exact, so the results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
-from .algebra import Poly, RatFunc, poly_gcd
+from .algebra import Poly, RatFunc
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -28,10 +30,12 @@ __all__ = [
     "AimProblem",
     "AimSequence",
     "EigenvalueEstimate",
+    "IterativeSpectrum",
     "aim_step",
     "iterate",
     "delta_k",
     "alpha_ratio",
+    "determinants",
     "solve_iterative",
 ]
 
@@ -106,114 +110,71 @@ def alpha_ratio(seq: AimSequence, r0: Fraction) -> tuple[Fraction, Fraction]:
 
 @dataclass
 class EigenvalueEstimate:
-    """One tracked root of delta_k = 0 refined across iteration levels."""
+    """One root of delta_k(r0, E) = 0 inside the bracket."""
 
     n: int
     value: Fraction
     k_used: int
     converged: bool
-    history: list[tuple[int, Fraction]] = field(default_factory=list)
 
 
-class _DeltaEvaluator:
-    """Caches per-energy recursion rows; returns a sign-exact delta_k(r0, E).
+class IterativeSpectrum(list):
+    """Ascending estimates; ``counts`` holds the numbers of distinct roots of
+    delta_{k-1} and delta_k in the bracket at the final level ``k``."""
 
-    With lambda0 = a/S and s0 = b/S over a common denominator S, the
-    iterates are lambda_k = p_k / S^{k+1}, s_k = q_k / S^{k+1} where
+    def __init__(self, estimates: list[EigenvalueEstimate], k: int, counts: tuple[int, int]):
+        super().__init__(estimates)
+        self.k, self.counts = k, counts
 
-        p_k = p_{k-1}' S - k p_{k-1} S' + q_{k-1} S + a p_{k-1}
-        q_k = q_{k-1}' S - k q_{k-1} S' + b p_{k-1}
 
-    is a pure polynomial recursion (no gcd normalization needed), and
+def _taylor_coefficients(f: ParamRatFunc, r0: Fraction):
+    """Yield the Taylor coefficients of f about r0, each a Poly in the parameter."""
+    num_const, num_slope, den = (p.compose_linear(r0) for p in (f.num_const, f.num_slope, f.den))
+    d0 = den.coeff(0)
+    if d0 == 0:
+        raise EvaluationPole(f"denominator pole at r0 = {r0}")
+    terms: list[Poly] = []
+    for j in count():
+        t = Poly((num_const.coeff(j), num_slope.coeff(j)))
+        for i in range(1, min(j, den.degree) + 1):
+            t = t - terms[j - i] * den.coeff(i)
+        terms.append(t * (1 / d0))
+        yield terms[-1]
 
-        delta_k(r0) = (p_k q_{k-1} - p_{k-1} q_k)(r0) / S(r0)^{2k+1}.
 
-    Within one level k the S-power is a fixed nonzero constant, so the
-    returned numerator value has the zeros of delta_k and, up to one fixed
-    sign per level, its sign -- exactly what bisection needs.
+def determinants(problem: AimProblem, r0: Fraction):
+    """Yield delta_k(r0, E) for k = 1, 2, ... as Polys in the trial parameter E.
+
+    With c_k[i], d_k[i] the Taylor coefficients of lambda_k, s_k about r0,
+    the recursion reads
+
+        c_k[i] = (i+1) c_{k-1}[i+1] + d_{k-1}[i] + sum_j c_0[j] c_{k-1}[i-j]
+        d_k[i] = (i+1) d_{k-1}[i+1] + sum_j d_0[j] c_{k-1}[i-j]
+
+    and delta_k(r0) = c_k[0] d_{k-1}[0] - c_{k-1}[0] d_k[0] (the improved
+    AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004).  Level K
+    needs the anti-diagonal k + i = K only, so levels extend one at a time.
     """
-
-    def __init__(self, problem: AimProblem, r0: Fraction):
-        self.problem = problem
-        self.r0 = r0
-        lam_den = problem.lambda0.den
-        s_den = problem.s0.den
-        g = poly_gcd(lam_den, s_den)
-        self._den = lam_den * (s_den // g)
-        self._den_prime = self._den.derivative()
-        self._lam_scale = s_den // g
-        self._s_scale = lam_den // g
-        if self._den.evaluate(r0) == 0:
-            raise EvaluationPole(f"denominator pole at r0 = {r0}")
-        self._rows: dict[Fraction, list[tuple[Poly, Poly]]] = {}
-
-    def delta(self, energy: Fraction, k: int) -> Fraction:
-        rows = self._rows.get(energy)
-        if rows is None:
-            lam0 = self.problem.lambda0
-            s0 = self.problem.s0
-            p0 = (lam0.num_const + lam0.num_slope * energy) * self._lam_scale
-            q0 = (s0.num_const + s0.num_slope * energy) * self._s_scale
-            rows = [(p0, q0)]
-            self._rows[energy] = rows
-        while len(rows) <= k:
-            i = len(rows)
-            p_prev, q_prev = rows[-1]
-            p = (
-                p_prev.derivative() * self._den
-                - i * (p_prev * self._den_prime)
-                + q_prev * self._den
-                + rows[0][0] * p_prev
-            )
-            q = (
-                q_prev.derivative() * self._den
-                - i * (q_prev * self._den_prime)
-                + rows[0][1] * p_prev
-            )
-            rows.append((p, q))
-        p_k, q_k = rows[k]
-        p_km1, q_km1 = rows[k - 1]
-        return p_k.evaluate(self.r0) * q_km1.evaluate(self.r0) - p_km1.evaluate(
-            self.r0
-        ) * q_k.evaluate(self.r0)
-
-
-def _find_roots(
-    f, lo: Fraction, hi: Fraction, scan_points: int, tol: Fraction
-) -> list[Fraction]:
-    """Sign-change scan on an open-interval grid plus exact bisection."""
-    grid = [lo + (hi - lo) * Fraction(i, scan_points + 1) for i in range(1, scan_points + 1)]
-    values = [f(x) for x in grid]
-    roots: list[Fraction] = []
-    for x, v in zip(grid, values):
-        if v == 0:
-            roots.append(x)
-    for (a, fa), (b, fb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            continue
-        while b - a >= tol:
-            mid = (a + b) / 2
-            fm = f(mid)
-            if fm == 0:
-                a = b = mid
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append((a + b) / 2)
-    roots.sort()
-    return roots
-
-
-class _Tracker:
-    __slots__ = ("value", "history", "converged", "missed")
-
-    def __init__(self, k: int, value: Fraction):
-        self.value = value
-        self.history = [(k, value)]
-        self.converged = False
-        self.missed = 0
+    lam0 = _taylor_coefficients(problem.lambda0, r0)
+    s0 = _taylor_coefficients(problem.s0, r0)
+    c: list[list[Poly]] = []
+    d: list[list[Poly]] = []
+    for level in count():
+        c.append([])
+        d.append([])
+        c[0].append(next(lam0))
+        d[0].append(next(s0))
+        for k in range(1, level + 1):
+            i = level - k
+            lam, s = c[k - 1], d[k - 1]
+            conv_c, conv_d = Poly(), Poly()
+            for j in range(i + 1):
+                conv_c = conv_c + c[0][j] * lam[i - j]
+                conv_d = conv_d + d[0][j] * lam[i - j]
+            c[k].append((i + 1) * lam[i + 1] + s[i] + conv_c)
+            d[k].append((i + 1) * s[i + 1] + conv_d)
+        if level >= 1:
+            yield c[level][0] * d[level - 1][0] - c[level - 1][0] * d[level][0]
 
 
 def solve_iterative(
@@ -222,19 +183,19 @@ def solve_iterative(
     bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
     k_max: int = 40,
     tol: Fraction = Fraction(1, 10**8),
-    scan_points: int = 64,
-) -> list[EigenvalueEstimate]:
-    """Locate eigenvalues as stabilized roots of delta_k inside the bracket.
+) -> IterativeSpectrum:
+    """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
 
-    For each level k the bracket is scanned on an open grid of
-    ``scan_points`` interior nodes, sign changes are refined by bisection to
-    width < tol, and roots are matched to the roots of the previous level
-    by proximity (ties toward the smaller root).  A root whose value agrees
-    with its previous-level match to within tol is marked converged.
-    The returned estimates are ordered by ascending value; ``n`` is the
-    index in that ordering (bracket-relative, not the physical mode index).
-
-    Raises NoRootInBracket when no sign change is ever found up to k_max.
+    Level by level, delta_k is one exact polynomial in E whose real roots in
+    the bracket come from ``Poly.real_roots``.  The solver stops at the first
+    k >= 2 whose roots are nonempty, all exact and those of level k-1, or at
+    k_max.  This rule assumes that each further level adds the next
+    eigenvalue, as it does for exactly solvable problems.  An estimate is
+    ``converged`` iff its value is an exact root of both delta_{k-1} and
+    delta_k at the returned level k; any other root is reported at the
+    midpoint of an interval narrower than ``tol``.  ``n`` indexes the
+    ascending roots (bracket-relative, not the mode index).  Raises
+    NoRootInBracket when delta_k has no root in the bracket at the end.
     """
     if r0 is None:
         r0 = problem.eval_point
@@ -245,64 +206,23 @@ def solve_iterative(
         raise ValueError("empty bracket")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if scan_points < 2:
-        raise ValueError("scan_points must be >= 2")
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
 
-    evaluator = _DeltaEvaluator(problem, r0)
-    trackers: list[_Tracker] = []
-    found_any = False
-    last_k = 0
-    for k in range(1, k_max + 1):
-        last_k = k
-        roots = _find_roots(lambda E: evaluator.delta(E, k), lo, hi, scan_points, tol)
-        if roots:
-            found_any = True
-        # greedy proximity matching, ties toward the smaller root
-        pairs = sorted(
-            (abs(root - t.value), root, ti)
-            for root in roots
-            for ti, t in enumerate(trackers)
-        )
-        used_roots: set[Fraction] = set()
-        used_trackers: set[int] = set()
-        new_tracker = False
-        for _, root, ti in pairs:
-            if root in used_roots or ti in used_trackers:
-                continue
-            used_roots.add(root)
-            used_trackers.add(ti)
-            t = trackers[ti]
-            if abs(root - t.value) < tol:
-                t.converged = True
-            t.value = root
-            t.history.append((k, root))
-            t.missed = 0
-        for root in roots:
-            if root not in used_roots:
-                trackers.append(_Tracker(k, root))
-                new_tracker = True
-        stale = []
-        for ti, t in enumerate(trackers):
-            if ti not in used_trackers and t.history[-1][0] != k:
-                t.missed += 1
-                if t.missed >= 2 and not t.converged:
-                    stale.append(ti)
-        for ti in reversed(stale):
-            del trackers[ti]
-        if trackers and not new_tracker and all(t.converged for t in trackers) and k >= 2:
+    levels: list[tuple[Poly, list[tuple[Fraction, Fraction]]]] = []
+    for k, delta in zip(range(1, k_max + 1), determinants(problem, r0)):
+        if delta.is_zero:
+            raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
+        roots = delta.real_roots(lo, hi, tol)
+        settled = bool(levels) and roots == levels[-1][1] and all(a == b for a, b in roots)
+        levels = levels[-1:] + [(delta, roots)]
+        if settled and roots:
             break
-
-    if not found_any:
-        raise NoRootInBracket(f"no sign change of delta_k in {bracket} by k = {k_max}")
-
-    trackers.sort(key=lambda t: t.value)
-    return [
-        EigenvalueEstimate(
-            n=i,
-            value=t.value,
-            k_used=t.history[-1][0],
-            converged=t.converged,
-            history=t.history,
-        )
-        for i, t in enumerate(trackers)
+    (prev_delta, prev_roots), (_, roots) = levels
+    if not roots:
+        raise NoRootInBracket(f"no root of delta_{k} in ({lo}, {hi})")
+    estimates = [
+        EigenvalueEstimate(n, a if a == b else (a + b) / 2, k, a == b and not prev_delta.evaluate(a))
+        for n, (a, b) in enumerate(roots)
     ]
+    return IterativeSpectrum(estimates, k, (len(prev_roots), len(roots)))

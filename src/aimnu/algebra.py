@@ -199,6 +199,55 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def compose_linear(self, a: _FractionLike, b: _FractionLike = 1) -> "Poly":
+        """p(a + b*r) as a polynomial in r."""
+        out = Poly()
+        for c in reversed(self.coeffs):
+            out = out * Poly((a, b)) + c
+        return out
+
+    def real_roots(
+        self, lo: _FractionLike, hi: _FractionLike, width: Fraction | None = None
+    ) -> list[tuple[Fraction, Fraction]]:
+        """Every distinct real root in the open interval (lo, hi), ascending.
+
+        Each root comes as a pair (a, b): a == b is an exact rational root,
+        a < b an open interval that holds one irrational root, narrower than
+        ``width`` when given.  The roots of the squarefree part are isolated
+        by Descartes' rule of signs with bisection on primitive integer
+        coefficients (Collins & Akritas, SYMSAC 1976), then refined by
+        testing the simplest rational inside each interval (``_refine``).
+        """
+        if self.is_zero:
+            raise InvalidInput("real roots of the zero polynomial")
+        lo, hi = _as_fraction(lo), _as_fraction(hi)
+        if not lo < hi or (width is not None and width <= 0):
+            raise InvalidInput(f"empty interval ({lo}, {hi}) or width {width} <= 0")
+        if self.degree < 1:
+            return []
+        ints = _integer_coeffs(self)
+        if not _squarefree_mod_prime(ints):
+            ints = _integer_coeffs(self // poly_gcd(self, self.derivative()))
+        found: list[tuple[Fraction, Fraction]] = []
+        isolated: list[tuple[Fraction, Fraction]] = []
+        # Descartes bisection on P(x) = p(lo + (hi - lo) x), x in (0, 1)
+        stack = [(lo, hi, _integer_coeffs(Poly(ints).compose_linear(lo, hi - lo)))]
+        while stack:
+            a, b, cs = stack.pop()
+            signs = [c > 0 for c in _shift_by_one(cs[::-1]) if c]
+            variations = sum(s != t for s, t in zip(signs, signs[1:]))
+            if variations == 1:
+                isolated.append((a, b))
+            elif variations > 1:
+                n, mid = len(cs) - 1, (a + b) / 2
+                left = _primitive([c << (n - i) for i, c in enumerate(cs)])  # 2^n P(x/2)
+                right = _shift_by_one(left)
+                if right[0] == 0:
+                    found.append((mid, mid))
+                stack += [(a, mid, left), (mid, b, right)]
+        found += [_refine(ints, lo_, hi_, width) for lo_, hi_ in isolated]
+        return sorted(found)
+
     # -- normal forms -------------------------------------------------
 
     def monic(self) -> "Poly":
@@ -364,62 +413,114 @@ def _integer_coeffs(p: Poly) -> list[int]:
     lcm = 1
     for c in p.coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
+    return _primitive([int(c * lcm) for c in p.coeffs])
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    content = math.gcd(*ints)
     return [v // content for v in ints] if content > 1 else ints
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _squarefree_mod_prime(ints: list[int]) -> bool:
+    """True when gcd(p, p') = 1 modulo 2^61 - 1, which proves p squarefree
+    (a common factor over Q would survive, the prime not dividing lc)."""
+    q = (1 << 61) - 1
+    a, b = [c % q for c in ints], [i * c % q for i, c in enumerate(ints)][1:]
+    if not a[-1]:
+        return False
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):  # a <- a mod b
+            f, top = a[-1] * inv % q, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[top + i] = (a[top + i] - f * c) % q
+            a.pop()
+        a, b = b, a
+
+
+def _shift_by_one(cs: list[int]) -> list[int]:
+    """Coefficients of P(x + 1), lowest degree first."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return cs
+
+
+def _sign_at(ints: list[int], u: int, v: int) -> int:
+    """Sign of the integer polynomial at u/v, v > 0, by homogeneous Horner."""
+    acc, vp = 0, 1
+    for c in reversed(ints):
+        acc = acc * u + c * vp
+        vp *= v
+    return (acc > 0) - (acc < 0)
+
+
+def _refine(
+    ints: list[int], a: Fraction, b: Fraction, width: Fraction | None
+) -> tuple[Fraction, Fraction]:
+    """The one simple root in (a, b) of a squarefree primitive polynomial.
+
+    A Stern-Brocot descent: the ends p0/q0 < root < p1/q1 stay adjacent, so
+    each probe is the simplest rational inside, and runs of moves to one
+    side gallop.  A rational root u/v has v | lc, so once the mediant's
+    denominator exceeds |lc| the root is certified irrational; this happens
+    by width 1/(2 lc^2) at the latest.
+    """
+    derivative = [i * c for i, c in enumerate(ints)][1:]
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    sign_a = _sign_at(ints, an, ad) or _sign_at(derivative, an, ad)
+
+    def side(p: int, q: int) -> int:  # -1: p/q below the root, 0: the root, 1: above
+        if p * bd >= bn * q:
+            return 1
+        if p * ad <= an * q:
+            return -1
+        s = _sign_at(ints, p, q)
+        return 0 if s == 0 else (-1 if s == sign_a else 1)
+
+    p0, q0, p1, q1 = math.floor(a), 1, 1, 0
+    while q0 + q1 <= abs(ints[-1]) or (width is not None and q0 * q1 * width <= 1):
+        s = side(p0 + p1, q0 + q1)
+        # the nodes base + t*step, t >= 1, run from the mediant to the far end
+        (bp, bq), (sp, sq) = ((p0, q0), (p1, q1)) if s < 0 else ((p1, q1), (p0, q0))
+        lo, hi, probe, r = 1, 1, 1, s
+        while r == s != 0:
+            lo, hi = hi, 2 * hi
+            probe, r = hi, side(bp + hi * sp, bq + hi * sq)
+        while r and hi - lo > 1:
+            probe = (lo + hi) // 2
+            r = side(bp + probe * sp, bq + probe * sq)
+            lo, hi = (probe, hi) if r == s else (lo, probe)
+        if not r:
+            root = Fraction(bp + probe * sp, bq + probe * sq)
+            return root, root
+        ends = [(bp + lo * sp, bq + lo * sq), (bp + hi * sp, bq + hi * sq)]
+        (p0, q0), (p1, q1) = ends if s < 0 else ends[::-1]
+    return max(a, Fraction(p0, q0)), min(b, Fraction(p1, q1))
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """All rational roots of p with multiplicities, plus the root-free cofactor.
 
-    Returns (roots, residual) with p = lc * prod (r - c)^m * residual/lc
-    exactly; residual has no rational roots.
+    Returns (roots, residual) with p = prod (r - c)^m * residual exactly;
+    residual has no rational roots.  The roots are the exact ones that
+    ``Poly.real_roots`` certifies inside the Cauchy bound.
     """
     if p.is_zero:
         raise InvalidInput("rational_roots of the zero polynomial")
     roots: list[tuple[Fraction, int]] = []
     work = p
-    # strip powers of r first
-    mult = 0
-    while not work.is_zero and work.coeff(0) == 0 and work.degree >= 1:
-        work = work // Poly.variable()
-        mult += 1
-    if mult:
-        roots.append((Fraction(0), mult))
-    if work.degree >= 1:
-        ints = _integer_coeffs(work)
-        candidates: list[Fraction] = []
-        for pnum in _divisors(ints[0]):
-            for qden in _divisors(ints[-1]):
-                for sign in (1, -1):
-                    c = Fraction(sign * pnum, qden)
-                    if c not in candidates:
-                        candidates.append(c)
-        for c in candidates:
-            m = 0
-            while work.degree >= 1 and work.evaluate(c) == 0:
-                work = work // Poly.linear_root(c)
-                m += 1
-            if m:
-                roots.append((c, m))
-            if work.degree < 1:
-                break
-    roots.sort(key=lambda rm: rm[0])
+    bound = 1 + max((abs(c / p.leading) for c in p.coeffs[:-1]), default=0)
+    for root in (a for a, b in p.real_roots(-bound, bound) if a == b):
+        m = 0
+        while work.evaluate(root) == 0:
+            work, m = work // Poly.linear_root(root), m + 1
+        roots.append((root, m))
     return roots, work
 
 

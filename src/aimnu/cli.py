@@ -31,6 +31,7 @@ from .errors import (
     AimnuError,
     BadParameter,
     DegenerateParameterMap,
+    EvaluationPole,
     InvalidRational,
     NoRationalReduction,
     NoRootInBracket,
@@ -54,6 +55,7 @@ _INPUT_ERRORS = (
 )
 _RUNTIME_ERRORS = (
     DegenerateParameterMap,
+    EvaluationPole,
     NoRootInBracket,
     NoRationalReduction,
     PochhammerPole,
@@ -191,7 +193,7 @@ def cmd_list(substring, fmt):
 @main.command("solve")
 @click.argument("name_or_file")
 @_PARAM
-@click.option("--n", "n_max", type=int, default=0, help="highest mode index")
+@click.option("--n", "n_max", type=click.IntRange(min=0), default=0, help="highest mode index")
 @_FORMAT
 def cmd_solve(name_or_file, params, n_max, fmt):
     """Closed-form spectrum via the quantization-constant formula."""
@@ -223,13 +225,16 @@ def cmd_solve(name_or_file, params, n_max, fmt):
 @click.argument("name_or_file")
 @_PARAM
 @click.option("--r0", default=None, help="evaluation point (rational)")
-@click.option("--bracket", required=True, help="lo:hi search bracket (rationals)")
-@click.option("--kmax", type=int, default=40)
-@click.option("--tol", default="1/100000000")
-@click.option("--scan", "scan_points", type=int, default=64)
+@click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
+@click.option("--kmax", type=click.IntRange(min=2), default=40, help="highest level k")
+@click.option("--tol", default="1/100000000", help="interval width for roots not certified exact")
 @_FORMAT
-def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, scan_points, fmt):
-    """Iterative spectrum via exact-sign bisection on the quantization determinant."""
+def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
+    """Iterative spectrum: exact roots of delta_k(r0, E), certified level by level.
+
+    Stops once the roots in the open bracket are all exact and equal to those
+    of level k-1; exits 1, naming them, when some root is uncertified at kmax.
+    """
     try:
         name, problem = _load_problem(name_or_file, _parse_params(params))
         lo, hi = _parse_bracket(bracket)
@@ -239,39 +244,29 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, scan_points, fmt):
         _fail(2, str(exc))
     try:
         estimates = aim_mod.solve_iterative(
-            hg.to_aim_form(problem), r0_val, (lo, hi), kmax, tol_val, scan_points
+            hg.to_aim_form(problem), r0_val, (lo, hi), kmax, tol_val
         )
     except _RUNTIME_ERRORS as exc:
         _fail(1, str(exc))
-    header = ["n", "value", "k_used", "converged"]
+    except ValueError as exc:  # an empty bracket, tol <= 0 or no evaluation point
+        _fail(2, str(exc))
+    k = estimates.k
     rows = [
-        [str(e.n), format_rational(e.value), str(e.k_used), str(e.converged).lower()]
+        {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}
         for e in estimates
     ]
     _emit(
         fmt,
-        header,
-        rows,
-        {
-            "name": name,
-            "rows": [
-                {
-                    "n": e.n,
-                    "value": format_rational(e.value),
-                    "k_used": e.k_used,
-                    "converged": e.converged,
-                    "history": [[k, format_rational(v)] for k, v in e.history],
-                }
-                for e in estimates
-            ],
-        },
+        ["n", "value", "k_used", "converged"],
+        [[str(r["n"]), r["value"], str(k), str(r["converged"]).lower()] for r in rows],
+        {"name": name, "rows": rows, "certificate": {"k": k, "counts": list(estimates.counts)}},
     )
     if fmt == "table":
-        for e in estimates:
-            trail = ", ".join(f"k={k}: {format_rational(v)}" for k, v in e.history)
-            click.echo(f"  history[n={e.n}]: {trail}")
-    if not all(e.converged for e in estimates):
-        sys.exit(1)
+        click.echo(f"  certificate: k={k}, roots at k-1 and k: {estimates.counts}")
+    uncertified = [f"n={r['n']} ({r['value']})" for r in rows if not r["converged"]]
+    if uncertified:
+        reason = f"not exact roots of both delta_{k - 1} and delta_{k}"
+        _fail(1, f"roots uncertified at kmax = {k} ({reason}): " + ", ".join(uncertified))
 
 
 def _sample_grid(spec: str):
@@ -292,7 +287,7 @@ def _decimal12(x: Fraction) -> str:
 @main.command("eigenfunction")
 @click.argument("name_or_file")
 @_PARAM
-@click.option("--n", "n", type=int, default=0)
+@click.option("--n", "n", type=click.IntRange(min=0), default=0)
 @click.option(
     "--method",
     type=click.Choice(["recursion", "rodrigues", "explicit", "hypergeometric"]),
@@ -347,7 +342,9 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
 
 @main.command("nu")
 @click.argument("problem_file")
-@click.option("--n", "n", type=int, default=None, help="also report the mode eigenparameter")
+@click.option(
+    "--n", "n", type=click.IntRange(min=0), default=None, help="also report the mode eigenparameter"
+)
 @_FORMAT
 def cmd_nu(problem_file, n, fmt):
     """Enumerate (k, pi) reductions of a Nikiforov-Uvarov problem file."""

@@ -30,7 +30,7 @@ class EvaluationPole(AimnuError, ArithmeticError):
 
 
 class NoRootInBracket(AimnuError, RuntimeError):
-    """The iterative solver found no sign change inside the bracket."""
+    """The iterative solver found no root of delta_k inside the bracket."""
 
 
 class NotHypergeometricType(AimnuError, ValueError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative
+from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative, rational_roots
 from .errors import (
     AmbiguousBranch,
     NoRationalReduction,
@@ -82,22 +82,6 @@ def _square_root_of_quadratic(u: Poly) -> Poly | None:
     return Poly.const(t) if t is not None else None
 
 
-def _rational_quadratic_roots(d2: Fraction, d1: Fraction, d0: Fraction) -> list[Fraction]:
-    """Rational roots of d2 x^2 + d1 x + d0 (not all coefficients zero)."""
-    if d2 == 0:
-        if d1 == 0:
-            return []
-        return [-d0 / d1]
-    disc = d1 * d1 - 4 * d2 * d0
-    if disc < 0:
-        return []
-    s = rational_sqrt(disc)
-    if s is None:
-        return []
-    roots = {(-d1 + s) / (2 * d2), (-d1 - s) / (2 * d2)}
-    return sorted(roots)
-
-
 def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     """All rational (k, pi) pairs making the radicand a perfect square.
 
@@ -129,7 +113,7 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
         )
 
     candidates: list[NuReduction] = []
-    for k in _rational_quadratic_roots(d2, d1, d0):
+    for k, _ in rational_roots(Poly((d0, d1, d2)))[0]:
         u = u0 + sigma * k
         w = _square_root_of_quadratic(u)
         if w is None:

@@ -3,9 +3,9 @@
 Every suite re-derives its expected values through an independent route
 (printed spectrum formulas, explicit low-order polynomials, Rodrigues
 generation, exact residuals of the original equations) and compares with
-the solver output by exact rational equality, except where an iterative
-bisection tolerance is part of the contract.  All random draws are seeded,
-so repeated runs are reproducible bit for bit.
+the solver output by exact rational equality; the iterative route must
+return every root in its bracket exactly and certified.  All random draws
+are seeded, so repeated runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import NoRationalReduction
 __all__ = ["CheckResult", "SUITES", "run_suites"]
 
 F = Fraction
-TOL = F(1, 10**8)
 
 
 @dataclass
@@ -111,18 +110,19 @@ def suite_morse() -> list[CheckResult]:
     for alpha, beta in _morse_cases():
         params = {"alpha": alpha, "beta": beta}
         problem = hypergeometric.to_aim_form(catalog.catalog_get("morse", params))
-        estimates = aim.solve_iterative(
-            problem, F(1), (beta - 2 * alpha, beta), k_max=40, tol=TOL
-        )
-        for n in range(2):
-            expected = beta - (F(n) + F(1, 2)) * alpha
-            if not any(
-                e.converged and abs(e.value - expected) < TOL for e in estimates
-            ):
-                ok = False
-                detail = f"missing root {expected} for alpha={alpha}, beta={beta}"
-    out.append(_result("morse", "iterative roots within 1e-8, n = 0, 1", ok, detail))
+        estimates = aim.solve_iterative(problem, F(1), (beta - 2 * alpha, beta), k_max=40)
+        certified, note = _certified(estimates, [beta - F(3, 2) * alpha, beta - alpha / 2])
+        if not certified:
+            ok, detail = False, f"alpha={alpha}, beta={beta}: {note}"
+    out.append(_result("morse", "iterative roots exact and complete, n = 0, 1", ok, detail))
     return out
+
+
+def _certified(estimates: list[aim.EigenvalueEstimate], expected: list[Fraction]):
+    """(ok, detail): every estimate converged and the values exactly as expected."""
+    ok = all(e.converged for e in estimates) and [e.value for e in estimates] == expected
+    got = ", ".join(f"{e.value}{'' if e.converged else ' (not converged)'}" for e in estimates)
+    return ok, f"got [{got}], expected [{', '.join(map(str, expected))}]"
 
 
 def _hulthen_y_printed(n: int, q: Fraction, e: Fraction) -> Poly:
@@ -369,15 +369,12 @@ def suite_aim_consistency() -> list[CheckResult]:
     for name, (r0, bracket) in cases.items():
         problem = catalog.catalog_get(name)
         estimates = aim.solve_iterative(
-            hypergeometric.to_aim_form(problem), r0, bracket, k_max=40, tol=TOL
+            hypergeometric.to_aim_form(problem), r0, bracket, k_max=40
         )
-        closed = {hypergeometric.eigenvalue(problem, n) for n in range(6)}
-        targets = [v for v in closed if bracket[0] < v < bracket[1]]
-        ok = all(
-            any(e.converged and abs(e.value - v) < 10 * TOL for e in estimates)
-            for v in targets
-        )
-        out.append(_result("aim", f"iterative agrees with closed form: {name}", ok))
+        closed = {hypergeometric.eigenvalue(problem, n) for n in range(21)}
+        targets = sorted(v for v in closed if bracket[0] < v < bracket[1])
+        ok, detail = _certified(estimates, targets)
+        out.append(_result("aim", f"iterative agrees with closed form: {name}", ok, detail))
     return out
 
 

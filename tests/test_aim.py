@@ -9,6 +9,7 @@ from aimnu.aim import (
     aim_step,
     alpha_ratio,
     delta_k,
+    determinants,
     iterate,
     solve_iterative,
 )
@@ -108,7 +109,7 @@ class TestSolveIterative:
     def test_no_root_in_bracket(self):
         problem = to_aim_form(catalog_get("morse"))
         with pytest.raises(NoRootInBracket):
-            solve_iterative(problem, F(1), (F(10), F(11)), k_max=6, scan_points=16)
+            solve_iterative(problem, F(1), (F(10), F(11)), k_max=6)
 
     def test_pole_at_evaluation_point(self):
         problem = to_aim_form(catalog_get("morse"))  # sigma = r vanishes at 0
@@ -144,7 +145,7 @@ class TestSolveIterative:
         with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(0), F(1)), tol=F(0))
         with pytest.raises(ValueError):
-            solve_iterative(problem, F(1), (F(0), F(1)), scan_points=1)
+            solve_iterative(problem, F(1), (F(0), F(1)), k_max=1)
         with pytest.raises(ValueError):
             solve_iterative(AimProblem(problem.lambda0, problem.s0), None, (F(0), F(1)))
 
@@ -158,3 +159,67 @@ class TestSolveIterative:
         assert targets
         for v in targets:
             assert any(e.converged and abs(e.value - v) < 10 * TOL for e in estimates)
+
+
+def _solve(name, r0, bracket, **kwargs):
+    return solve_iterative(to_aim_form(catalog_get(name)), r0, bracket, **kwargs)
+
+
+class TestCertifiedBrackets:
+    """Brackets where the former grid scan lost roots; every root is exact."""
+
+    @pytest.mark.parametrize(
+        "name, r0, bracket, expected",
+        [
+            ("legendre", F(1, 3), (F(-1, 2), F(60)), [0, 2, 6, 12, 20, 30, 42, 56]),
+            ("kratzer", F(1), (F(1, 50), F(1)), [F(1, 2 * (n + 1)) for n in range(23, -1, -1)]),
+            ("hermite", F(1), (F(-1, 2), F(21, 2)), list(range(11))),
+            ("hermite", F(1), (F(0), F(3)), [1, 2]),  # roots at both ends are outside
+        ],
+    )
+    def test_exact_spectrum(self, name, r0, bracket, expected):
+        estimates = _solve(name, r0, bracket)
+        assert [e.value for e in estimates] == expected
+        assert all(type(e.value) is F for e in estimates)
+        assert all(e.converged and e.k_used == estimates.k for e in estimates)
+        assert estimates.counts == (len(expected), len(expected))
+
+    def test_k_max_too_small(self):
+        estimates = _solve("hermite", F(1), (F(-1, 2), F(21, 2)), k_max=5)
+        assert estimates.k == 5 and estimates.counts == (5, 6)
+        assert [e.value for e in estimates] == [0, 1, 2, 3, 4, 5]
+        # 5 is a root of delta_5 but not of delta_4; 6..10 are not found yet
+        assert [e.converged for e in estimates] == [True] * 5 + [False]
+
+    def test_irrational_roots_reported_as_midpoints(self):
+        # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
+        # has the irrational roots 2 -+ sqrt(2) in the bracket
+        problem = AimProblem(
+            ParamRatFunc(Poly([0, 2]), Poly(), Poly.const(1)),
+            ParamRatFunc(Poly([0, 0, 1]), Poly.const(-1), Poly.const(1)),
+        )
+        estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3, tol=TOL)
+        assert len(estimates) == 2 and estimates.counts == (3, 2)
+        for e in estimates:
+            assert not e.converged
+            below = _delta_at(problem, e.value - TOL, 3, F(0))
+            above = _delta_at(problem, e.value + TOL, 3, F(0))
+            assert below * above < 0
+
+
+def _delta_at(problem, energy, k, r0=F(1)):
+    seq = iterate(problem.lambda0.substitute(energy), problem.s0.substitute(energy), k)
+    return delta_k(seq).evaluate(r0)
+
+
+class TestDeterminants:
+    @pytest.mark.parametrize(
+        "name, r0", [("hermite", F(1)), ("kratzer", F(1)), ("morse", F(1)), ("hulthen", F(1, 2))]
+    )
+    def test_matches_rational_function_recursion(self, name, r0):
+        problem = to_aim_form(catalog_get(name))
+        levels = determinants(problem, r0)
+        for k in range(1, 7):
+            delta = next(levels)
+            for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
+                assert delta.evaluate(energy) == _delta_at(problem, energy, k, r0)

@@ -13,6 +13,7 @@ from aimnu.algebra import (
     integrate_log_derivative,
     partial_fractions,
     poly_gcd,
+    rational_roots,
 )
 from aimnu.errors import (
     DivisionByZero,
@@ -79,6 +80,40 @@ class TestPoly:
 
     def test_evaluate(self):
         assert (R**2 - F(1, 2)).evaluate(F(1, 2)) == F(-1, 4)
+
+
+class TestRealRoots:
+    P = (R - F(1, 3)) * (R * R - 2) * (R + 5) ** 2  # roots -5 (double), -+sqrt 2, 1/3
+
+    def test_exact_and_irrational_roots(self):
+        width = F(1, 10**6)
+        found = self.P.real_roots(-10, 10, width)
+        assert [a for a, b in found if a == b] == [F(-5), F(1, 3)]
+        irrational = [(a, b) for a, b in found if a != b]
+        assert len(found) == 4 and len(irrational) == 2
+        for (a, b), sign in zip(irrational, (-1, 1)):
+            assert b - a < width
+            assert a * sign > 0 and (a * a - 2) * (b * b - 2) < 0
+
+    def test_open_interval_excludes_endpoints(self):
+        (a, b), = self.P.real_roots(-5, F(1, 3))  # -sqrt 2 only
+        assert a != b and (a * a - 2) * (b * b - 2) < 0
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidInput):
+            Poly().real_roots(0, 1)
+        with pytest.raises(InvalidInput):
+            self.P.real_roots(1, 1)
+        with pytest.raises(InvalidInput):
+            self.P.real_roots(0, 1, F(0))
+        assert Poly.const(3).real_roots(0, 1) == []
+
+    def test_rational_roots_of_a_30_digit_constant(self):
+        c = 10**30 + 57
+        roots, residual = rational_roots((R - F(2, 3)) ** 2 * (R * R + c))
+        assert roots == [(F(2, 3), 2)] and residual == R * R + c
+        roots, residual = rational_roots((3 * R - 1) * (R * R - c * c))
+        assert roots == [(F(-c), 1), (F(1, 3), 1), (F(c), 1)] and residual == Poly.const(3)
 
 
 class TestRatFunc:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -120,15 +122,51 @@ class TestAim:
         assert any(abs(v - 1) < 1e-7 for v in values)
 
     def test_no_root_exits_1(self, runner):
+        result = runner.invoke(main, ["aim", "morse", "--bracket", "10:11", "--kmax", "6"])
+        assert result.exit_code == 1
+        assert "no root of delta_6 in (10, 11)" in result.output
+
+    def test_pole_at_r0_exits_1(self, runner):
+        result = runner.invoke(main, ["aim", "morse", "--r0", "0", "--bracket", "0:4"])
+        assert result.exit_code == 1
+        assert "error: denominator pole at r0 = 0" in result.output
+
+    def test_kratzer_json_certificate(self, runner):
+        result = invoke(runner, ["aim", "kratzer", "--bracket", "1/50:1", "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert [row["value"] for row in doc["rows"]] == [f"1/{2 * n}" for n in range(24, 0, -1)]
+        assert all(row["converged"] and row["k_used"] == 24 for row in doc["rows"])
+        assert set(doc["rows"][0]) == {"n", "value", "k_used", "converged"}
+        assert doc["certificate"] == {"k": 24, "counts": [24, 24]}
+
+    def test_uncertified_roots_exit_1(self, runner):
         result = runner.invoke(
-            main, ["aim", "morse", "--bracket", "10:11", "--kmax", "6", "--scan", "16"]
+            main, ["aim", "hermite", "--bracket=-1/2:21/2", "--kmax", "5", "--format", "csv"]
         )
         assert result.exit_code == 1
-        assert "no sign change" in result.output
+        assert "5,5,5,false" in result.output.splitlines()
+        assert "roots uncertified at kmax = 5" in result.output
+        assert "n=5 (5)" in result.output
 
     def test_bad_bracket_exits_2(self, runner):
         result = runner.invoke(main, ["aim", "hermite", "--bracket", "zero-one"])
         assert result.exit_code == 2
+        for args in (["--bracket", "1:0"], ["--bracket", "0:1", "--tol", "0"]):
+            result = runner.invoke(main, ["aim", "hermite", *args])
+            assert result.exit_code == 2 and "error: " in result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "eigenfunction", "nu"])
+def test_negative_mode_index_exits_2(runner, tmp_path, command):
+    target = "hermite"
+    if command == "nu":
+        target = str(tmp_path / "nu.json")
+        doc = {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"]}
+        (tmp_path / "nu.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, target, "--n", "-1"])
+    assert result.exit_code == 2
+    assert "--n" in result.output
 
 
 class TestEigenfunction:
@@ -218,6 +256,24 @@ class TestNu:
         path = self._write(tmp_path, {"sigma": ["1"]})
         result = runner.invoke(main, ["nu", path])
         assert result.exit_code == 2
+
+
+class TestBoundedInputs:
+    @pytest.mark.parametrize("constant", [10**24 + 39, 123456789012345678901234567891])
+    def test_nu_large_sigma_constant(self, tmp_path, constant):
+        # for sigma = r^2 + c, c != 0, the radicand k sigma is a perfect square
+        # only at k = 0, where w = r gives pi = 2r and pi = 0
+        path = tmp_path / "large.json"
+        doc = {"tauTilde": ["0"], "sigma": [str(constant), "0", "1"], "sigmaTilde": ["0"]}
+        path.write_text(json.dumps(doc))
+        result = subprocess.run(
+            [sys.executable, "-m", "aimnu", "nu", str(path), "--format", "json"],
+            capture_output=True,
+            timeout=10,
+        )
+        assert result.returncode == 0
+        candidates = json.loads(result.stdout)["candidates"]
+        assert sorted((c["k"], c["pi"]) for c in candidates) == [("0", []), ("0", ["0", "2"])]
 
 
 class TestVerify:
