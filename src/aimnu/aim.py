@@ -9,15 +9,16 @@ and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 in two independent forms.  ``iterate``/``delta_k`` run it on rational
 functions of r at one numeric trial value, with the alpha-ratio
 termination diagnostic; they serve as the oracle.  ``determinants`` runs
-it on Taylor coefficients about the evaluation point r0 with the trial
-value E symbolic, so each level gives delta_k(r0, E) as one exact
-polynomial in E.  ``solve_iterative`` reads the eigenvalues off the
+it on integer-weighted Taylor coefficients about the evaluation point r0
+with the trial value E symbolic, so each level gives delta_k(r0, E) as
+one exact polynomial in E.  ``solve_iterative`` reads the eigenvalues off the
 certified real roots of those polynomials, level by level; every step is
 exact, so the results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -127,19 +128,39 @@ class IterativeSpectrum(list):
         self.k, self.counts = k, counts
 
 
-def _taylor_coefficients(f: ParamRatFunc, r0: Fraction):
-    """Yield the Taylor coefficients of f about r0, each a Poly in the parameter."""
-    num_const, num_slope, den = (p.compose_linear(r0) for p in (f.num_const, f.num_slope, f.den))
-    d0 = den.coeff(0)
-    if d0 == 0:
-        raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    terms: list[Poly] = []
+def _dot(pairs) -> list[int]:
+    """Sum of the products a * b of integer lists in E, lowest power first."""
+    out: list[int] = []
+    for a, b in pairs:
+        out += [0] * (len(a) + len(b) - 1 - len(out))
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                out[s + t] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _cleared(f: ParamRatFunc, r0: Fraction) -> list[list[int]]:
+    """num_const, num_slope and den of f in powers of r - r0, as integer
+    lists with their common denominator cleared."""
+    parts = [p.compose_linear(r0).coeffs for p in (f.num_const, f.num_slope, f.den)]
+    m = math.lcm(*(c.denominator for cs in parts for c in cs))
+    return [[c.numerator * (m // c.denominator) for c in cs] for cs in parts]
+
+
+def _taylor_rows(parts: list[list[int]], q: int):
+    """Yield U_j = q^(j+1) f_j for j = 0, 1, ..., f_j the Taylor coefficients
+    of f = (num_const + E num_slope)/den about r0, as integer lists in E, by
+    the division-free recurrence U_j = (q/d0) (q^j N_j - sum_i den_i q^(i-1)
+    U_{j-i}), where d0 = den_0 divides q."""
+    num_const, num_slope, den = parts
+    g, rows = q // den[0], []
     for j in count():
-        t = Poly((num_const.coeff(j), num_slope.coeff(j)))
-        for i in range(1, min(j, den.degree) + 1):
-            t = t - terms[j - i] * den.coeff(i)
-        terms.append(t * (1 / d0))
-        yield terms[-1]
+        n_j = [cs[j] if j < len(cs) else 0 for cs in (num_const, num_slope)]
+        terms = [([-den[i] * q ** (i - 1)], rows[j - i]) for i in range(1, min(j + 1, len(den)))]
+        rows.append([g * y for y in _dot([([q**j], n_j), *terms])])
+        yield rows[-1]
 
 
 def determinants(problem: AimProblem, r0: Fraction):
@@ -154,27 +175,36 @@ def determinants(problem: AimProblem, r0: Fraction):
     and delta_k(r0) = c_k[0] d_{k-1}[0] - c_{k-1}[0] d_k[0] (the improved
     AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004).  Level K
     needs the anti-diagonal k + i = K only, so levels extend one at a time.
+
+    It runs on integer lists in E.  With lambda0 and s0 shifted to r0 and
+    their denominators cleared, q = lcm of the two denominators' values at
+    r0 makes C_k[i] = q^(k+i+1) c_k[i] and D_k[i] = q^(k+i+2) d_k[i]
+    integers.  The weights balance every term, so C and D obey the same
+    recursion, and delta_k = (C_k[0] D_{k-1}[0] - C_{k-1}[0] D_k[0]) / q^(2k+2)
+    is one exact division per coefficient.
     """
-    lam0 = _taylor_coefficients(problem.lambda0, r0)
-    s0 = _taylor_coefficients(problem.s0, r0)
-    c: list[list[Poly]] = []
-    d: list[list[Poly]] = []
+    parts = [_cleared(f, r0) for f in (problem.lambda0, problem.s0)]
+    if not all(den and den[0] for _, _, den in parts):
+        raise EvaluationPole(f"denominator pole at r0 = {r0}")
+    q = math.lcm(*(den[0] for _, _, den in parts))
+    lam0, s0 = (_taylor_rows(p, q) for p in parts)
+    c: list[list[list[int]]] = []
+    d: list[list[list[int]]] = []
     for level in count():
         c.append([])
         d.append([])
         c[0].append(next(lam0))
-        d[0].append(next(s0))
+        d[0].append([q * y for y in next(s0)])
         for k in range(1, level + 1):
             i = level - k
             lam, s = c[k - 1], d[k - 1]
-            conv_c, conv_d = Poly(), Poly()
-            for j in range(i + 1):
-                conv_c = conv_c + c[0][j] * lam[i - j]
-                conv_d = conv_d + d[0][j] * lam[i - j]
-            c[k].append((i + 1) * lam[i + 1] + s[i] + conv_c)
-            d[k].append((i + 1) * s[i + 1] + conv_d)
+            rev = lam[i::-1]  # C_{k-1}[i-j] for j = 0..i
+            c[k].append(_dot([([i + 1], lam[i + 1]), ([1], s[i]), *zip(c[0], rev)]))
+            d[k].append(_dot([([i + 1], s[i + 1]), *zip(d[0], rev)]))
         if level >= 1:
-            yield c[level][0] * d[level - 1][0] - c[level - 1][0] * d[level][0]
+            neg = [-y for y in d[level][0]]
+            top = _dot([(c[level][0], d[level - 1][0]), (c[level - 1][0], neg)])
+            yield Poly(Fraction(v, q ** (2 * level + 2)) for v in top)
 
 
 def solve_iterative(

@@ -20,7 +20,6 @@ from .errors import (
     DivisionByZero,
     EvaluationPole,
     InvalidInput,
-    NotPolynomial,
     UnsupportedDenominator,
 )
 
@@ -231,7 +230,7 @@ class Poly:
         found: list[tuple[Fraction, Fraction]] = []
         isolated: list[tuple[Fraction, Fraction]] = []
         # Descartes bisection on P(x) = p(lo + (hi - lo) x), x in (0, 1)
-        stack = [(lo, hi, _integer_coeffs(Poly(ints).compose_linear(lo, hi - lo)))]
+        stack = [(lo, hi, _map_to_unit(ints, lo, hi - lo))]
         while stack:
             a, b, cs = stack.pop()
             signs = [c > 0 for c in _shift_by_one(cs[::-1]) if c]
@@ -329,11 +328,6 @@ class RatFunc:
     @property
     def is_poly(self) -> bool:
         return self.den == Poly.const(1)
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly:
-            raise NotPolynomial(f"{self} is not a polynomial")
-        return self.num
 
     def __add__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
         other = _coerce_ratfunc(other)
@@ -449,6 +443,18 @@ def _shift_by_one(cs: list[int]) -> list[int]:
         for j in range(len(cs) - 2, i - 1, -1):
             cs[j] += cs[j + 1]
     return cs
+
+
+def _map_to_unit(ints: list[int], lo: Fraction, width: Fraction) -> list[int]:
+    """Primitive integer coefficients of p(lo + width x), in integer steps:
+    with lo = u/v and width = s/t, scale by v^n, shift by u, then scale the
+    coefficient of x^i by (v s)^i t^(n-i)."""
+    (u, v), (s, t), n = lo.as_integer_ratio(), width.as_integer_ratio(), len(ints) - 1
+    cs = [c * v ** (n - i) for i, c in enumerate(ints)]
+    for i in range(n):  # cs <- cs(x + u)
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += u * cs[j + 1]
+    return _primitive([c * (v * s) ** i * t ** (n - i) for i, c in enumerate(cs)])
 
 
 def _sign_at(ints: list[int], u: int, v: int) -> int:

@@ -21,10 +21,6 @@ class UnsupportedDenominator(AimnuError, ValueError):
     """A denominator does not factor into rational linear factors."""
 
 
-class NotPolynomial(AimnuError, ValueError):
-    """A weight-expression quotient does not simplify to a polynomial."""
-
-
 class EvaluationPole(AimnuError, ArithmeticError):
     """A rational function was evaluated at a pole."""
 

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimnu.aim import (
     AimProblem,
@@ -202,24 +204,71 @@ class TestCertifiedBrackets:
         assert len(estimates) == 2 and estimates.counts == (3, 2)
         for e in estimates:
             assert not e.converged
-            below = _delta_at(problem, e.value - TOL, 3, F(0))
-            above = _delta_at(problem, e.value + TOL, 3, F(0))
+            below = _deltas_at(problem, e.value - TOL, 3, F(0))[-1]
+            above = _deltas_at(problem, e.value + TOL, 3, F(0))[-1]
             assert below * above < 0
 
 
-def _delta_at(problem, energy, k, r0=F(1)):
-    seq = iterate(problem.lambda0.substitute(energy), problem.s0.substitute(energy), k)
-    return delta_k(seq).evaluate(r0)
+def _deltas_at(problem, energy, k_max, r0=F(1)):
+    """[delta_k(r0) for k = 1..k_max] at one energy, from the RatFunc rows."""
+    lam0, s0 = problem.lambda0.substitute(energy), problem.s0.substitute(energy)
+    seq = iterate(lam0, s0, 1)
+    out = [delta_k(seq).evaluate(r0)]
+    for k in range(2, k_max + 1):
+        seq = AimSequence(k, *aim_step(seq.lambda_k, seq.s_k, lam0, s0), seq.lambda_k, seq.s_k)
+        out.append(delta_k(seq).evaluate(r0))
+    return out
+
+
+#: lambda0 = (1 + 2r + E r^2)/(2 - 3r), s0 = (E - r)/(2 - 3r): at the
+#: non-integer r0 = 3/2 the cleared denominators are -10 and -5, so q = 10.
+_NEGATIVE_DEN = AimProblem(
+    ParamRatFunc(Poly([1, 2]), Poly([0, 0, 1]), Poly([2, -3])),
+    ParamRatFunc(Poly([0, -1]), Poly.const(1), Poly([2, -3])),
+)
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero = small.filter(bool)
+affine = st.lists(small, min_size=1, max_size=2).map(Poly)
+
+
+@st.composite
+def affine_problems(draw):
+    """An AimProblem with rational coefficients and a point r0 off its poles.
+
+    The two rows share a constant or linear denominator up to a factor
+    each, which keeps the RatFunc oracle fast; their values at r0 still
+    differ, so q is rarely 1."""
+    den = Poly([draw(nonzero), draw(small)])
+    rows = [ParamRatFunc(draw(affine), draw(affine), den * draw(nonzero)) for _ in range(2)]
+    r0 = draw(small.filter(lambda x: den.evaluate(x) != 0))
+    return AimProblem(*rows), r0
+
+
+def _check_against_oracle(problem, r0, k_max):
+    deltas = [delta for _, delta in zip(range(k_max), determinants(problem, r0))]
+    for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
+        assert [d.evaluate(energy) for d in deltas] == _deltas_at(problem, energy, k_max, r0)
 
 
 class TestDeterminants:
     @pytest.mark.parametrize(
-        "name, r0", [("hermite", F(1)), ("kratzer", F(1)), ("morse", F(1)), ("hulthen", F(1, 2))]
+        "name, r0",
+        [
+            ("hermite", F(1)),
+            ("kratzer", F(1)),
+            ("morse", F(1)),
+            ("hulthen", F(1, 2)),
+            ("legendre", F(1, 3)),  # q = 8
+        ],
     )
     def test_matches_rational_function_recursion(self, name, r0):
-        problem = to_aim_form(catalog_get(name))
-        levels = determinants(problem, r0)
-        for k in range(1, 7):
-            delta = next(levels)
-            for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
-                assert delta.evaluate(energy) == _delta_at(problem, energy, k, r0)
+        _check_against_oracle(to_aim_form(catalog_get(name)), r0, 6)
+
+    def test_negative_denominator_at_non_integer_r0(self):
+        _check_against_oracle(_NEGATIVE_DEN, F(3, 2), 6)
+
+    @settings(max_examples=10, deadline=None)
+    @given(affine_problems())
+    def test_matches_recursion_on_random_problems(self, case):
+        _check_against_oracle(*case, 5)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimnu.algebra import Poly, rational_roots
+from aimnu.algebra import Poly, poly_gcd, rational_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -19,7 +19,8 @@ rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
 def _to_sympy(p: Poly):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], X)
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, X, domain="QQ")
 
 
 def _to_fraction(value) -> F:
@@ -61,10 +62,7 @@ def test_rational_roots_match_sympy(p):
     assert not any(residual.evaluate(root) == 0 for root, _ in roots)
 
 
-@settings(max_examples=120, deadline=None)
-@given(random_polys(), rationals, st.fractions(min_value=F(1, 50), max_value=30))
-def test_root_count_matches_sympy(p, lo, width):
-    hi = lo + width
+def _check_root_count(p: Poly, lo: F, hi: F):
     found = p.real_roots(lo, hi, F(1, 10**6))
     lo_s, hi_s = sympy.Rational(str(lo)), sympy.Rational(str(hi))
     inside = {r for r in sympy.real_roots(_to_sympy(p)) if lo_s < r < hi_s}
@@ -77,3 +75,34 @@ def test_root_count_matches_sympy(p, lo, width):
             a_s, b_s = sympy.Rational(str(a)), sympy.Rational(str(b))
             held = [r for r in inside if a_s < r < b_s]
             assert len(held) == 1 and not held[0].is_rational
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_polys(), rationals, st.fractions(min_value=F(1, 50), max_value=30))
+def test_root_count_matches_sympy(p, lo, width):
+    _check_root_count(p, lo, lo + width)
+
+
+#: Bracket ends with denominators up to 10^9, which the integer map from
+#: (lo, hi) onto (0, 1) carries through v^n and (v s)^i t^(n-i).
+fine = st.fractions(min_value=-40, max_value=40, max_denominator=10**9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_polys(), fine.filter(lambda x: x < 0), fine.filter(lambda x: x >= F(1, 50)))
+def test_root_count_on_fine_brackets_matches_sympy(p, lo, width):
+    _check_root_count(p, lo, lo + width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polys(), random_polys(), random_polys())
+def test_poly_gcd_matches_sympy(common, a, b):
+    a, b = common * a, common * b
+    assert _to_sympy(poly_gcd(a, b)) == _to_sympy(a).gcd(_to_sympy(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_polys(), random_polys())
+def test_divmod_matches_sympy(a, b):
+    quo, rem = divmod(a, b)
+    assert (_to_sympy(quo), _to_sympy(rem)) == _to_sympy(a).div(_to_sympy(b))
