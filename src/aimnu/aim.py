@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly, RatFunc, _integer_coeffs, _sign_at
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -207,6 +207,34 @@ def determinants(problem: AimProblem, r0: Fraction):
             yield Poly(Fraction(v, q ** (2 * level + 2)) for v in top)
 
 
+def _divide_root(ints: list[int], u: int, v: int) -> list[int]:
+    """Integer coefficients of p(E) / (v E - u) for an integer polynomial p
+    with p(u/v) = 0; by Gauss's lemma every step divides exactly."""
+    out, quo = [], 0
+    for c in reversed(ints[1:]):  # v q_{i-1} = c_i + u q_i
+        quo, rem = divmod(c + u * quo, v)
+        if rem:
+            raise ArithmeticError(f"{u}/{v} is not a root")
+        out.append(quo)
+    if ints[0] + u * quo:
+        raise ArithmeticError(f"{u}/{v} is not a root")
+    return out[::-1]
+
+
+def _level_roots(
+    delta: Poly, prev: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """``delta.real_roots(lo, hi, tol)``, given the roots ``prev`` of the level
+    before: the exact ones at which delta vanishes are divided out of its
+    primitive integer coefficients, and only the cofactor is isolated."""
+    ints, inherited = _integer_coeffs(delta), []
+    for a, b in prev:
+        if a == b and not _sign_at(ints, a.numerator, a.denominator):
+            ints = _divide_root(ints, a.numerator, a.denominator)
+            inherited.append((a, a))
+    return sorted(set(inherited).union(Poly(ints).real_roots(lo, hi, tol)))
+
+
 def solve_iterative(
     problem: AimProblem,
     r0: Fraction | None = None,
@@ -216,16 +244,21 @@ def solve_iterative(
 ) -> IterativeSpectrum:
     """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
 
-    Level by level, delta_k is one exact polynomial in E whose real roots in
-    the bracket come from ``Poly.real_roots``.  The solver stops at the first
-    k >= 2 whose roots are nonempty, all exact and those of level k-1, or at
-    k_max.  This rule assumes that each further level adds the next
-    eigenvalue, as it does for exactly solvable problems.  An estimate is
-    ``converged`` iff its value is an exact root of both delta_{k-1} and
-    delta_k at the returned level k; any other root is reported at the
-    midpoint of an interval narrower than ``tol``.  ``n`` indexes the
-    ascending roots (bracket-relative, not the mode index).  Raises
-    NoRootInBracket when delta_k has no root in the bracket at the end.
+    Level by level, delta_k is one exact polynomial in E.  For an exactly
+    solvable problem delta_k vanishes at every eigenvalue that delta_{k-1}
+    has, so each level keeps the exact roots of the level before at which
+    delta_k vanishes, divides them out of delta_k exactly and isolates only
+    the cofactor with ``Poly.real_roots``; the union is every root of delta_k
+    in the bracket.  The solver stops at the first k >= 2 whose roots are
+    nonempty, all exact and those of level k-1, or at k_max.  This rule
+    assumes that each further level adds the next eigenvalue, as it does for
+    exactly solvable problems.  An estimate is ``converged`` iff it is exact
+    and among the exact roots of level k-1 at the returned level k, which is
+    delta_{k-1} vanishing there, since ``real_roots`` returns every rational
+    root exactly; any other root is reported at the midpoint of an interval
+    narrower than ``tol``.  ``n`` indexes the ascending roots
+    (bracket-relative, not the mode index).  Raises NoRootInBracket when
+    delta_k has no root in the bracket at the end.
     """
     if r0 is None:
         r0 = problem.eval_point
@@ -239,20 +272,18 @@ def solve_iterative(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
 
-    levels: list[tuple[Poly, list[tuple[Fraction, Fraction]]]] = []
+    prev: list[tuple[Fraction, Fraction]] = []
+    roots: list[tuple[Fraction, Fraction]] = []
     for k, delta in zip(range(1, k_max + 1), determinants(problem, r0)):
         if delta.is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
-        roots = delta.real_roots(lo, hi, tol)
-        settled = bool(levels) and roots == levels[-1][1] and all(a == b for a, b in roots)
-        levels = levels[-1:] + [(delta, roots)]
-        if settled and roots:
+        prev, roots = roots, _level_roots(delta, roots, lo, hi, tol)
+        if roots and roots == prev and all(a == b for a, b in roots):
             break
-    (prev_delta, prev_roots), (_, roots) = levels
     if not roots:
         raise NoRootInBracket(f"no root of delta_{k} in ({lo}, {hi})")
     estimates = [
-        EigenvalueEstimate(n, a if a == b else (a + b) / 2, k, a == b and not prev_delta.evaluate(a))
+        EigenvalueEstimate(n, a if a == b else (a + b) / 2, k, a == b and (a, a) in prev)
         for n, (a, b) in enumerate(roots)
     ]
-    return IterativeSpectrum(estimates, k, (len(prev_roots), len(roots)))
+    return IterativeSpectrum(estimates, k, (len(prev), len(roots)))

@@ -52,6 +52,7 @@ _INPUT_ERRORS = (
     json.JSONDecodeError,
     KeyError,
     ValueError,
+    OSError,  # a problem file that is missing, a directory or unreadable
 )
 _RUNTIME_ERRORS = (
     DegenerateParameterMap,
@@ -273,7 +274,10 @@ def _sample_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise BadParameter(f"expected a:b:count, got {spec!r}")
-    a, b = (Fraction(p) for p in parts[:2])  # decimal literals allowed for grid bounds
+    try:
+        a, b = (Fraction(p) for p in parts[:2])  # decimal literals allowed for grid bounds
+    except ZeroDivisionError:
+        raise BadParameter(f"zero denominator in a grid bound: {spec!r}") from None
     count = int(parts[2])
     if count < 2:
         raise BadParameter("sample count must be >= 2")

@@ -8,6 +8,8 @@ from aimnu.aim import (
     AimProblem,
     AimSequence,
     ParamRatFunc,
+    _divide_root,
+    _level_roots,
     aim_step,
     alpha_ratio,
     delta_k,
@@ -272,3 +274,80 @@ class TestDeterminants:
     @given(affine_problems())
     def test_matches_recursion_on_random_problems(self, case):
         _check_against_oracle(*case, 5)
+
+
+def _assert_same_roots(delta, got, expected):
+    """``got`` holds the roots that ``expected`` holds: the same exact roots,
+    and intervals narrower than TOL whose overlap holds one root of delta."""
+    assert len(got) == len(expected)
+    for (a, b), (c, d) in zip(got, expected):
+        assert (a == b) == (c == d)
+        if c == d:
+            assert a == c
+        else:
+            assert b - a < TOL and len(delta.real_roots(max(a, c), min(b, d))) == 1
+
+
+def _check_levels(problem, r0, bracket, k_max):
+    """Chain ``_level_roots`` through the levels against a fresh isolation of
+    each delta_k; return the exact roots of each level before and those of
+    them at which delta_k vanishes."""
+    prev, passed = [], []
+    for _, delta in zip(range(k_max), determinants(problem, r0)):
+        if delta.is_zero:
+            break
+        roots = _level_roots(delta, prev, *bracket, TOL)
+        _assert_same_roots(delta, roots, delta.real_roots(*bracket, TOL))
+        exact = [a for a, b in prev if a == b]
+        passed.append((exact, [a for a in exact if not delta.evaluate(a)]))
+        prev = roots
+    return passed
+
+
+class TestLevelRoots:
+    @pytest.mark.parametrize(
+        "name, r0, bracket",
+        [
+            ("hermite", F(1), (F(-1, 2), F(21, 2))),
+            ("legendre", F(1, 3), (F(-1, 2), F(60))),
+            ("kratzer", F(1), (F(1, 50), F(1))),
+            ("morse", F(1), (F(0), F(4))),
+            ("hulthen", F(1, 2), (F(0), F(3))),
+        ],
+    )
+    def test_every_level_matches_full_isolation(self, name, r0, bracket):
+        problem = to_aim_form(catalog_get(name))
+        k = solve_iterative(problem, r0, bracket).k
+        first, *later = _check_levels(problem, r0, bracket, k)
+        # from k = 2 on, delta_k vanishes at every exact root of delta_{k-1}
+        assert first == ([], []) and all(exact and exact == kept for exact, kept in later)
+
+    @settings(max_examples=10, deadline=None)
+    @given(affine_problems())
+    def test_every_level_matches_on_random_problems(self, case):
+        _check_levels(*case, (F(-10), F(10)), 6)
+
+    def test_root_where_delta_does_not_vanish_is_left_out(self):
+        delta = Poly.linear_root(1) * Poly.linear_root(3)
+        roots = _level_roots(delta, [(F(2), F(2)), (F(3), F(3))], F(0), F(5), TOL)
+        assert roots == [(1, 1), (3, 3)]
+
+    def test_double_root(self):
+        delta = Poly.linear_root(1) * Poly.linear_root(F(3, 2)) ** 2
+        assert _level_roots(delta, [(F(1), F(1))], F(0), F(5), TOL) == [(1, 1), (F(3, 2), F(3, 2))]
+
+    def test_cofactor_vanishing_at_an_inherited_root_yields_it_once(self):
+        delta = Poly.linear_root(F(1, 3)) ** 2 * Poly.linear_root(2)
+        roots = _level_roots(delta, [(F(1, 3), F(1, 3))], F(0), F(5), TOL)
+        assert roots == [(F(1, 3), F(1, 3)), (2, 2)]
+
+    def test_irrational_cofactor_root_is_a_narrow_interval(self):
+        delta = Poly.linear_root(F(1, 3)) * Poly([-2, 0, 1])  # (E - 1/3)(E^2 - 2)
+        (one_third, _), (a, b) = _level_roots(delta, [(F(1, 3), F(1, 3))], F(0), F(5), TOL)
+        assert one_third == F(1, 3)
+        assert a * a < 2 < b * b and b - a < TOL
+
+    def test_divide_root(self):
+        assert _divide_root([1, -5, 6], 1, 3) == [-1, 2]  # (3E - 1)(2E - 1)
+        with pytest.raises(ArithmeticError):
+            _divide_root([1, -5, 6], 1, 4)

@@ -169,6 +169,24 @@ def test_negative_mode_index_exits_2(runner, tmp_path, command):
     assert "--n" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "MISSING"],
+        ["aim", "MISSING", "--bracket", "0:1"],
+        ["eigenfunction", "MISSING"],
+        ["nu", "MISSING"],
+        ["solve", "DIRECTORY"],
+    ],
+    ids=["solve", "aim", "eigenfunction", "nu", "solve-directory"],
+)
+def test_unreadable_problem_file_exits_2(runner, tmp_path, args):
+    paths = {"MISSING": str(tmp_path / "missing.json"), "DIRECTORY": str(tmp_path)}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
 class TestEigenfunction:
     def test_recursion_coefficients(self, runner):
         result = invoke(
@@ -227,6 +245,13 @@ class TestEigenfunction:
             ["eigenfunction", "legendre", "--n", "1", "--samples", "0:1:3", "--format", "csv"],
         )
         assert result.output.splitlines() == ["r,y", "0,0", "0.5,0.5", "1,1"]
+
+    def test_zero_denominator_in_samples_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["eigenfunction", "legendre", "--n", "2", "--samples", "1/0:1:5"]
+        )
+        assert result.exit_code == 2
+        assert "error: zero denominator in a grid bound" in result.output
 
 
 class TestNu:

@@ -1,4 +1,5 @@
-"""The exact root kernel against sympy, an independent computer-algebra oracle.
+"""The exact kernel and the linear solve against sympy, an independent
+computer-algebra oracle.
 
 sympy is a test-only dependency; without it this module is skipped.
 """
@@ -6,10 +7,12 @@ sympy is a test-only dependency; without it this module is skipped.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimnu.algebra import Poly, poly_gcd, rational_roots
+from aimnu.algebra import Poly, RatFunc, partial_fractions, poly_gcd, rational_roots
+from aimnu.eigenfunctions import polynomial_solution
+from aimnu.errors import DegenerateSpectrum
 
 sympy = pytest.importorskip("sympy")
 
@@ -106,3 +109,70 @@ def test_poly_gcd_matches_sympy(common, a, b):
 def test_divmod_matches_sympy(a, b):
     quo, rem = divmod(a, b)
     assert (_to_sympy(quo), _to_sympy(rem)) == _to_sympy(a).div(_to_sympy(b))
+
+
+@st.composite
+def linear_factor_ratfuncs(draw):
+    """num / (c prod (r - a)^m): distinct rational roots, multiplicity <= 3."""
+    den = Poly.const(draw(rationals.filter(bool)))
+    for root in draw(st.lists(rationals, max_size=3, unique=True)):
+        den = den * Poly.linear_root(root) ** draw(st.integers(1, 3))
+    num = Poly(draw(st.lists(rationals, min_size=1, max_size=6).filter(any)))
+    return RatFunc(num, den)
+
+
+def _apart(expr):
+    """sympy.apart over QQ as (polynomial part, [(root, order, coefficient)])."""
+    poly_part, terms = sympy.Integer(0), []
+    for term in sympy.Add.make_args(sympy.apart(expr, X)):
+        num, den = term.as_numer_denom()
+        if not den.has(X):
+            poly_part += term
+            continue
+        den = sympy.Poly(den, X)
+        ((root, order),) = sympy.roots(den).items()
+        assert not num.has(X)
+        terms.append((_to_fraction(root), int(order), _to_fraction(num / den.LC())))
+    return sympy.Poly(poly_part, X, domain="QQ"), sorted(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_factor_ratfuncs())
+def test_partial_fractions_match_sympy_apart(f):
+    form = partial_fractions(f)
+    poly_part, terms = _apart(_to_sympy(f.num).as_expr() / _to_sympy(f.den).as_expr())
+    assert _to_sympy(form.poly_part) == poly_part
+    assert list(form.terms) == terms
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(small, min_size=2, max_size=2),
+    st.lists(small, min_size=3, max_size=3),
+    st.integers(0, 6),
+)
+@example([F(0), F(-2)], [F(1), F(0), F(0)], 6)  # Hermite
+@example([F(1), F(0)], [F(0), F(1), F(0)], 2)  # gamma_0 = gamma_1 = gamma_2 = 0: degenerate
+def test_polynomial_solution_matches_sympy_solve(tau, sigma, n):
+    """y = r^n + sum c_i r^i with sigma y'' + tau y' + gamma_n y = 0, as the
+    linear system in c_0..c_{n-1} that sympy builds and solves."""
+    t, s = (_to_sympy(Poly(cs)).as_expr() for cs in (tau, sigma))
+    gamma = -n * sympy.Rational(str(tau[1])) - n * (n - 1) * sympy.Rational(str(sigma[2]))
+    cs = sympy.symbols(f"c:{n}")
+    y = X**n + sum(c * X**i for i, c in enumerate(cs))
+    eqs = sympy.Poly(s * y.diff(X, 2) + t * y.diff(X) + gamma * y, X).all_coeffs()
+    matrix, rhs = sympy.linear_eq_to_matrix(eqs, cs)
+    rank = matrix.rank()
+    consistent = matrix.row_join(rhs).rank() == rank
+    try:
+        found = polynomial_solution(Poly(tau), Poly(sigma), n)
+    except DegenerateSpectrum:
+        assert rank < n
+        return
+    assert rank == n and consistent
+    values = list((matrix.T * matrix).inv() * matrix.T * rhs) if n else []
+    assert found.poly == Poly([_to_fraction(v) for v in values] + [1])
+    assert found.gamma_used == _to_fraction(gamma)
