@@ -22,7 +22,6 @@ from .aim import (
     EigenvalueEstimate,
     ParamRatFunc,
     aim_step,
-    alpha_ratio,
     delta_k,
     iterate,
     solve_iterative,
@@ -68,7 +67,6 @@ __all__ = [
     "aim_step",
     "iterate",
     "delta_k",
-    "alpha_ratio",
     "solve_iterative",
     "AffinePoly",
     "AffineValue",

@@ -7,13 +7,12 @@ Implements the (lambda_k, s_k) recursion
 
 and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 in two independent forms.  ``iterate``/``delta_k`` run it on rational
-functions of r at one numeric trial value, with the alpha-ratio
-termination diagnostic; they serve as the oracle.  ``determinants`` runs
-it on integer-weighted Taylor coefficients about the evaluation point r0
-with the trial value E symbolic, so each level gives delta_k(r0, E) as
-one exact polynomial in E.  ``solve_iterative`` reads the eigenvalues off the
-certified real roots of those polynomials, level by level; every step is
-exact, so the results are reproducible bit for bit.
+functions of r at one numeric trial value; they serve as the oracle.
+``determinants`` runs it on integer-weighted Taylor coefficients about the
+evaluation point r0 with the trial value E symbolic, so each level gives
+delta_k(r0, E) as one exact polynomial in E.  ``solve_iterative`` reads the
+eigenvalues off the certified real roots of those polynomials, level by
+level; every step is exact, so the results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "aim_step",
     "iterate",
     "delta_k",
-    "alpha_ratio",
     "determinants",
     "solve_iterative",
 ]
@@ -55,12 +53,15 @@ class ParamRatFunc:
 
 @dataclass(frozen=True)
 class AimProblem:
-    """y'' = lambda0 y' + s0 y with one affine trial parameter."""
+    """y'' = lambda0 y' + s0 y with one affine trial parameter.
+
+    It holds no evaluation point r0.  For input from ``to_aim_form`` the
+    roots of delta_k(r0, E) do not depend on r0; for any other problem they
+    may, so pass r0 to ``solve_iterative`` explicitly.
+    """
 
     lambda0: ParamRatFunc
     s0: ParamRatFunc
-    domain: tuple[Fraction | None, Fraction | None] = (None, None)
-    eval_point: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,6 @@ def iterate(lambda0: RatFunc, s0: RatFunc, k: int) -> AimSequence:
 def delta_k(seq: AimSequence) -> RatFunc:
     """Quantization determinant lambda_k s_{k-1} - lambda_{k-1} s_k."""
     return seq.lambda_k * seq.s_km1 - seq.lambda_km1 * seq.s_k
-
-
-def alpha_ratio(seq: AimSequence, r0: Fraction) -> tuple[Fraction, Fraction]:
-    """(s_k/lambda_k, s_{k-1}/lambda_{k-1}) at r0; equal pair means termination."""
-    lam_k = seq.lambda_k.evaluate(r0)
-    lam_km1 = seq.lambda_km1.evaluate(r0)
-    if lam_k == 0 or lam_km1 == 0:
-        raise EvaluationPole(f"lambda vanishes at r0 = {r0}; move the evaluation point")
-    return seq.s_k.evaluate(r0) / lam_k, seq.s_km1.evaluate(r0) / lam_km1
 
 
 @dataclass
@@ -259,11 +251,16 @@ def solve_iterative(
     narrower than ``tol``.  ``n`` indexes the ascending roots
     (bracket-relative, not the mode index).  Raises NoRootInBracket when
     delta_k has no root in the bracket at the end.
+
+    Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
+    pole of lambda0 or s0.  That choice moves no root only for hypergeometric
+    input (``to_aim_form``), where delta_k(r0, E) is c_k(r0) times a
+    polynomial in E alone; for any other problem pass ``r0``.
     """
-    if r0 is None:
-        r0 = problem.eval_point
-    if r0 is None:
-        raise ValueError("no evaluation point given")
+    if r0 is None:  # the dens have fewer roots than coefficients; a zero den gets pole r0 = 1
+        dens = (problem.lambda0.den, problem.s0.den)
+        tries = (Fraction(1, m) for m in range(1, 1 + sum(len(d.coeffs) for d in dens)))
+        r0 = next((x for x in tries if all(d.evaluate(x) for d in dens)), Fraction(1))
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")

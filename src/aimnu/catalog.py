@@ -12,13 +12,13 @@ All spectra here are exact rationals for rational parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Poly
 from .errors import BadParameter, UnknownEntry
-from .hypergeometric import AffinePoly, AffineValue, HypergeometricProblem
+from .hypergeometric import AffinePoly, HypergeometricProblem, validate
 
 __all__ = [
     "ParamSpec",
@@ -46,58 +46,27 @@ class CatalogEntry:
     parameters: tuple[ParamSpec, ...]
     builder: Callable[[Mapping[str, Fraction]], HypergeometricProblem]
     expected: Callable[[Mapping[str, Fraction], int], Fraction]
-    default_eval_point: Fraction
     provenance: str
-
-
-def _problem(
-    tau_const: Poly,
-    sigma: Poly,
-    gamma: tuple,
-    parameter: str,
-    tau_slope: Poly | None = None,
-    domain: tuple = (None, None),
-    eval_point: Fraction | None = None,
-) -> HypergeometricProblem:
-    return HypergeometricProblem(
-        AffinePoly(tau_const, tau_slope if tau_slope is not None else Poly()),
-        sigma,
-        AffineValue(F(gamma[0]), F(gamma[1])),
-        parameter,
-        tuple(domain),
-        eval_point,
-    )
 
 
 def _entries() -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
 
-    def add(name, parameters, builder, expected, eval_point, provenance):
-        entries.append(
-            CatalogEntry(
-                name=name,
-                parameters=tuple(parameters),
-                builder=builder,
-                expected=expected,
-                default_eval_point=F(eval_point),
-                provenance=provenance,
-            )
-        )
+    def add(name, parameters, builder, expected, provenance):
+        entries.append(CatalogEntry(name, tuple(parameters), builder, expected, provenance))
 
     # ---- classical equations -------------------------------------------
 
     add(
         "cauchy_euler",
         [ParamSpec("alpha", F(1, 2)), ParamSpec("a", F(2)), ParamSpec("b", F(3))],
-        lambda p: _problem(
+        lambda p: validate(
             Poly([p["alpha"] * p["b"], -p["alpha"]]),
             Poly.linear_root(p["a"]) ** 2,
             (0, -1),
             "beta",
-            eval_point=p["a"] + 1,
         ),
         lambda p, n: F(n) * (n - 1 - p["alpha"]),
-        3,
         "Euler-type equation with shifted regular singular point; the two "
         "constants a, b are kept independent and only the spectrum relation "
         "beta = n(n-1-alpha) is asserted.",
@@ -105,80 +74,63 @@ def _entries() -> list[CatalogEntry]:
     add(
         "hermite",
         [],
-        lambda p: _problem(Poly([0, -2]), Poly.const(1), (0, 2), "k"),
+        lambda p: validate(Poly([0, -2]), Poly.const(1), (0, 2), "k"),
         lambda p, n: F(n),
-        1,
         "Hermite equation y'' - 2ry' + 2ky = 0; spectrum k = n.",
     )
     add(
         "hermite_b",
         [ParamSpec("a", F(3)), ParamSpec("b", F(1))],
-        lambda p: _problem(Poly([-p["b"], -p["a"]]), Poly.const(1), (0, -1), "c"),
+        lambda p: validate(Poly([-p["b"], -p["a"]]), Poly.const(1), (0, -1), "c"),
         lambda p, n: -F(n) * p["a"],
-        1,
         "Hermite-type equation with general linear coefficient -(ar+b); "
         "spectrum c = -na, independent of b.",
     )
     add(
         "laguerre",
         [],
-        lambda p: _problem(
-            Poly([1, -1]), Poly.variable(), (0, -1), "a", domain=(F(0), None)
-        ),
+        lambda p: validate(Poly([1, -1]), Poly.variable(), (0, -1), "a"),
         lambda p, n: -F(n),
-        1,
         "Laguerre equation ry'' + (1-r)y' - ay = 0; spectrum a = -n.",
     )
     add(
         "confluent",
         [ParamSpec("b", F(2)), ParamSpec("c", F(3, 2))],
-        lambda p: _problem(
-            Poly([p["c"], -p["b"]]), Poly.variable(), (0, -1), "a", domain=(F(0), None)
-        ),
+        lambda p: validate(Poly([p["c"], -p["b"]]), Poly.variable(), (0, -1), "a"),
         lambda p, n: -F(n) * p["b"],
-        1,
         "Confluent hypergeometric-type equation; spectrum a = -nb.",
     )
     add(
         "hypergeometric",
         [ParamSpec("b", F(3)), ParamSpec("c", F(1, 2))],
-        lambda p: _problem(
-            Poly([p["c"], -(p["b"] + 1)]),
+        lambda p: validate(
+            AffinePoly(Poly([p["c"], -(p["b"] + 1)]), Poly([0, -1])),
             Poly([0, 1, -1]),
             (0, -p["b"]),
             "a",
-            tau_slope=Poly([0, -1]),
-            domain=(F(0), F(1)),
-            eval_point=F(1, 2),
         ),
         lambda p, n: -F(n),
-        F(1, 2),
         "Gauss hypergeometric equation, quantized in the first upper "
         "parameter with b, c held fixed; terminating branch a = -n.",
     )
     add(
         "legendre",
         [],
-        lambda p: _problem(
-            Poly([0, 2]), Poly([-1, 0, 1]), (0, -1), "lam", domain=(F(-1), F(1))
-        ),
+        lambda p: validate(Poly([0, 2]), Poly([-1, 0, 1]), (0, -1), "lam"),
         lambda p, n: F(n) * (n + 1),
-        F(1, 2),
         "Legendre equation written as (r^2-1)y'' + 2ry' - lam*y = 0; the "
         "quantized parameter is lam = m(m+1), so lam_n = n(n+1) encodes m = n.",
     )
     add(
         "jacobi",
         [ParamSpec("alpha", F(1)), ParamSpec("beta", F(2))],
-        lambda p: _problem(
+        lambda p: validate(
             Poly([-(p["alpha"] + p["beta"]), -(p["alpha"] + p["beta"] + 2)]),
             Poly([1, 0, -1]),
             (0, 1),
             "gamma",
-            domain=(F(-1), F(1)),
         ),
         lambda p, n: F(n) * (n + p["alpha"] + p["beta"] + 1),
-        F(1, 2),
         "Jacobi-type row taken with the printed constant term beta+alpha in "
         "tau (classical convention has beta-alpha); the constant term drops "
         "out of the spectrum, which is gamma = n(n+alpha+beta+1) either way.",
@@ -186,74 +138,59 @@ def _entries() -> list[CatalogEntry]:
     add(
         "chebyshev_a",
         [],
-        lambda p: _problem(
-            Poly([0, -1]), Poly([1, 0, -1]), (0, 1), "m", domain=(F(-1), F(1))
-        ),
+        lambda p: validate(Poly([0, -1]), Poly([1, 0, -1]), (0, 1), "m"),
         lambda p, n: F(n * n),
-        F(1, 2),
         "Chebyshev equation of the first kind; spectrum m = n^2.",
     )
     add(
         "chebyshev_b",
         [],
-        lambda p: _problem(
-            Poly([0, -3]), Poly([1, 0, -1]), (0, 1), "m", domain=(F(-1), F(1))
-        ),
+        lambda p: validate(Poly([0, -3]), Poly([1, 0, -1]), (0, 1), "m"),
         lambda p, n: F(n) * (n + 2),
-        F(1, 2),
         "Chebyshev equation of the second kind; spectrum m = n(n+2).",
     )
     add(
         "gegenbauer",
         [ParamSpec("k", F(3, 2))],
-        lambda p: _problem(
+        lambda p: validate(
             Poly([0, -(1 + 2 * p["k"])]),
             Poly([1, 0, -1]),
             (0, 1),
             "lam",
-            domain=(F(-1), F(1)),
         ),
         lambda p, n: F(n) * (n + 2 * p["k"]),
-        F(1, 2),
         "Gegenbauer (ultraspherical) equation; spectrum lam = n(n+2k).",
     )
     add(
         "hyperspherical",
         [ParamSpec("k", F(1))],
-        lambda p: _problem(
+        lambda p: validate(
             Poly([0, -2 * (1 + p["k"])]),
             Poly([1, 0, -1]),
             (0, 1),
             "lam",
-            domain=(F(-1), F(1)),
         ),
         lambda p, n: F(n) * (n + 1 + 2 * p["k"]),
-        F(1, 2),
         "Hyperspherical harmonics equation; spectrum lam = n(n+1+2k).",
     )
     add(
         "bessel",
         [],
-        lambda p: _problem(
-            Poly([2, 2]), Poly([0, 0, 1]), (0, -1), "gamma", domain=(F(0), None)
-        ),
+        lambda p: validate(Poly([2, 2]), Poly([0, 0, 1]), (0, -1), "gamma"),
         lambda p, n: F(n) * (n + 1),
-        1,
         "Bessel-polynomial equation r^2 y'' + 2(r+1)y' - gamma*y = 0; "
         "spectrum gamma = n(n+1); weight exp(-2/r).",
     )
     add(
         "generalized_bessel",
         [ParamSpec("a", F(3)), ParamSpec("b", F(2))],
-        lambda p: _problem(
+        lambda p: validate(
             Poly([p["b"], p["a"]]),
             Poly([0, 0, 1]),
             (0, -1),
             "gamma",
-            domain=(F(0), None),
         ),
         lambda p, n: F(n) * (n + p["a"] - 1),
-        1,
         "Generalized Bessel-polynomial equation; spectrum gamma = n(n+a-1).",
     )
 
@@ -265,17 +202,13 @@ def _entries() -> list[CatalogEntry]:
             ParamSpec("alpha", F(1), lambda v: v != 0, "alpha != 0"),
             ParamSpec("beta", F(5, 2), lambda v: v != 0, "beta != 0"),
         ],
-        lambda p: _problem(
-            Poly([p["alpha"], -2 * p["beta"]]),
+        lambda p: validate(
+            AffinePoly(Poly([p["alpha"], -2 * p["beta"]]), Poly.const(2)),
             Poly([0, p["alpha"]]),
             ((2 * p["beta"] ** 2 - p["alpha"] * p["beta"]) / p["alpha"], -2 * p["beta"] / p["alpha"]),
             "epsilon",
-            tau_slope=Poly.const(2),
-            domain=(F(0), None),
-            eval_point=F(1),
         ),
         lambda p, n: p["beta"] - (F(n) + F(1, 2)) * p["alpha"],
-        1,
         "Transformed Morse-oscillator radial equation; reduced energy "
         "spectrum epsilon_n = beta - (n + 1/2) alpha.",
     )
@@ -285,17 +218,13 @@ def _entries() -> list[CatalogEntry]:
             ParamSpec("q", F(1), lambda v: v != 0, "q != 0"),
             ParamSpec("beta2", F(4)),
         ],
-        lambda p: _problem(
-            Poly([1, -3 * p["q"]]),
+        lambda p: validate(
+            AffinePoly(Poly([1, -3 * p["q"]]), Poly([2, -2 * p["q"]])),
             Poly([0, 1, -p["q"]]),
             (p["beta2"] - p["q"], -2 * p["q"]),
             "epsilon",
-            tau_slope=Poly([2, -2 * p["q"]]),
-            domain=(F(0), 1 / p["q"]) if p["q"] > 0 else (F(0), None),
-            eval_point=1 / (2 * p["q"]) if p["q"] > 0 else F(1, 2),
         ),
         lambda p, n: (p["beta2"] - p["q"] * (n + 1) ** 2) / (2 * p["q"] * (n + 1)),
-        F(1, 2),
         "Deformed Hulthen potential in transformed coordinates.  sigma is "
         "stored as r(1-qr): the sign printed alongside the source row is "
         "normalized so the first-order reduction reproduces the equation "
@@ -307,17 +236,13 @@ def _entries() -> list[CatalogEntry]:
             ParamSpec("A", F(1)),
             ParamSpec("Lambda", F(0), lambda v: v != -1, "Lambda != -1"),
         ],
-        lambda p: _problem(
-            Poly([2 * (p["Lambda"] + 1)]),
+        lambda p: validate(
+            AffinePoly(Poly([2 * (p["Lambda"] + 1)]), Poly([0, -2])),
             Poly.variable(),
             (p["A"], -2 * (p["Lambda"] + 1)),
             "epsilon",
-            tau_slope=Poly([0, -2]),
-            domain=(F(0), None),
-            eval_point=F(1),
         ),
         lambda p, n: p["A"] / (2 * (n + p["Lambda"] + 1)),
-        1,
         "Kratzer potential in transformed coordinates.  The spectrum "
         "epsilon_n = A/(2(n + Lambda + 1)) is derived from the closed-form "
         "quantization constant and verified by the exact residual of the "
@@ -350,10 +275,7 @@ def catalog_get(name: str, params: Mapping | None = None) -> HypergeometricProbl
     entry = CATALOG.get(name)
     if entry is None:
         raise UnknownEntry(name)
-    problem = entry.builder(_resolve_params(entry, params))
-    if problem.eval_point is None:
-        problem = replace(problem, eval_point=entry.default_eval_point)
-    return problem
+    return entry.builder(_resolve_params(entry, params))
 
 
 def expected_eigenvalue(name: str, params: Mapping | None, n: int) -> Fraction:

@@ -102,20 +102,11 @@ def _problem_from_doc(doc: dict) -> tuple[str, hg.HypergeometricProblem]:
     r0c, r0p = _affine_coeff(tau.get("r0", "0"))
     r1c, r1p = _affine_coeff(tau.get("r1", "0"))
     sigma = Poly([parse_rational(c) for c in doc["sigma"]])
-    g_const, g_param = _affine_coeff(doc["gamma"])
-    domain = tuple(
-        parse_rational(v) if v is not None else None for v in doc.get("domain", (None, None))
-    )
-    eval_point = (
-        parse_rational(doc["evalPoint"]) if "evalPoint" in doc else None
-    )
     problem = hg.validate(
         hg.AffinePoly(Poly([r0c, r1c]), Poly([r0p, r1p])),
         sigma,
-        hg.AffineValue(g_const, g_param),
+        _affine_coeff(doc["gamma"]),
         doc.get("parameter", "p"),
-        domain,
-        eval_point,
     )
     return doc.get("name", "problem"), problem
 
@@ -225,7 +216,11 @@ def cmd_solve(name_or_file, params, n_max, fmt):
 @main.command("aim")
 @click.argument("name_or_file")
 @_PARAM
-@click.option("--r0", default=None, help="evaluation point (rational)")
+@click.option(
+    "--r0",
+    default=None,
+    help="evaluation point (rational); default: the first of 1, 1/2, 1/3, ... that is no pole",
+)
 @click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
 @click.option("--kmax", type=click.IntRange(min=2), default=40, help="highest level k")
 @click.option("--tol", default="1/100000000", help="interval width for roots not certified exact")
@@ -239,7 +234,7 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
     try:
         name, problem = _load_problem(name_or_file, _parse_params(params))
         lo, hi = _parse_bracket(bracket)
-        r0_val = parse_rational(r0) if r0 is not None else problem.eval_point
+        r0_val = parse_rational(r0) if r0 is not None else None
         tol_val = parse_rational(tol)
     except _INPUT_ERRORS as exc:
         _fail(2, str(exc))
@@ -249,7 +244,7 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
         )
     except _RUNTIME_ERRORS as exc:
         _fail(1, str(exc))
-    except ValueError as exc:  # an empty bracket, tol <= 0 or no evaluation point
+    except ValueError as exc:  # an empty bracket or tol <= 0
         _fail(2, str(exc))
     k = estimates.k
     rows = [
@@ -270,6 +265,11 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
         _fail(1, f"roots uncertified at kmax = {k} ({reason}): " + ", ".join(uncertified))
 
 
+#: Most points ``--samples`` may ask for; each is one exact evaluation, so
+#: time and memory grow linearly with the count.
+MAX_SAMPLES = 10_000
+
+
 def _sample_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -279,8 +279,8 @@ def _sample_grid(spec: str):
     except ZeroDivisionError:
         raise BadParameter(f"zero denominator in a grid bound: {spec!r}") from None
     count = int(parts[2])
-    if count < 2:
-        raise BadParameter("sample count must be >= 2")
+    if not 2 <= count <= MAX_SAMPLES:
+        raise BadParameter(f"sample count must be between 2 and {MAX_SAMPLES}")
     return [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
 
 

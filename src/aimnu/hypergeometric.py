@@ -49,16 +49,9 @@ class AffinePoly:
     def substitute(self, p: Fraction) -> Poly:
         return self.const + self.slope * p
 
-    def derivative(self) -> "AffinePoly":
-        return AffinePoly(self.const.derivative(), self.slope.derivative())
-
     @property
     def degree(self):
         return max(self.const.degree, self.slope.degree)
-
-    @property
-    def is_parameter_free(self) -> bool:
-        return self.slope.is_zero
 
 
 def _as_affine_poly(tau) -> AffinePoly:
@@ -88,8 +81,6 @@ class HypergeometricProblem:
     sigma: Poly
     gamma: AffineValue
     parameter: str = "p"
-    domain: tuple[Fraction | None, Fraction | None] = (None, None)
-    eval_point: Fraction | None = None
 
     def __post_init__(self):
         if self.tau.degree > 1:
@@ -107,20 +98,17 @@ def validate(
     sigma: Poly,
     gamma: AffineValue | tuple = (0, 1),
     parameter: str = "p",
-    domain: tuple = (None, None),
-    eval_point: Fraction | None = None,
 ) -> HypergeometricProblem:
     """Check the degree constraints and build a problem record.
+
+    The record holds no evaluation point: for this input delta_k(r0, E) is
+    c_k(r0) times a polynomial in E alone, so r0 never moves a root and
+    ``aim.solve_iterative`` picks one off the poles of sigma.
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2.
     """
     return HypergeometricProblem(
-        _as_affine_poly(tau),
-        sigma,
-        _as_affine_value(gamma),
-        parameter,
-        tuple(domain),
-        eval_point,
+        _as_affine_poly(tau), sigma, _as_affine_value(gamma), parameter
     )
 
 
@@ -136,23 +124,20 @@ def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
 def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     """Solve the affine equation gamma_n(p) = gamma(p) for the parameter.
 
-    Both tau' and gamma may depend on p; the result is the exact n-th
-    spectrum value.  Raises DegenerateParameterMap when the p-coefficient
-    vanishes.
+    Both tau' and gamma may depend on p, so the gap gamma_n(p) - gamma(p)
+    is affine in p; read at p = 0 and p = 1, its root is the exact n-th
+    spectrum value.  Raises DegenerateParameterMap when its slope vanishes.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    tc1 = problem.tau.const.coeff(1)
-    tp1 = problem.tau.slope.coeff(1)
-    sig2 = problem.sigma.coeff(2)
-    # -n (tc1 + p tp1) - n(n-1) sig2 = g0 + g1 p
-    p_coeff = -n * tp1 - problem.gamma.slope
-    rhs = problem.gamma.const + n * tc1 + n * (n - 1) * sig2
-    if p_coeff == 0:
-        raise DegenerateParameterMap(
-            f"parameter coefficient vanishes at n = {n}"
-        )
-    return rhs / p_coeff
+
+    def gap(p: Fraction) -> Fraction:
+        tau = problem.tau.substitute(p)
+        return gamma_n(tau, problem.sigma, n) - problem.gamma.substitute(p)
+
+    at0 = gap(Fraction(0))
+    slope = gap(Fraction(1)) - at0
+    if slope == 0:
+        raise DegenerateParameterMap(f"parameter coefficient vanishes at n = {n}")
+    return -at0 / slope
 
 
 def to_aim_form(problem: HypergeometricProblem):
@@ -165,4 +150,4 @@ def to_aim_form(problem: HypergeometricProblem):
         Poly.const(-problem.gamma.slope),
         problem.sigma,
     )
-    return AimProblem(lam0, s0, problem.domain, problem.eval_point)
+    return AimProblem(lam0, s0)

@@ -145,28 +145,21 @@ def build_phi(pi: Poly, sigma: Poly) -> WeightExpr:
     return integrate_log_derivative(RatFunc(pi, sigma))
 
 
-def nu_solve(
-    problem: NuProblem, n: int, branch_selector=None
-) -> tuple[Fraction, NuReduction]:
+def nu_solve(problem: NuProblem, n: int) -> tuple[Fraction, NuReduction]:
     """Pick a reduction branch and return (lambdaBar_n, reduction).
 
-    The default selector takes the unique candidate with tau' < 0 (the
-    conventional bound-state choice).  When no candidate or more than one
-    qualifies, AmbiguousBranch is raised with the full candidate list so
-    the caller can select explicitly; candidates are never discarded
-    silently.  The reduction's own ``lambda_bar`` is returned alongside the
-    mode value; equality of the two is the bound-state condition, judged by
-    the caller.
+    The branch is the unique candidate with tau' < 0 (the conventional
+    bound-state choice).  When no candidate or more than one qualifies,
+    AmbiguousBranch is raised with the full candidate list; candidates are
+    never discarded silently, and ``nu_find_k`` returns every one.  The
+    reduction's own ``lambda_bar`` is returned alongside the mode value;
+    equality of the two is the bound-state condition, judged by the caller.
     """
     candidates = nu_find_k(problem)
-    if branch_selector is not None:
-        chosen = branch_selector(candidates)
-    else:
-        negative = [c for c in candidates if c.tau_slope < 0]
-        if len(negative) != 1:
-            raise AmbiguousBranch(
-                f"{len(negative)} candidates with tau' < 0; pass a branch_selector "
-                f"(candidates: {candidates})"
-            )
-        chosen = negative[0]
-    return gamma_n(chosen.tau, problem.sigma, n), chosen
+    negative = [c for c in candidates if c.tau_slope < 0]
+    if len(negative) != 1:
+        raise AmbiguousBranch(
+            f"{len(negative)} candidates with tau' < 0; choose one from nu_find_k "
+            f"(candidates: {candidates})"
+        )
+    return gamma_n(negative[0].tau, problem.sigma, n), negative[0]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aimnu.aim as aim_module
 from aimnu.aim import (
     AimProblem,
     AimSequence,
@@ -11,16 +12,15 @@ from aimnu.aim import (
     _divide_root,
     _level_roots,
     aim_step,
-    alpha_ratio,
     delta_k,
     determinants,
     iterate,
     solve_iterative,
 )
 from aimnu.algebra import Poly, RatFunc
-from aimnu.catalog import catalog_get
+from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
 from aimnu.errors import EvaluationPole, NoRootInBracket
-from aimnu.hypergeometric import eigenvalue, to_aim_form
+from aimnu.hypergeometric import eigenvalue, to_aim_form, validate
 
 R = Poly.variable()
 TOL = F(1, 10**8)
@@ -75,24 +75,6 @@ class TestDelta:
         assert delta_k(swapped) == -delta_k(seq)
 
 
-class TestAlphaRatio:
-    def test_equal_pair_on_spectrum(self):
-        seq = iterate(*_hermite_rows(F(1)), 1)
-        a, b = alpha_ratio(seq, F(1))
-        assert a == b == F(-1)
-
-    def test_unequal_pair_off_spectrum(self):
-        seq = iterate(*_hermite_rows(F(1, 2)), 1)
-        a, b = alpha_ratio(seq, F(1))
-        assert a == F(-2, 5) and b == F(-1, 2)
-        assert a != b
-
-    def test_vanishing_lambda_raises(self):
-        seq = iterate(*_hermite_rows(F(1)), 1)
-        with pytest.raises(EvaluationPole):
-            alpha_ratio(seq, F(0))  # lambda_0 = 2r vanishes at 0
-
-
 class TestSolveIterative:
     def test_hermite_bracket(self):
         problem = to_aim_form(catalog_get("hermite"))
@@ -135,8 +117,6 @@ class TestSolveIterative:
                 problem.s0.num_slope * 3,
                 problem.s0.den * 3,
             ),
-            problem.domain,
-            problem.eval_point,
         )
         a = solve_iterative(problem, F(1), (F(0), F(4)), tol=TOL)
         b = solve_iterative(scaled, F(1), (F(0), F(4)), tol=TOL)
@@ -150,8 +130,6 @@ class TestSolveIterative:
             solve_iterative(problem, F(1), (F(0), F(1)), tol=F(0))
         with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(0), F(1)), k_max=1)
-        with pytest.raises(ValueError):
-            solve_iterative(AimProblem(problem.lambda0, problem.s0), None, (F(0), F(1)))
 
     def test_agrees_with_closed_form(self):
         problem = catalog_get("kratzer")
@@ -163,6 +141,50 @@ class TestSolveIterative:
         assert targets
         for v in targets:
             assert any(e.converged and abs(e.value - v) < 10 * TOL for e in estimates)
+
+
+class TestDerivedEvaluationPoint:
+    """Without r0 the solver takes the first of 1, 1/2, 1/3, ... that is no
+    pole; for hypergeometric input no choice of r0 moves a root."""
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_same_result_as_at_a_fixed_point(self, name):
+        # r0 = 2/5 is a root of no catalog sigma
+        values = [expected_eigenvalue(name, None, n) for n in range(4)]
+        pad = (max(values) - min(values)) / 8
+        bracket = (min(values) - pad, max(values) + pad)
+        problem = to_aim_form(catalog_get(name))
+        derived = solve_iterative(problem, None, bracket)
+        fixed = solve_iterative(problem, F(2, 5), bracket)
+        assert derived == fixed
+        assert (derived.k, derived.counts) == (fixed.k, fixed.counts)
+
+    @pytest.mark.parametrize(
+        "problem, bracket, r0",
+        [
+            (catalog_get("legendre"), (F(-1, 2), F(13)), F(1, 2)),  # sigma = r^2 - 1
+            # sigma = (r - 1)(2r - 1); spectrum E_n = 2n(n + 1)
+            (validate(Poly([0, 4]), Poly([1, -3, 2]), (0, -1), "E"), (F(-1), F(25)), F(1, 3)),
+        ],
+        ids=["legendre", "sigma-roots-1-and-half"],
+    )
+    def test_point_avoids_poles(self, monkeypatch, problem, bracket, r0):
+        seen = []
+
+        def spy(aim_problem, point):
+            seen.append(point)
+            return determinants(aim_problem, point)
+
+        monkeypatch.setattr(aim_module, "determinants", spy)
+        estimates = solve_iterative(to_aim_form(problem), None, bracket)
+        assert seen == [r0]
+        assert all(e.converged for e in estimates)
+        assert [e.value for e in estimates] == [eigenvalue(problem, n) for n in range(4)]
+
+    def test_zero_denominator_is_a_pole(self):
+        zero = ParamRatFunc(Poly(), Poly(), Poly())
+        with pytest.raises(EvaluationPole):
+            solve_iterative(AimProblem(zero, zero), None, (F(0), F(1)))
 
 
 def _solve(name, r0, bracket, **kwargs):

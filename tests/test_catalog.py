@@ -53,10 +53,6 @@ class TestGet:
         problem = catalog_get("gegenbauer", {"k": F(2)})
         assert eigenvalue(problem, 3) == 3 * (3 + 4)
 
-    def test_eval_point_attached(self):
-        for name in ALL_NAMES:
-            assert catalog_get(name).eval_point is not None
-
     def test_unknown_entry(self):
         with pytest.raises(UnknownEntry):
             catalog_get("not_a_thing")

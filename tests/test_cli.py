@@ -1,12 +1,16 @@
 import json
+import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from aimnu.algebra import Poly
-from aimnu.cli import main
+from aimnu.cli import MAX_SAMPLES, _sample_grid, main
 from aimnu.eigenfunctions import ode_residual
 from aimnu.rationals import parse_rational
 
@@ -18,6 +22,15 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def run_process(args, timeout=10):
+    """``python -m aimnu ARGS`` as a whole process; returns it and its seconds."""
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "aimnu", *args], capture_output=True, text=True, timeout=timeout
+    )
+    return result, time.perf_counter() - start
 
 
 class TestList:
@@ -87,7 +100,6 @@ class TestSolve:
             "sigma": ["1"],
             "gamma": {"const": "0", "param": "2"},
             "parameter": "k",
-            "evalPoint": "1",
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
@@ -148,6 +160,14 @@ class TestAim:
         assert "5,5,5,false" in result.output.splitlines()
         assert "roots uncertified at kmax = 5" in result.output
         assert "n=5 (5)" in result.output
+
+    def test_problem_file_without_evaluation_point(self, runner, tmp_path):
+        doc = {"tau": {"r1": "-2"}, "sigma": ["1"], "gamma": {"const": "0", "param": "2"}}
+        path = tmp_path / "hermite.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["aim", str(path), "--bracket=-1/2:5/2", "--format", "json"])
+        assert result.exit_code == 0
+        assert [row["value"] for row in json.loads(result.output)["rows"]] == ["0", "1", "2"]
 
     def test_bad_bracket_exits_2(self, runner):
         result = runner.invoke(main, ["aim", "hermite", "--bracket", "zero-one"])
@@ -246,6 +266,15 @@ class TestEigenfunction:
         )
         assert result.output.splitlines() == ["r,y", "0,0", "0.5,0.5", "1,1"]
 
+    def test_sample_count_is_bounded(self, runner):
+        assert len(_sample_grid(f"0:1:{MAX_SAMPLES}")) == MAX_SAMPLES
+        for count in (1, MAX_SAMPLES + 1, 10**8):
+            result = runner.invoke(
+                main, ["eigenfunction", "legendre", "--samples", f"0:1:{count}"]
+            )
+            assert result.exit_code == 2
+            assert f"error: sample count must be between 2 and {MAX_SAMPLES}" in result.output
+
     def test_zero_denominator_in_samples_exits_2(self, runner):
         result = runner.invoke(
             main, ["eigenfunction", "legendre", "--n", "2", "--samples", "1/0:1:5"]
@@ -299,6 +328,56 @@ class TestBoundedInputs:
         assert result.returncode == 0
         candidates = json.loads(result.stdout)["candidates"]
         assert sorted((c["k"], c["pi"]) for c in candidates) == [("0", []), ("0", ["0", "2"])]
+
+    def test_kratzer_with_a_30_digit_coefficient(self):
+        # every E_n = A/(2(n+1)) lies far above the bracket, so aim runs to kmax
+        a = "1000000000000000000000000000000/3"
+        args = ["kratzer", "--param", f"A={a}"]
+        result, seconds = run_process(["aim", *args, "--bracket", "1/50:1"])
+        assert result.returncode == 1
+        assert "error: no root of delta_40 in (1/50, 1)" in result.stderr
+        assert seconds < 5
+        result, seconds = run_process(["solve", *args, "--n", "1", "--format", "csv"])
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1:] == [
+            "0,500000000000000000000000000000/3",
+            "1,250000000000000000000000000000/3",
+        ]
+        assert seconds < 5
+
+    def test_sigma_with_30_digit_roots(self, tmp_path):
+        # sigma = (r - 1)(r - a): r0 = 1 is a pole, so the solver takes 1/2
+        a = Fraction(123456789012345678901234567891, 7)
+        sigma = [a, -(1 + a), 1]
+        doc = {
+            "tau": {"r1": "2"},
+            "sigma": [str(c) for c in sigma],
+            "gamma": {"const": "0", "param": "-1"},
+        }
+        path = tmp_path / "large_roots.json"
+        path.write_text(json.dumps(doc))
+        for args in (["solve", str(path), "--n", "3"], ["aim", str(path), "--bracket=-1/2:13"]):
+            result, seconds = run_process([*args, "--format", "csv"])
+            assert result.returncode == 0, result.stderr
+            assert [line.split(",")[1] for line in result.stdout.splitlines()[1:]] == [
+                "0", "2", "6", "12"
+            ]
+            assert seconds < 5
+
+
+class TestReadme:
+    def test_problem_file_example_runs(self, runner, tmp_path):
+        # the README's first JSON block is the problem-file example
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        result = invoke(runner, ["solve", str(path), "--n", "2", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["n,eigenvalue", "0,0", "1,1", "2,2"]
+        result = invoke(runner, ["aim", str(path), "--bracket=-1/2:5/2", "--format", "csv"])
+        assert result.exit_code == 0
+        assert [line.split(",")[1] for line in result.output.splitlines()[1:]] == ["0", "1", "2"]
 
 
 class TestVerify:

@@ -107,7 +107,3 @@ class TestToAimForm:
         lam0 = aim_problem.lambda0.substitute(F(2))  # epsilon = 2
         # -(tau_const + 2*eps)/sigma = -(1 - 5r + 4)/r
         assert lam0 == RatFunc(Poly([-5, 5]), Poly([0, 1]))
-
-    def test_carries_eval_point(self):
-        problem = catalog_get("kratzer")
-        assert to_aim_form(problem).eval_point == problem.eval_point == F(1)

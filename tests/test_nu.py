@@ -5,8 +5,7 @@ import pytest
 
 from aimnu.algebra import Poly, RatFunc
 from aimnu.errors import AmbiguousBranch, NoRationalReduction, NotHypergeometricType
-from aimnu.hypergeometric import gamma_n
-from aimnu.nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
+from aimnu.nu import NuProblem, build_phi, nu_find_k, nu_solve
 from aimnu.verify import reduction_identity_holds
 
 R = Poly.variable()
@@ -130,10 +129,3 @@ class TestSolve:
         problem = NuProblem(Poly(), R * R, R * R)  # single branch with tau' = 2 > 0
         with pytest.raises(AmbiguousBranch):
             nu_solve(problem, 1)
-
-    def test_explicit_selector(self):
-        problem = NuProblem(Poly(), R * R, R * R)
-        lam1, chosen = nu_solve(problem, 1, branch_selector=lambda cs: cs[0])
-        assert isinstance(chosen, NuReduction)
-        assert chosen.k == 0
-        assert lam1 == gamma_n(chosen.tau, problem.sigma, 1)
