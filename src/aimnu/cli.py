@@ -31,7 +31,9 @@ from .errors import (
     AimnuError,
     BadParameter,
     DegenerateParameterMap,
+    DegenerateSpectrum,
     EvaluationPole,
+    InconsistentGamma,
     InvalidRational,
     NoRationalReduction,
     NoRootInBracket,
@@ -56,7 +58,9 @@ _INPUT_ERRORS = (
 )
 _RUNTIME_ERRORS = (
     DegenerateParameterMap,
+    DegenerateSpectrum,
     EvaluationPole,
+    InconsistentGamma,
     NoRootInBracket,
     NoRationalReduction,
     PochhammerPole,
@@ -88,9 +92,18 @@ def _load_problem(name_or_file: str, params: dict) -> tuple[str, hg.Hypergeometr
     return name_or_file, catalog_mod.catalog_get(name_or_file, params)
 
 
+def _check_keys(where: str, doc: dict, allowed: tuple[str, ...]) -> None:
+    """Reject keys a problem file may not hold, so a misspelling is never ignored."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        keys = ("key " if len(unknown) == 1 else "keys ") + ", ".join(map(repr, unknown))
+        raise BadParameter(f"unknown {keys} in {where}; expected {', '.join(allowed)}")
+
+
 def _affine_coeff(entry) -> tuple[Fraction, Fraction]:
     if isinstance(entry, str):
         return parse_rational(entry), Fraction(0)
+    _check_keys("an affine coefficient", entry, ("const", "param"))
     return (
         parse_rational(entry.get("const", "0")),
         parse_rational(entry.get("param", "0")),
@@ -98,7 +111,9 @@ def _affine_coeff(entry) -> tuple[Fraction, Fraction]:
 
 
 def _problem_from_doc(doc: dict) -> tuple[str, hg.HypergeometricProblem]:
+    _check_keys("the problem file", doc, ("name", "tau", "sigma", "gamma", "parameter"))
     tau = doc["tau"]
+    _check_keys("tau", tau, ("r0", "r1"))
     r0c, r0p = _affine_coeff(tau.get("r0", "0"))
     r1c, r1p = _affine_coeff(tau.get("r1", "0"))
     sigma = Poly([parse_rational(c) for c in doc["sigma"]])
@@ -355,6 +370,7 @@ def cmd_nu(problem_file, n, fmt):
     try:
         with open(problem_file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        _check_keys("the problem file", doc, ("tauTilde", "sigma", "sigmaTilde"))
         problem = nu_mod.NuProblem(
             Poly([parse_rational(c) for c in doc["tauTilde"]]),
             Poly([parse_rational(c) for c in doc["sigma"]]),

@@ -2,7 +2,7 @@
 
 Three generators for the degree-n solution of sigma y'' + tau y' + g_n y = 0:
 
-* ``polynomial_solution`` -- exact linear solve on the coefficient vector;
+* ``polynomial_solution`` -- backward three-term recurrence on the coefficients;
 * ``y_low_order``         -- explicit closed forms for n <= 3;
 * ``rodrigues``           -- (1/rho) d^n/dr^n [sigma^n rho] with the Pearson
                              weight rho solving (sigma rho)' = tau rho, in
@@ -12,7 +12,8 @@ Three generators for the degree-n solution of sigma y'' + tau y' + g_n y = 0:
 They must agree up to a nonzero scalar; the verification suite enforces
 this three-way agreement.  A fourth, potential-specific route evaluates the
 terminating hypergeometric closed form of the deformed Hulthen
-eigenfunctions with exact rising factorials (no gamma-function numerics).
+eigenfunctions term by term, from the exact ratio of consecutive terms (no
+gamma-function numerics).
 """
 
 from __future__ import annotations
@@ -59,83 +60,65 @@ def ode_residual(tau: Poly, sigma: Poly, gamma: Fraction, y: Poly) -> Poly:
 
 
 def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
-    """Monic degree-n polynomial solution via an exact linear solve.
+    """Monic degree-n polynomial solution by a backward three-term recurrence.
 
-    Builds the banded system on the coefficients c_0..c_{n-1} (c_n = 1)
-    and verifies the residual is identically zero before returning.
-    Raises DegenerateSpectrum when the solution space is not unique and
-    InconsistentGamma when no degree-n solution exists.
+    With deg tau <= 1 and deg sigma <= 2, the r^j coefficient of
+    sigma y'' + tau y' + gamma_n y for y = sum c_i r^i is
+
+        (gamma_n - gamma_j) c_j + (j+1)(tau(0) + j sigma'(0)) c_(j+1)
+                                + (j+1)(j+2) sigma(0) c_(j+2),
+
+    so from c_n = 1 each c_j, j = n-1, ..., 0, follows from the two above it
+    (Nikiforov & Uvarov, Special Functions of Mathematical Physics, 1988).
+    Raises DegenerateSpectrum when gamma_j = gamma_n for some j < n, and
+    verifies the residual is identically zero before returning.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     g = gamma_n(tau, sigma, n)
-    if n == 0:
-        return EigenPolynomial(0, Poly.const(1), g)
-
-    def image(i: int) -> Poly:
-        basis = Poly([0] * i + [1])
-        return ode_residual(tau, sigma, g, basis)
-
-    columns = [image(i) for i in range(n + 1)]
-    rows = n + 1  # coefficients r^0 .. r^n of the residual
-    matrix = [[columns[i].coeff(j) for i in range(n)] for j in range(rows)]
-    rhs = [-columns[n].coeff(j) for j in range(rows)]
-    solution = _solve_exact(matrix, rhs, n)
-    y = Poly(solution + [Fraction(1)])
+    t0, s0, s1 = tau.coeff(0), sigma.coeff(0), sigma.coeff(1)
+    c = [Fraction(0)] * n + [Fraction(1), Fraction(0)]  # c_0 .. c_n, and c_(n+1) = 0
+    for j in range(n - 1, -1, -1):
+        pivot = g - gamma_n(tau, sigma, j)
+        if pivot == 0:
+            raise DegenerateSpectrum(f"gamma_{j} = gamma_{n}; spectrum degenerate")
+        c[j] = -((j + 1) * (t0 + j * s1) * c[j + 1] + (j + 1) * (j + 2) * s0 * c[j + 2]) / pivot
+    y = Poly(c)
     if not ode_residual(tau, sigma, g, y).is_zero:
         raise InconsistentGamma("residual not identically zero")  # pragma: no cover
     return EigenPolynomial(n, y, g)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction], n_unknowns: int) -> list[Fraction]:
-    """Gaussian elimination over Fraction for an overdetermined consistent system."""
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    rows = len(m)
-    pivot_rows: list[int] = []
-    row = 0
-    for col in range(n_unknowns):
-        pivot = next((r for r in range(row, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateSpectrum(
-                "coefficient system is rank-deficient; spectrum degenerate"
-            )
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivot_rows.append(row)
-        row += 1
-    for r in range(row, rows):
-        if m[r][n_unknowns] != 0:
-            raise InconsistentGamma("no degree-n polynomial solution")
-    return [m[r][n_unknowns] for r in pivot_rows]
-
-
 def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
-    """Explicit closed forms of the first four polynomial solutions."""
+    """Explicit closed forms of the first four polynomial solutions.
+
+    Raises InconsistentGamma when the form drops below degree n, as it does
+    when gamma_j = gamma_n for some j < n.
+    """
     if n < 0 or n > 3:
         raise OutOfRange("explicit forms exist for n <= 3 only")
-    if n == 0:
-        return Poly.const(1)
-    if n == 1:
-        return tau
     sp = sigma.derivative()
     spp = sp.derivative()
     tp = tau.derivative()
-    if n == 2:
-        return tau * tau + tau * sp + tp * sigma + sigma * spp
-    return (
-        tau * tau * tau
-        + 3 * tau * tau * sp
-        + 2 * tau * sp * sp
-        + 3 * tau * tp * sigma
-        + 4 * tp * sigma * sp
-        + 5 * tau * sigma * spp
-        + 6 * sigma * sp * spp
-    )
+    if n == 0:
+        result = Poly.const(1)
+    elif n == 1:
+        result = tau
+    elif n == 2:
+        result = tau * tau + tau * sp + tp * sigma + sigma * spp
+    else:
+        result = (
+            tau * tau * tau
+            + 3 * tau * tau * sp
+            + 2 * tau * sp * sp
+            + 3 * tau * tp * sigma
+            + 4 * tp * sigma * sp
+            + 5 * tau * sigma * spp
+            + 6 * sigma * sp * spp
+        )
+    if result.degree != n:
+        raise InconsistentGamma(f"explicit form degree {result.degree} != {n}")
+    return result
 
 
 def pearson_weight(tau: Poly, sigma: Poly) -> PearsonWeight:
@@ -167,20 +150,14 @@ def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
     return result
 
 
-def _rising(a: Fraction, m: int) -> Fraction:
-    prod = Fraction(1)
-    for i in range(m):
-        prod *= a + i
-    return prod
-
-
 def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
     """Terminating 2F1 closed form of the deformed Hulthen eigenfunctions.
 
     y_n(r) = (-1)^n (2e+1)_n * 2F1(-n, 2e+n+2; 2e+1; q r) with e = epsilon_n,
-    evaluated as a finite sum with exact Pochhammer ratios.  The gamma-ratio
-    prefactor is the rising factorial (2e+1)_n; no gamma function is ever
-    evaluated numerically.
+    summed from the prefactor (-1)^n (2e+1)_n, the gamma ratio as a rising
+    factorial, by the term ratio
+    t_(m+1)/t_m = (m-n)(2e+n+2+m) q / ((2e+1+m)(m+1)); no gamma function is
+    ever evaluated numerically.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -188,13 +165,11 @@ def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
     for m in range(1, n + 1):
         if two_e + m == 0:
             raise PochhammerPole(f"2*epsilon_n + {m} = 0")
-    prefactor = (-1) ** n * _rising(two_e + 1, n)
-    coeffs = []
-    for m in range(n + 1):
-        term = (
-            _rising(Fraction(-n), m)
-            * _rising(two_e + n + 2, m)
-            / (_rising(two_e + 1, m) * _rising(Fraction(1), m))
-        )
-        coeffs.append(prefactor * term * q**m)
+    term = Fraction((-1) ** n)
+    for i in range(1, n + 1):
+        term *= two_e + i  # the prefactor (-1)^n (2e+1)_n
+    coeffs = [term]
+    for m in range(n):
+        term *= (m - n) * (two_e + n + 2 + m) * q / ((two_e + 1 + m) * (m + 1))
+        coeffs.append(term)
     return Poly(coeffs)

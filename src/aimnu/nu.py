@@ -93,9 +93,6 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     u0 = half * half - problem.sigma_tilde
     sigma = problem.sigma
 
-    if u0.is_zero and sigma.is_zero:  # unreachable given validation; kept for clarity
-        raise NoRationalReduction("radicand undefined")
-
     # u(r; k) coefficients, affine in k
     a0, a1 = u0.coeff(2), sigma.coeff(2)
     b0, b1 = u0.coeff(1), sigma.coeff(1)

@@ -109,6 +109,28 @@ class TestSolve:
         assert out["name"] == "custom_hermite"
         assert [row["eigenvalue"] for row in out["rows"]] == ["0", "1", "2"]
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"paramter": "k"}, "'paramter'"),
+            ({"evalPoint": "0"}, "'evalPoint'"),
+            ({"tau": {"r0": "0", "r1": "-2", "r2": "1"}}, "'r2'"),
+            ({"gamma": {"const": "0", "parm": "2"}}, "'parm'"),
+        ],
+        ids=["top-level", "dropped-field", "tau", "affine"],
+    )
+    def test_unknown_key_exits_2(self, runner, tmp_path, change, key):
+        doc = {
+            "tau": {"r0": "0", "r1": {"const": "-2"}},
+            "sigma": ["1"],
+            "gamma": {"const": "0", "param": "2"},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**doc, **change}))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: unknown key ") and key in result.output
+
     def test_malformed_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -242,6 +264,17 @@ class TestEigenfunction:
         assert y.degree == 3
         assert ode_residual(tau, sigma, parse_rational(out["eigenvalue"]), y).is_zero
 
+    @pytest.mark.parametrize("method", ["recursion", "rodrigues", "explicit"])
+    def test_degenerate_spectrum_exits_1(self, runner, tmp_path, method):
+        # tau = 1, sigma = r^2: gamma_0 = gamma_1 = 0, so there is no unique y_1
+        doc = {"tau": {"r0": "1"}, "sigma": ["0", "0", "1"], "gamma": {"param": "1"}}
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eigenfunction", str(path), "--n", "1", "--method", method])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+
     def test_explicit_out_of_range_exits_2(self, runner):
         result = runner.invoke(
             main, ["eigenfunction", "hermite", "--n", "5", "--method", "explicit"]
@@ -311,6 +344,12 @@ class TestNu:
         result = runner.invoke(main, ["nu", path])
         assert result.exit_code == 2
 
+    def test_unknown_key_exits_2(self, runner, tmp_path):
+        doc = {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"], "sigma_tilde": ["1"]}
+        result = runner.invoke(main, ["nu", self._write(tmp_path, doc)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: unknown key 'sigma_tilde'")
+
 
 class TestBoundedInputs:
     @pytest.mark.parametrize("constant", [10**24 + 39, 123456789012345678901234567891])
@@ -378,6 +417,16 @@ class TestReadme:
         result = invoke(runner, ["aim", str(path), "--bracket=-1/2:5/2", "--format", "csv"])
         assert result.exit_code == 0
         assert [line.split(",")[1] for line in result.output.splitlines()[1:]] == ["0", "1", "2"]
+
+    def test_nu_file_example_runs(self, runner, tmp_path):
+        # the README's second JSON block is the `nu` file example
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)[1]
+        path = tmp_path / "nu.json"
+        path.write_text(example)
+        result = invoke(runner, ["nu", str(path), "--format", "json"])
+        assert result.exit_code == 0
+        assert [c["k"] for c in json.loads(result.output)["candidates"]] == ["5", "5"]
 
 
 class TestVerify:

@@ -87,6 +87,14 @@ class TestLowOrder:
         with pytest.raises(OutOfRange):
             y_low_order(*HERMITE, -1)
 
+    def test_degree_drop_raises(self):
+        # tau = 1, sigma = r^2: gamma_0 = gamma_1 = 0, and the n = 1 form tau is constant
+        with pytest.raises(InconsistentGamma):
+            y_low_order(Poly.const(1), R * R, 1)
+        # tau = -r, sigma = r^2: gamma_0 = gamma_2 = 0
+        with pytest.raises(InconsistentGamma):
+            y_low_order(-R, R * R, 2)
+
 
 class TestPearsonWeight:
     def test_hermite_gaussian(self):

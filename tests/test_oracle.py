@@ -156,6 +156,7 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 )
 @example([F(0), F(-2)], [F(1), F(0), F(0)], 6)  # Hermite
 @example([F(1), F(0)], [F(0), F(1), F(0)], 2)  # gamma_0 = gamma_1 = gamma_2 = 0: degenerate
+@example([F(0), F(-3)], [F(0), F(0), F(1)], 3)  # gamma_1 = gamma_3 = 3: degenerate at j = 1
 def test_polynomial_solution_matches_sympy_solve(tau, sigma, n):
     """y = r^n + sum c_i r^i with sigma y'' + tau y' + gamma_n y = 0, as the
     linear system in c_0..c_{n-1} that sympy builds and solves."""
