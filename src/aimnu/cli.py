@@ -5,8 +5,8 @@ command line and in problem files are exact "p/q" strings; floating
 literals are accepted only for sample-grid bounds.  csv/json output is
 byte-deterministic for identical invocations.
 
-Exit codes: 0 success, 1 verification or convergence failure,
-2 invalid input.
+Exit codes: 0 success; 2 for an ``InputError``, 1 for any other aimnu error
+and for a failed verification or convergence (see ``_Main``).
 """
 
 from __future__ import annotations
@@ -27,50 +27,27 @@ from . import hypergeometric as hg
 from . import nu as nu_mod
 from . import verify as verify_mod
 from .algebra import Poly
-from .errors import (
-    AimnuError,
-    BadParameter,
-    DegenerateParameterMap,
-    DegenerateSpectrum,
-    EvaluationPole,
-    InconsistentGamma,
-    InvalidRational,
-    NoRationalReduction,
-    NoRootInBracket,
-    NotHypergeometricType,
-    OutOfRange,
-    PochhammerPole,
-    UnknownEntry,
-    UnsupportedDenominator,
-)
+from .errors import AimnuError, BadParameter, InputError
 from .rationals import format_rational, parse_rational
-
-_INPUT_ERRORS = (
-    InvalidRational,
-    BadParameter,
-    UnknownEntry,
-    NotHypergeometricType,
-    OutOfRange,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
-    OSError,  # a problem file that is missing, a directory or unreadable
-)
-_RUNTIME_ERRORS = (
-    DegenerateParameterMap,
-    DegenerateSpectrum,
-    EvaluationPole,
-    InconsistentGamma,
-    NoRootInBracket,
-    NoRationalReduction,
-    PochhammerPole,
-    UnsupportedDenominator,
-)
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+class _Main(click.Group):
+    """The one place where an aimnu error becomes an exit code, from its class.
+
+    An ``InputError`` exits 2 and any other ``AimnuError`` exits 1, each with
+    its message on stderr; any other exception is a bug and keeps its traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AimnuError as exc:
+            _fail(2 if isinstance(exc, InputError) else 1, str(exc))
 
 
 def _parse_params(pairs: tuple[str, ...]) -> dict[str, Fraction]:
@@ -83,54 +60,77 @@ def _parse_params(pairs: tuple[str, ...]) -> dict[str, Fraction]:
     return params
 
 
-def _load_problem(name_or_file: str, params: dict) -> tuple[str, hg.HypergeometricProblem]:
-    """Catalog name, or a JSON problem file when the argument looks like a path."""
-    if name_or_file.endswith(".json") or os.path.sep in name_or_file:
-        with open(name_or_file, "r", encoding="utf-8") as fh:
+def _read_json(path: str, allowed: tuple[str, ...], required: tuple[str, ...]) -> dict:
+    """The JSON object in a problem file; a file that cannot be read is a BadParameter."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return _problem_from_doc(doc)
-    return name_or_file, catalog_mod.catalog_get(name_or_file, params)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise BadParameter(str(exc)) from None
+    _check_keys("the problem file", doc, allowed, required)
+    return doc
 
 
-def _check_keys(where: str, doc: dict, allowed: tuple[str, ...]) -> None:
-    """Reject keys a problem file may not hold, so a misspelling is never ignored."""
+def _check_keys(where: str, doc, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> None:
+    """Require a JSON object that holds every ``required`` key and no key
+    outside ``allowed``, so a misspelling is never ignored."""
+    if not isinstance(doc, dict):
+        raise BadParameter(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         keys = ("key " if len(unknown) == 1 else "keys ") + ", ".join(map(repr, unknown))
         raise BadParameter(f"unknown {keys} in {where}; expected {', '.join(allowed)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise BadParameter(f"missing key {missing[0]!r} in {where}")
 
 
 def _affine_coeff(entry) -> tuple[Fraction, Fraction]:
-    if isinstance(entry, str):
+    if not isinstance(entry, dict):
         return parse_rational(entry), Fraction(0)
     _check_keys("an affine coefficient", entry, ("const", "param"))
-    return (
-        parse_rational(entry.get("const", "0")),
-        parse_rational(entry.get("param", "0")),
-    )
+    return parse_rational(entry.get("const", "0")), parse_rational(entry.get("param", "0"))
 
 
-def _problem_from_doc(doc: dict) -> tuple[str, hg.HypergeometricProblem]:
-    _check_keys("the problem file", doc, ("name", "tau", "sigma", "gamma", "parameter"))
-    tau = doc["tau"]
-    _check_keys("tau", tau, ("r0", "r1"))
-    r0c, r0p = _affine_coeff(tau.get("r0", "0"))
-    r1c, r1p = _affine_coeff(tau.get("r1", "0"))
-    sigma = Poly([parse_rational(c) for c in doc["sigma"]])
+def _coeffs(doc: dict, key: str) -> Poly:
+    """The polynomial whose coefficients ``doc[key]`` lists, constant term first."""
+    if not isinstance(doc[key], list):
+        raise BadParameter(f'{key} must be a list of "p/q" strings, got {doc[key]!r}')
+    return Poly([parse_rational(c) for c in doc[key]])
+
+
+def _string(doc: dict, key: str, default: str) -> str:
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise BadParameter(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _load_problem(name_or_file: str, params: dict) -> tuple[str, hg.HypergeometricProblem]:
+    """Catalog name, or a JSON problem file when the argument looks like a path."""
+    if not (name_or_file.endswith(".json") or os.path.sep in name_or_file):
+        return name_or_file, catalog_mod.catalog_get(name_or_file, params)
+    keys = ("name", "tau", "sigma", "gamma", "parameter")
+    doc = _read_json(name_or_file, keys, ("tau", "sigma", "gamma"))
+    _check_keys("tau", doc["tau"], ("r0", "r1"))
+    (r0c, r0p), (r1c, r1p) = (_affine_coeff(doc["tau"].get(k, "0")) for k in ("r0", "r1"))
     problem = hg.validate(
         hg.AffinePoly(Poly([r0c, r1c]), Poly([r0p, r1p])),
-        sigma,
+        _coeffs(doc, "sigma"),
         _affine_coeff(doc["gamma"]),
-        doc.get("parameter", "p"),
+        _string(doc, "parameter", "p"),
     )
-    return doc.get("name", "problem"), problem
+    return _string(doc, "name", "problem"), problem
 
 
 def _parse_bracket(text: str) -> tuple[Fraction, Fraction]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise BadParameter(f"expected lo:hi, got {text!r}")
-    return parse_rational(lo), parse_rational(hi)
+    lo, hi = parse_rational(lo), parse_rational(hi)
+    if not lo < hi:
+        raise BadParameter("empty bracket")
+    return lo, hi
 
 
 def _emit(fmt: str, header: list[str], rows: list[list[str]], envelope: dict):
@@ -159,7 +159,7 @@ _FORMAT = click.option(
 _PARAM = click.option("--param", "params", multiple=True, help="name=value, value a rational p/q")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact eigensolver for hypergeometric-type equations."""
 
@@ -204,14 +204,8 @@ def cmd_list(substring, fmt):
 @_FORMAT
 def cmd_solve(name_or_file, params, n_max, fmt):
     """Closed-form spectrum via the quantization-constant formula."""
-    try:
-        name, problem = _load_problem(name_or_file, _parse_params(params))
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        values = [hg.eigenvalue(problem, n) for n in range(n_max + 1)]
-    except DegenerateParameterMap as exc:
-        _fail(1, str(exc))
+    name, problem = _load_problem(name_or_file, _parse_params(params))
+    values = [hg.eigenvalue(problem, n) for n in range(n_max + 1)]
     header = ["n", "eigenvalue"]
     rows = [[str(n), format_rational(v)] for n, v in enumerate(values)]
     _emit(
@@ -246,21 +240,13 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
     Stops once the roots in the open bracket are all exact and equal to those
     of level k-1; exits 1, naming them, when some root is uncertified at kmax.
     """
-    try:
-        name, problem = _load_problem(name_or_file, _parse_params(params))
-        lo, hi = _parse_bracket(bracket)
-        r0_val = parse_rational(r0) if r0 is not None else None
-        tol_val = parse_rational(tol)
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        estimates = aim_mod.solve_iterative(
-            hg.to_aim_form(problem), r0_val, (lo, hi), kmax, tol_val
-        )
-    except _RUNTIME_ERRORS as exc:
-        _fail(1, str(exc))
-    except ValueError as exc:  # an empty bracket or tol <= 0
-        _fail(2, str(exc))
+    name, problem = _load_problem(name_or_file, _parse_params(params))
+    lo, hi = _parse_bracket(bracket)
+    r0_val = parse_rational(r0) if r0 is not None else None
+    tol_val = parse_rational(tol)
+    if tol_val <= 0:
+        raise BadParameter("tol must be positive")
+    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), r0_val, (lo, hi), kmax, tol_val)
     k = estimates.k
     rows = [
         {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}
@@ -291,9 +277,11 @@ def _sample_grid(spec: str):
         raise BadParameter(f"expected a:b:count, got {spec!r}")
     try:
         a, b = (Fraction(p) for p in parts[:2])  # decimal literals allowed for grid bounds
+        count = int(parts[2])
     except ZeroDivisionError:
         raise BadParameter(f"zero denominator in a grid bound: {spec!r}") from None
-    count = int(parts[2])
+    except ValueError as exc:
+        raise BadParameter(str(exc)) from None
     if not 2 <= count <= MAX_SAMPLES:
         raise BadParameter(f"sample count must be between 2 and {MAX_SAMPLES}")
     return [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
@@ -316,30 +304,21 @@ def _decimal12(x: Fraction) -> str:
 @_FORMAT
 def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
     """Polynomial eigenfunction coefficients, optionally sampled on a grid."""
-    try:
-        parsed = _parse_params(params)
-        name, problem = _load_problem(name_or_file, parsed)
-        if method == "explicit" and n > 3:
-            raise OutOfRange("explicit closed forms exist for n <= 3 only")
-        if method == "hypergeometric" and name != "hulthen":
-            raise BadParameter("hypergeometric route applies to the hulthen entry only")
-        grid = _sample_grid(samples) if samples else None
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        value = hg.eigenvalue(problem, n)
-        tau = problem.tau.substitute(value)
-        if method == "recursion":
-            poly = eig_mod.polynomial_solution(tau, problem.sigma, n).poly
-        elif method == "rodrigues":
-            poly = eig_mod.rodrigues(tau, problem.sigma, n)
-        elif method == "explicit":
-            poly = eig_mod.y_low_order(tau, problem.sigma, n)
-        else:
-            q = parsed.get("q", Fraction(1))
-            poly = eig_mod.hulthen_eigenfunction(n, q, value)
-    except _RUNTIME_ERRORS as exc:
-        _fail(1, str(exc))
+    parsed = _parse_params(params)
+    name, problem = _load_problem(name_or_file, parsed)
+    if method == "hypergeometric" and name_or_file != "hulthen":  # the catalog entry, never a file
+        raise BadParameter("hypergeometric route applies to the hulthen entry only")
+    grid = _sample_grid(samples) if samples else None
+    value = hg.eigenvalue(problem, n)
+    tau = problem.tau.substitute(value)
+    if method == "recursion":
+        poly = eig_mod.polynomial_solution(tau, problem.sigma, n).poly
+    elif method == "rodrigues":
+        poly = eig_mod.rodrigues(tau, problem.sigma, n)
+    elif method == "explicit":
+        poly = eig_mod.y_low_order(tau, problem.sigma, n)
+    else:
+        poly = eig_mod.hulthen_eigenfunction(n, parsed.get("q", Fraction(1)), value)
     coeffs = [format_rational(c) for c in poly.coeffs] or ["0"]
     envelope = {
         "name": name,
@@ -367,21 +346,10 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
 @_FORMAT
 def cmd_nu(problem_file, n, fmt):
     """Enumerate (k, pi) reductions of a Nikiforov-Uvarov problem file."""
-    try:
-        with open(problem_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        _check_keys("the problem file", doc, ("tauTilde", "sigma", "sigmaTilde"))
-        problem = nu_mod.NuProblem(
-            Poly([parse_rational(c) for c in doc["tauTilde"]]),
-            Poly([parse_rational(c) for c in doc["sigma"]]),
-            Poly([parse_rational(c) for c in doc["sigmaTilde"]]),
-        )
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        candidates = nu_mod.nu_find_k(problem)
-    except _RUNTIME_ERRORS as exc:
-        _fail(1, str(exc))
+    keys = ("tauTilde", "sigma", "sigmaTilde")
+    doc = _read_json(problem_file, keys, keys)
+    problem = nu_mod.NuProblem(*(_coeffs(doc, key) for key in keys))
+    candidates = nu_mod.nu_find_k(problem)
     header = ["k", "pi", "lambdaBar", "tau", "phi"]
     if n is not None:
         header.append(f"lambdaBar_{n}")
@@ -417,7 +385,7 @@ def cmd_verify(substring):
     """Run the self-verification suites; exit 0 only if everything passes."""
     results = verify_mod.run_suites(substring)
     if not results:
-        _fail(2, f"no suite matches filter {substring!r}")
+        raise BadParameter(f"no suite matches filter {substring!r}")
     width = max(len(f"[{r.suite}] {r.name}") for r in results)
     for r in results:
         label = f"[{r.suite}] {r.name}"

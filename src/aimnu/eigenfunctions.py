@@ -96,7 +96,7 @@ def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
     when gamma_j = gamma_n for some j < n.
     """
     if n < 0 or n > 3:
-        raise OutOfRange("explicit forms exist for n <= 3 only")
+        raise OutOfRange("explicit closed forms exist for n <= 3 only")
     sp = sigma.derivative()
     spp = sp.derivative()
     tp = tau.derivative()

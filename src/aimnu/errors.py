@@ -1,11 +1,22 @@
-"""Exception hierarchy shared by all aimnu modules."""
+"""Exception hierarchy shared by all aimnu modules.
+
+Two groups, told apart by class, set the command-line exit code:
+``InputError`` and its subclasses (``InvalidRational``, ``BadParameter``,
+``UnknownEntry``, ``NotHypergeometricType``, ``OutOfRange``) reject what a
+user passed in and exit 2; every other ``AimnuError`` is a computation that
+failed on valid input and exits 1.
+"""
 
 
 class AimnuError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidRational(AimnuError, ValueError):
+class InputError(AimnuError):
+    """Input read from outside (command line, problem file) is invalid."""
+
+
+class InvalidRational(InputError, ValueError):
     """A rational was constructed or parsed with a zero/invalid denominator."""
 
 
@@ -29,7 +40,7 @@ class NoRootInBracket(AimnuError, RuntimeError):
     """The iterative solver found no root of delta_k inside the bracket."""
 
 
-class NotHypergeometricType(AimnuError, ValueError):
+class NotHypergeometricType(InputError, ValueError):
     """Degree bounds deg(tau) <= 1, deg(sigma) <= 2 are violated."""
 
 
@@ -53,7 +64,7 @@ class InconsistentGamma(AimnuError, RuntimeError):
     """No degree-n polynomial solution exists; internal contradiction."""
 
 
-class OutOfRange(AimnuError, ValueError):
+class OutOfRange(InputError, ValueError):
     """A mode index is outside the supported range."""
 
 
@@ -61,9 +72,9 @@ class PochhammerPole(AimnuError, ValueError):
     """A rising-factorial denominator vanishes."""
 
 
-class UnknownEntry(AimnuError, KeyError):
+class UnknownEntry(InputError, KeyError):
     """Catalog lookup with an unknown name."""
 
 
-class BadParameter(AimnuError, ValueError):
+class BadParameter(InputError, ValueError):
     """A catalog parameter violates its constraints."""

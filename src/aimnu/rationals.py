@@ -24,8 +24,11 @@ def parse_rational(text: str) -> Fraction:
 
     Floating-point literals are rejected: exactness is part of the contract.
     The result is reduced with a positive denominator; a zero denominator
-    raises InvalidRational.
+    raises InvalidRational, as does a value that is not a string (a JSON
+    number in a problem file, say).
     """
+    if not isinstance(text, str):
+        raise InvalidRational(f'expected a "p/q" string, got {text!r}')
     s = text.strip()
     if not s:
         raise InvalidRational("empty rational literal")

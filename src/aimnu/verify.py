@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import aim, catalog, eigenfunctions, hypergeometric, nu
 from .algebra import Poly, RatFunc
-from .errors import NoRationalReduction
+from .errors import AimnuError, NoRationalReduction
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
 
@@ -392,9 +392,16 @@ SUITES = {
 
 
 def run_suites(substring: str | None = None) -> list[CheckResult]:
-    """Run all suites whose key contains ``substring`` (all when None)."""
+    """Run all suites whose key contains ``substring`` (all when None).
+
+    A suite that raises an aimnu error reports it as one failed row; the
+    other suites still run.
+    """
     results: list[CheckResult] = []
     for key, fn in SUITES.items():
         if substring is None or substring in key:
-            results.extend(fn())
+            try:
+                results.extend(fn())
+            except AimnuError as exc:
+                results.append(_result(key, f"raised {type(exc).__name__}: {exc}", False))
     return results

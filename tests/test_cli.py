@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aimnu import verify
 from aimnu.algebra import Poly
+from aimnu.errors import InconsistentGamma
 from aimnu.cli import MAX_SAMPLES, _sample_grid, main
 from aimnu.eigenfunctions import ode_residual
 from aimnu.rationals import parse_rational
@@ -229,6 +233,72 @@ def test_unreadable_problem_file_exits_2(runner, tmp_path, args):
     assert result.output.startswith("error: ")
 
 
+HERMITE_FILE = {"tau": {"r1": "-2"}, "sigma": ["1"], "gamma": {"param": "2"}}
+NU_FILE = {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("solve", [1, 2], []),
+        ("solve", {**HERMITE_FILE, "gamma": 2}, []),
+        ("solve", {**HERMITE_FILE, "sigma": "12"}, []),
+        ("solve", {**HERMITE_FILE, "sigma": ["1", 2]}, []),
+        ("solve", {**HERMITE_FILE, "tau": {"r1": -2}}, []),
+        ("solve", {**HERMITE_FILE, "parameter": 5}, []),
+        ("solve", {"sigma": ["1"], "gamma": {"param": "2"}}, []),
+        ("nu", {**NU_FILE, "sigma": 5}, []),
+        ("eigenfunction", None, ["legendre", "--samples", "0:1:x"]),
+        ("aim", None, ["hermite", "--bracket", "1:1"]),
+    ],
+    ids=[
+        "list-document", "number-gamma", "string-sigma", "number-in-sigma", "number-in-tau",
+        "number-parameter", "missing-tau", "nu-number-sigma", "samples-count", "empty-bracket",
+    ],
+)
+def test_malformed_input_exits_2(runner, tmp_path, command, doc, extra):
+    args = [command, *extra]
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        args.append(str(path))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert isinstance(result.exception, SystemExit)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-2", "1/2", "3/0", "1.5", "r0", "const"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_COMMANDS = [
+    ["solve", "--n", "2"],
+    ["aim", "--bracket=-3:3", "--kmax", "6"],
+    ["eigenfunction", "--n", "2"],
+    ["eigenfunction", "--n", "2", "--method", "rodrigues"],
+    ["eigenfunction", "--n", "2", "--method", "explicit"],
+]
+_FIELDS = [(HERMITE_FILE, key) for key in ("name", "parameter", *HERMITE_FILE)]
+_FIELDS += [(NU_FILE, key) for key in NU_FILE]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON, command=st.sampled_from(_COMMANDS))
+def test_any_json_field_exits_0_1_or_2(tmp_path_factory, field, value, command):
+    """One field of a valid problem file, or of a nu file, replaced by any JSON value."""
+    base, key = field
+    if base is NU_FILE:
+        command = ["nu"]
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_text(json.dumps({**base, key: value}))
+    result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestEigenfunction:
     def test_recursion_coefficients(self, runner):
         result = invoke(
@@ -281,11 +351,19 @@ class TestEigenfunction:
         )
         assert result.exit_code == 2
 
-    def test_hypergeometric_hulthen_only(self, runner):
+    def test_hypergeometric_hulthen_only(self, runner, tmp_path):
         result = runner.invoke(
             main, ["eigenfunction", "legendre", "--method", "hypergeometric"]
         )
         assert result.exit_code == 2
+        # the Hulthen 2F1 belongs to the catalog entry, not to a file's "name"
+        path = tmp_path / "hermite.json"
+        path.write_text(json.dumps({**HERMITE_FILE, "name": "hulthen"}))
+        result = runner.invoke(
+            main, ["eigenfunction", str(path), "--n", "2", "--method", "hypergeometric"]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: hypergeometric route applies to the hulthen entry")
         result = invoke(
             runner,
             ["eigenfunction", "hulthen", "--n", "1", "--method", "hypergeometric", "--format", "json"],
@@ -439,6 +517,19 @@ class TestVerify:
     def test_unknown_filter_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--filter", "zzz"])
         assert result.exit_code == 2
+
+    def test_raising_suite_is_one_failed_row(self, runner, monkeypatch):
+        def broken():
+            raise InconsistentGamma("Pearson identity failed")
+
+        monkeypatch.setitem(verify.SUITES, "delta", broken)
+        result = runner.invoke(main, ["verify", "--filter", "e"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        [row] = [line for line in lines if line.startswith("[delta] ")]
+        assert re.fullmatch(r"\[delta\] raised InconsistentGamma: Pearson identity failed +FAIL", row)
+        assert any(line.startswith("[table1] ") for line in lines)  # the other suites ran
+        assert lines[-1].endswith(f"/{len(lines) - 1} checks passed")
 
 
 class TestDeterminism:
