@@ -5,7 +5,10 @@ fraction decompositions over rational roots, and weight expressions of the
 form  P(r) * prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),  which hold every
 weight that integrating a rational log-derivative with rational poles
 gives: the Pearson weights and the Nikiforov--Uvarov factors phi
-(including exp(-2/r) for the Bessel-type equations).
+(including exp(-2/r) for the Bessel-type equations).  Weights are
+canonical when built: ``integrate_log_derivative`` gives prefactor 1 and
+one factor per distinct simple pole, in root order, and ``WeightExpr``
+stores its fields as given, never factoring them again.
 
 All arithmetic is exact; no floating-point value is ever produced.
 """
@@ -13,8 +16,9 @@ All arithmetic is exact; no floating-point value is ever produced.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DivisionByZero,
@@ -530,37 +534,19 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     return roots, work
 
 
+@dataclass(frozen=True)
 class PartialFractionForm:
-    """Exact decomposition polyPart + sum coeff / (r - root)^order."""
+    """Exact decomposition poly_part + sum coeff / (r - root)^order, with the
+    (root, order, coeff) terms sorted by root, then order."""
 
-    __slots__ = ("poly_part", "terms")
-
-    def __init__(
-        self,
-        poly_part: Poly,
-        terms: Sequence[tuple[Fraction, int, Fraction]],
-    ):
-        object.__setattr__(self, "poly_part", poly_part)
-        object.__setattr__(
-            self, "terms", tuple(sorted(terms, key=lambda t: (t[0], t[1])))
-        )
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("PartialFractionForm is immutable")
+    poly_part: Poly
+    terms: tuple[tuple[Fraction, int, Fraction], ...]
 
     def reassemble(self) -> RatFunc:
         total = RatFunc(self.poly_part)
         for root, order, coeff in self.terms:
             total = total + RatFunc(Poly.const(coeff), Poly.linear_root(root) ** order)
         return total
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PartialFractionForm):
-            return NotImplemented
-        return self.poly_part == other.poly_part and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"PartialFractionForm({self.poly_part!r}, {list(self.terms)!r})"
 
 
 def partial_fractions(f: RatFunc) -> PartialFractionForm:
@@ -589,7 +575,7 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
             coeff = g.evaluate(root) / fact
             if coeff != 0:
                 terms.append((root, m - i, coeff))
-    return PartialFractionForm(poly_part, terms)
+    return PartialFractionForm(poly_part, tuple(sorted(terms)))
 
 
 # ----------------------------------------------------------------------
@@ -597,15 +583,19 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True, init=False)
 class WeightExpr:
     """P(r) * prod_i (r - c_i)^{mu_i} * exp(g(r)) with P, g rational functions.
 
-    The prefactor is never zero.  Normalization pulls every rational linear
-    factor of the prefactor into the factor list, so that equal values built
-    along different routes compare equal.
+    The prefactor is never zero.  The fields are stored as given: the
+    producer builds the canonical form (``integrate_log_derivative`` gives
+    prefactor 1 and distinct, sorted roots with nonzero mu), so that equal
+    weights compare equal.
     """
 
-    __slots__ = ("prefactor", "factors", "exp_arg")
+    prefactor: RatFunc
+    factors: tuple[tuple[Fraction, Fraction], ...]
+    exp_arg: RatFunc
 
     def __init__(
         self,
@@ -616,28 +606,11 @@ class WeightExpr:
         prefactor = _coerce_ratfunc(prefactor)
         if prefactor.is_zero:
             raise InvalidInput("a weight expression is never zero")
-        exp_arg = _coerce_ratfunc(exp_arg)
-        merged: dict[Fraction, Fraction] = {}
-        for root, mu in factors:
-            root, mu = _as_fraction(root), _as_fraction(mu)
-            merged[root] = merged.get(root, Fraction(0)) + mu
-        num_roots, num_res = rational_roots(prefactor.num)
-        den_roots, den_res = rational_roots(prefactor.den)
-        for root, m in num_roots:
-            merged[root] = merged.get(root, Fraction(0)) + m
-        for root, m in den_roots:
-            merged[root] = merged.get(root, Fraction(0)) - m
-        prefactor = RatFunc(num_res, den_res)
         object.__setattr__(self, "prefactor", prefactor)
         object.__setattr__(
-            self,
-            "factors",
-            tuple(sorted((r, m) for r, m in merged.items() if m != 0)),
+            self, "factors", tuple((_as_fraction(r), _as_fraction(mu)) for r, mu in factors)
         )
-        object.__setattr__(self, "exp_arg", exp_arg)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("WeightExpr is immutable")
+        object.__setattr__(self, "exp_arg", _coerce_ratfunc(exp_arg))
 
     def log_derivative(self) -> RatFunc:
         """(w'/w) as an exact rational function."""
@@ -645,21 +618,6 @@ class WeightExpr:
         for root, mu in self.factors:
             total = total + RatFunc(Poly.const(mu), Poly.linear_root(root))
         return total + self.exp_arg.derivative()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightExpr):
-            return NotImplemented
-        return (
-            self.prefactor == other.prefactor
-            and self.factors == other.factors
-            and self.exp_arg == other.exp_arg
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prefactor, self.factors, self.exp_arg))
-
-    def __repr__(self) -> str:
-        return f"WeightExpr({self.prefactor!r}, {list(self.factors)!r}, {self.exp_arg!r})"
 
     def __str__(self) -> str:
         parts = []

@@ -270,13 +270,29 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
 #: time and memory grow linearly with the count.
 MAX_SAMPLES = 10_000
 
+#: Largest decimal exponent a grid bound may carry: ``Fraction("1e99999999")``
+#: builds 10^99999999 exactly, and no float prints a sample beyond about 1e308.
+MAX_BOUND_EXPONENT = 400
+
+
+def _grid_bound(text: str) -> Fraction:
+    """A "p/q" or decimal grid bound, its exponent checked before it is built."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_large = bool(e) and abs(int(exponent)) > MAX_BOUND_EXPONENT
+    except ValueError:  # no integer exponent: Fraction names the bad literal
+        too_large = False
+    if too_large:
+        raise BadParameter(f"grid bound {text!r} has an exponent beyond {MAX_BOUND_EXPONENT}")
+    return Fraction(text)
+
 
 def _sample_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise BadParameter(f"expected a:b:count, got {spec!r}")
     try:
-        a, b = (Fraction(p) for p in parts[:2])  # decimal literals allowed for grid bounds
+        a, b = (_grid_bound(p) for p in parts[:2])  # decimal literals allowed for grid bounds
         count = int(parts[2])
     except ZeroDivisionError:
         raise BadParameter(f"zero denominator in a grid bound: {spec!r}") from None
@@ -288,7 +304,10 @@ def _sample_grid(spec: str):
 
 
 def _decimal12(x: Fraction) -> str:
-    return f"{x.numerator / x.denominator:.12g}"
+    try:
+        return f"{x.numerator / x.denominator:.12g}"
+    except OverflowError:
+        raise BadParameter("a sample value is beyond the float range; narrow --samples") from None
 
 
 @main.command("eigenfunction")
@@ -328,10 +347,9 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
         "coefficients": coeffs,
     }
     if grid is not None:
-        pairs = [(x, poly.evaluate(x)) for x in grid]
-        envelope["samples"] = [[_decimal12(x), _decimal12(y)] for x, y in pairs]
+        rows = [[_decimal12(x), _decimal12(poly.evaluate(x))] for x in grid]
+        envelope["samples"] = rows
         header = ["r", "y"]
-        rows = [[_decimal12(x), _decimal12(y)] for x, y in pairs]
     else:
         header = ["power", "coefficient"]
         rows = [[str(i), c] for i, c in enumerate(coeffs)]

@@ -51,16 +51,20 @@ def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def _spectrum_matches(name: str, params: dict | None, modes: int = 6) -> bool:
+    """The closed form reproduces the catalog's printed spectrum for n < modes."""
+    problem = catalog.catalog_get(name, params)
+    return all(
+        hypergeometric.eigenvalue(problem, n) == catalog.expected_eigenvalue(name, params, n)
+        for n in range(modes)
+    )
+
+
 def suite_table1() -> list[CheckResult]:
     """Every classical catalog entry reproduces its spectrum exactly, n = 0..20."""
     out = []
     for entry in catalog.catalog_list():
-        problem = catalog.catalog_get(entry.name)
-        ok = all(
-            hypergeometric.eigenvalue(problem, n)
-            == catalog.expected_eigenvalue(entry.name, None, n)
-            for n in range(21)
-        )
+        ok = _spectrum_matches(entry.name, None, 21)
         out.append(_result("table1", entry.name, ok))
     return out
 
@@ -96,30 +100,26 @@ def _morse_cases() -> list[tuple[Fraction, Fraction]]:
 
 def suite_morse() -> list[CheckResult]:
     out = []
-    ok = True
-    for alpha, beta in _morse_cases():
-        params = {"alpha": alpha, "beta": beta}
-        problem = catalog.catalog_get("morse", params)
-        for n in range(6):
-            if hypergeometric.eigenvalue(problem, n) != beta - (F(n) + F(1, 2)) * alpha:
-                ok = False
+    ok = all(_spectrum_matches("morse", {"alpha": a, "beta": b}) for a, b in _morse_cases())
     out.append(_result("morse", "closed-form spectrum, 5 random (alpha, beta), n <= 5", ok))
 
     ok = True
     detail = ""
     for alpha, beta in _morse_cases():
-        params = {"alpha": alpha, "beta": beta}
-        problem = hypergeometric.to_aim_form(catalog.catalog_get("morse", params))
-        estimates = aim.solve_iterative(problem, F(1), (beta - 2 * alpha, beta), k_max=40)
-        certified, note = _certified(estimates, [beta - F(3, 2) * alpha, beta - alpha / 2])
+        problem = catalog.catalog_get("morse", {"alpha": alpha, "beta": beta})
+        certified, note = _iterative_matches(problem, F(1), (beta - 2 * alpha, beta))
         if not certified:
             ok, detail = False, f"alpha={alpha}, beta={beta}: {note}"
     out.append(_result("morse", "iterative roots exact and complete, n = 0, 1", ok, detail))
     return out
 
 
-def _certified(estimates: list[aim.EigenvalueEstimate], expected: list[Fraction]):
-    """(ok, detail): every estimate converged and the values exactly as expected."""
+def _iterative_matches(problem, r0: Fraction, bracket: tuple[Fraction, Fraction]):
+    """(ok, detail): the iterative route returns, each one converged, exactly
+    the closed-form eigenvalues E_0..E_20 that lie inside the open bracket."""
+    estimates = aim.solve_iterative(hypergeometric.to_aim_form(problem), r0, bracket, k_max=40)
+    closed = {hypergeometric.eigenvalue(problem, n) for n in range(21)}
+    expected = sorted(v for v in closed if bracket[0] < v < bracket[1])
     ok = all(e.converged for e in estimates) and [e.value for e in estimates] == expected
     got = ", ".join(f"{e.value}{'' if e.converged else ' (not converged)'}" for e in estimates)
     return ok, f"got [{got}], expected [{', '.join(map(str, expected))}]"
@@ -146,12 +146,9 @@ def suite_hulthen() -> list[CheckResult]:
     rng = random.Random(20240103)
     for _ in range(5):
         q = F(rng.randint(1, 4), rng.randint(1, 3))
-        beta2 = F(rng.randint(1, 30), rng.randint(1, 2))
-        problem = catalog.catalog_get("hulthen", {"q": q, "beta2": beta2})
-        for n in range(6):
-            expected = (beta2 - q * (n + 1) ** 2) / (2 * q * (n + 1))
-            if hypergeometric.eigenvalue(problem, n) != expected:
-                ok = False
+        params = {"q": q, "beta2": F(rng.randint(1, 30), rng.randint(1, 2))}
+        if not _spectrum_matches("hulthen", params):
+            ok = False
     out.append(_result("hulthen", "closed-form spectrum, 5 random (q, beta2)", ok))
 
     ok = True
@@ -184,16 +181,15 @@ def suite_kratzer() -> list[CheckResult]:
     ok_res = True
     for _ in range(5):
         A = F(rng.randint(1, 9), rng.randint(1, 3))
-        lam = F(rng.randint(0, 5), rng.randint(1, 2))
-        params = {"A": A, "Lambda": lam}
+        params = {"A": A, "Lambda": F(rng.randint(0, 5), rng.randint(1, 2))}
         problem = catalog.catalog_get("kratzer", params)
         for n in range(6):
             eps = hypergeometric.eigenvalue(problem, n)
-            if eps != A / (2 * (n + lam + 1)):
+            if eps != catalog.expected_eigenvalue("kratzer", params, n):
                 ok_spec = False
             # residual of the original transformed equation, not of gamma_n
             tau = problem.tau.substitute(eps)
-            gamma = A - 2 * (lam + 1) * eps
+            gamma = problem.gamma.substitute(eps)
             y = eigenfunctions.polynomial_solution(tau, problem.sigma, n).poly
             if not eigenfunctions.ode_residual(tau, problem.sigma, gamma, y).is_zero:
                 ok_res = False
@@ -367,13 +363,7 @@ def suite_aim_consistency() -> list[CheckResult]:
     }
     out = []
     for name, (r0, bracket) in cases.items():
-        problem = catalog.catalog_get(name)
-        estimates = aim.solve_iterative(
-            hypergeometric.to_aim_form(problem), r0, bracket, k_max=40
-        )
-        closed = {hypergeometric.eigenvalue(problem, n) for n in range(21)}
-        targets = sorted(v for v in closed if bracket[0] < v < bracket[1])
-        ok, detail = _certified(estimates, targets)
+        ok, detail = _iterative_matches(catalog.catalog_get(name), r0, bracket)
         out.append(_result("aim", f"iterative agrees with closed form: {name}", ok, detail))
     return out
 

@@ -209,10 +209,11 @@ class TestWeightExpr:
         assert w.log_derivative() == RatFunc(2, R**2)
 
     def test_value_semantics(self):
-        # same value, built along two different routes
-        a = WeightExpr(Poly([0, -2]), (), RatFunc(-R * R))
-        b = WeightExpr(-2, ((F(0), F(1)),), RatFunc(-R * R))
-        assert a == b
+        a = WeightExpr(-2, ((F(0), F(1)),), RatFunc(-R * R))
+        b = WeightExpr(-2, ((0, 1),), -R * R)  # coerced to the same fields
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.factors = ()
         with pytest.raises(InvalidInput):
             WeightExpr(0)
 

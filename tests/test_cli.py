@@ -481,6 +481,24 @@ class TestBoundedInputs:
             ]
             assert seconds < 5
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--samples", "0:1e400:3"], "a sample value is beyond the float range"),
+            (["--n", "2", "--samples", "0:1e200:3"], "a sample value is beyond the float range"),
+            (["--samples", "0:1e99999999:3"], "grid bound '1e99999999' has an exponent beyond"),
+            (["--samples", "-1e-99999999:1:3"], "grid bound '-1e-99999999' has an exponent beyond"),
+        ],
+        ids=["x-overflow", "y-overflow", "huge-exponent", "tiny-exponent"],
+    )
+    def test_samples_beyond_float_range_exit_2(self, args, message):
+        # Fraction("1e99999999") would build 10^99999999 exactly
+        result, seconds = run_process(["eigenfunction", "legendre", *args])
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in result.stderr
+        assert seconds < 5
+
 
 class TestReadme:
     def test_problem_file_example_runs(self, runner, tmp_path):

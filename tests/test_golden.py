@@ -1,10 +1,11 @@
-"""`aimnu aim` and `aimnu eigenfunction` output, byte for byte, against files
-written by an earlier build.
+"""`aimnu aim`, `aimnu eigenfunction` and `aimnu nu` output, byte for byte,
+against files written by an earlier build.
 
 Any change to these outputs must be deliberate: rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record why in CHANGES.md.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,16 @@ EIGEN_CASES = [
     ("hulthen", ["hulthen", "--n", "6", "--method", "hypergeometric", "--param", "q=1/2"]),
 ]
 
+#: (file stem, `aimnu nu` problem file), run with ``--n 2``; every run exits 0.
+#: "readme" is the README's example, "two-roots" has sigma = (3r - 2)(r + 1),
+#: and the first phi of "exp-pole" prints ``r^2 * exp((2)/(r))``.
+NU_CASES = [
+    ("readme", {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"]}),
+    ("two-roots", {"tauTilde": ["0", "-2"], "sigma": ["-2", "1", "3"], "sigmaTilde": ["-15/4", "6", "-3"]}),
+    ("exp-pole", {"tauTilde": ["2", "0"], "sigma": ["0", "0", "1"], "sigmaTilde": ["0", "0", "-2"]}),
+]
+NU_FORMATS = {"table": "txt", "json": "json"}
+
 
 def _run(command, args, fmt):
     return CliRunner().invoke(main, [command, *args, "--format", fmt])
@@ -56,7 +67,23 @@ def test_eigenfunction_output_matches_golden(stem, args):
     assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.json").read_bytes()
 
 
+def _run_nu(doc, fmt, tmp_dir):
+    path = Path(tmp_dir) / "problem.json"
+    path.write_text(json.dumps(doc))
+    return _run("nu", [str(path), "--n", "2"], fmt)
+
+
+@pytest.mark.parametrize("fmt", NU_FORMATS)
+@pytest.mark.parametrize("stem, doc", NU_CASES, ids=[stem for stem, _ in NU_CASES])
+def test_nu_output_matches_golden(stem, doc, fmt, tmp_path):
+    result = _run_nu(doc, fmt, tmp_path)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"nu-{stem}.{NU_FORMATS[fmt]}").read_bytes()
+
+
 if __name__ == "__main__":
+    import tempfile
+
     DATA.mkdir(exist_ok=True)
     for stem, args, _ in CASES:
         for fmt in FORMATS:
@@ -64,3 +91,7 @@ if __name__ == "__main__":
     for stem, args in EIGEN_CASES:
         path = DATA / f"eigenfunction-{stem}.json"
         path.write_bytes(_run("eigenfunction", args, "json").stdout_bytes)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        for stem, doc in NU_CASES:
+            for fmt, ext in NU_FORMATS.items():
+                (DATA / f"nu-{stem}.{ext}").write_bytes(_run_nu(doc, fmt, tmp_dir).stdout_bytes)

@@ -1,0 +1,105 @@
+"""Every `aimnu verify` row can fail.
+
+Each mutant below breaks one route that a suite checks, by monkeypatching
+the module attribute the suite calls.  The suite must then report the rows
+that check that route as failed, without raising, and together a suite's
+mutants must fail every one of its rows.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from aimnu import aim, eigenfunctions, hypergeometric, nu, verify
+from aimnu.algebra import Poly, RatFunc
+
+R = Poly.variable()
+
+
+def _shift_eigenvalue(monkeypatch):
+    original = hypergeometric.eigenvalue
+    monkeypatch.setattr(hypergeometric, "eigenvalue", lambda problem, n: original(problem, n) + 1)
+
+
+def _shift_gamma_n(monkeypatch):
+    original = hypergeometric.gamma_n
+    monkeypatch.setattr(hypergeometric, "gamma_n", lambda tau, sigma, n: original(tau, sigma, n) + 1)
+
+
+def _drop_a_root(monkeypatch):
+    original = aim.solve_iterative
+    monkeypatch.setattr(aim, "solve_iterative", lambda *args, **kwargs: original(*args, **kwargs)[1:])
+
+
+def _shift_delta(monkeypatch):
+    original = aim.delta_k
+    monkeypatch.setattr(aim, "delta_k", lambda seq: original(seq) + RatFunc(1))
+
+
+def _hulthen_series_times_r(monkeypatch):
+    original = eigenfunctions.hulthen_eigenfunction
+    monkeypatch.setattr(
+        eigenfunctions, "hulthen_eigenfunction", lambda *args: original(*args) * R
+    )
+
+
+def _recursion_times_r(monkeypatch):
+    original = eigenfunctions.polynomial_solution
+
+    def times_r(*args):
+        solution = original(*args)
+        return replace(solution, poly=solution.poly * R)
+
+    monkeypatch.setattr(eigenfunctions, "polynomial_solution", times_r)
+
+
+def _rodrigues_times_r(monkeypatch):
+    original = eigenfunctions.rodrigues
+    monkeypatch.setattr(eigenfunctions, "rodrigues", lambda *args: original(*args) * R)
+
+
+def _shift_k(monkeypatch):
+    # k + 1 with lambdaBar = k + pi' kept consistent, as a wrong root would give
+    original = nu.nu_find_k
+    monkeypatch.setattr(
+        nu,
+        "nu_find_k",
+        lambda problem: [
+            replace(c, k=c.k + 1, lambda_bar=c.lambda_bar + 1) for c in original(problem)
+        ],
+    )
+
+
+#: (suite key, mutant, indices of the rows it must fail); every other row passes.
+MUTANTS = [
+    ("table1", _shift_eigenvalue, range(17)),
+    ("gamma", _shift_gamma_n, [0]),
+    ("morse", _shift_eigenvalue, [0, 1]),
+    ("morse", _drop_a_root, [1]),
+    ("hulthen", _shift_eigenvalue, [0]),
+    ("hulthen", _hulthen_series_times_r, [1, 2]),
+    ("hulthen", _recursion_times_r, [2]),
+    ("kratzer", _shift_eigenvalue, [0, 1]),
+    ("kratzer", _recursion_times_r, [1]),
+    ("eigenfunctions", _rodrigues_times_r, range(9)),
+    ("eigenfunctions", _recursion_times_r, range(9)),
+    ("nu", _shift_k, [0, 1, 2]),
+    ("delta", _shift_delta, [0, 1]),
+    ("aim", _drop_a_root, [0, 1, 2, 3]),
+    ("aim", _shift_eigenvalue, [0, 1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, mutant, failing", MUTANTS, ids=[f"{key}-{m.__name__[1:]}" for key, m, _ in MUTANTS]
+)
+def test_mutant_fails_its_rows(monkeypatch, key, mutant, failing):
+    mutant(monkeypatch)
+    rows = verify.SUITES[key]()  # a suite that raised would fail this test
+    assert [i for i, row in enumerate(rows) if not row.ok] == list(failing)
+
+
+def test_every_row_has_a_failing_mutant():
+    for key, suite in verify.SUITES.items():
+        covered = {i for k, _, failing in MUTANTS if k == key for i in failing}
+        assert covered == set(range(len(suite()))), key
