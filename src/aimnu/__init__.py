@@ -8,6 +8,7 @@ exactly solvable potentials.
 
 from .algebra import (
     NEG_INF,
+    Affine,
     PartialFractionForm,
     Poly,
     RatFunc,
@@ -38,8 +39,6 @@ from .eigenfunctions import (
     y_low_order,
 )
 from .hypergeometric import (
-    AffinePoly,
-    AffineValue,
     HypergeometricProblem,
     eigenvalue,
     gamma_n,
@@ -55,6 +54,7 @@ __all__ = [
     "NEG_INF",
     "Poly",
     "RatFunc",
+    "Affine",
     "PartialFractionForm",
     "WeightExpr",
     "poly_gcd",
@@ -68,8 +68,6 @@ __all__ = [
     "iterate",
     "delta_k",
     "solve_iterative",
-    "AffinePoly",
-    "AffineValue",
     "HypergeometricProblem",
     "validate",
     "gamma_n",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .algebra import Poly, RatFunc, _integer_coeffs, _sign_at
+from .algebra import Affine, Poly, RatFunc, _integer_coeffs, _sign_at
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -41,14 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParamRatFunc:
-    """Rational function whose numerator is affine in the trial parameter."""
+    """Rational function num/den whose numerator is ``Affine`` in the trial
+    parameter, with Poly fields."""
 
-    num_const: Poly
-    num_slope: Poly
+    num: Affine
     den: Poly
 
     def substitute(self, value: Fraction) -> RatFunc:
-        return RatFunc(self.num_const + self.num_slope * value, self.den)
+        return RatFunc(self.num.substitute(value), self.den)
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,22 @@ def _dot(pairs) -> list[int]:
 
 
 def _cleared(f: ParamRatFunc, r0: Fraction) -> list[list[int]]:
-    """num_const, num_slope and den of f in powers of r - r0, as integer
+    """num.const, num.slope and den of f in powers of r - r0, as integer
     lists with their common denominator cleared."""
-    parts = [p.compose_linear(r0).coeffs for p in (f.num_const, f.num_slope, f.den)]
+    parts = [p.compose_linear(r0).coeffs for p in (f.num.const, f.num.slope, f.den)]
     m = math.lcm(*(c.denominator for cs in parts for c in cs))
     return [[c.numerator * (m // c.denominator) for c in cs] for cs in parts]
 
 
 def _taylor_rows(parts: list[list[int]], q: int):
     """Yield U_j = q^(j+1) f_j for j = 0, 1, ..., f_j the Taylor coefficients
-    of f = (num_const + E num_slope)/den about r0, as integer lists in E, by
+    of f = (num.const + E num.slope)/den about r0, as integer lists in E, by
     the division-free recurrence U_j = (q/d0) (q^j N_j - sum_i den_i q^(i-1)
     U_{j-i}), where d0 = den_0 divides q."""
-    num_const, num_slope, den = parts
+    const, slope, den = parts
     g, rows = q // den[0], []
     for j in count():
-        n_j = [cs[j] if j < len(cs) else 0 for cs in (num_const, num_slope)]
+        n_j = [cs[j] if j < len(cs) else 0 for cs in (const, slope)]
         terms = [([-den[i] * q ** (i - 1)], rows[j - i]) for i in range(1, min(j + 1, len(den)))]
         rows.append([g * y for y in _dot([([q**j], n_j), *terms])])
         yield rows[-1]

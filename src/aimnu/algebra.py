@@ -31,6 +31,7 @@ __all__ = [
     "NEG_INF",
     "Poly",
     "RatFunc",
+    "Affine",
     "PartialFractionForm",
     "WeightExpr",
     "poly_gcd",
@@ -399,6 +400,18 @@ def _coerce_ratfunc(x: "RatFunc | Poly | _FractionLike") -> RatFunc:
     if isinstance(x, RatFunc):
         return x
     return RatFunc(_coerce_poly(x))
+
+
+@dataclass(frozen=True)
+class Affine:
+    """A value affine in one parameter p, const + slope * p: two Fractions
+    for a scalar, or two Polys in r for a polynomial such as tau."""
+
+    const: Poly | Fraction
+    slope: Poly | Fraction
+
+    def substitute(self, p: Fraction) -> Poly | Fraction:
+        return self.const + self.slope * p
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import Poly
+from .algebra import Affine, Poly
 from .errors import BadParameter, UnknownEntry
-from .hypergeometric import AffinePoly, HypergeometricProblem, validate
+from .hypergeometric import HypergeometricProblem, validate
+from .rationals import format_rational
 
 __all__ = [
     "ParamSpec",
@@ -34,10 +35,15 @@ F = Fraction
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """A parameter with its default and the one value it may not take, if any."""
+
     name: str
     default: Fraction
-    constraint: Callable[[Fraction], bool] | None = None
-    constraint_text: str = ""
+    excluded: Fraction | None = None
+
+    @property
+    def constraint_text(self) -> str:
+        return "" if self.excluded is None else f"{self.name} != {format_rational(self.excluded)}"
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ def _entries() -> list[CatalogEntry]:
         "hypergeometric",
         [ParamSpec("b", F(3)), ParamSpec("c", F(1, 2))],
         lambda p: validate(
-            AffinePoly(Poly([p["c"], -(p["b"] + 1)]), Poly([0, -1])),
+            Affine(Poly([p["c"], -(p["b"] + 1)]), Poly([0, -1])),
             Poly([0, 1, -1]),
             (0, -p["b"]),
             "a",
@@ -199,11 +205,11 @@ def _entries() -> list[CatalogEntry]:
     add(
         "morse",
         [
-            ParamSpec("alpha", F(1), lambda v: v != 0, "alpha != 0"),
-            ParamSpec("beta", F(5, 2), lambda v: v != 0, "beta != 0"),
+            ParamSpec("alpha", F(1), F(0)),
+            ParamSpec("beta", F(5, 2), F(0)),
         ],
         lambda p: validate(
-            AffinePoly(Poly([p["alpha"], -2 * p["beta"]]), Poly.const(2)),
+            Affine(Poly([p["alpha"], -2 * p["beta"]]), Poly.const(2)),
             Poly([0, p["alpha"]]),
             ((2 * p["beta"] ** 2 - p["alpha"] * p["beta"]) / p["alpha"], -2 * p["beta"] / p["alpha"]),
             "epsilon",
@@ -215,11 +221,11 @@ def _entries() -> list[CatalogEntry]:
     add(
         "hulthen",
         [
-            ParamSpec("q", F(1), lambda v: v != 0, "q != 0"),
+            ParamSpec("q", F(1), F(0)),
             ParamSpec("beta2", F(4)),
         ],
         lambda p: validate(
-            AffinePoly(Poly([1, -3 * p["q"]]), Poly([2, -2 * p["q"]])),
+            Affine(Poly([1, -3 * p["q"]]), Poly([2, -2 * p["q"]])),
             Poly([0, 1, -p["q"]]),
             (p["beta2"] - p["q"], -2 * p["q"]),
             "epsilon",
@@ -234,10 +240,10 @@ def _entries() -> list[CatalogEntry]:
         "kratzer",
         [
             ParamSpec("A", F(1)),
-            ParamSpec("Lambda", F(0), lambda v: v != -1, "Lambda != -1"),
+            ParamSpec("Lambda", F(0), F(-1)),
         ],
         lambda p: validate(
-            AffinePoly(Poly([2 * (p["Lambda"] + 1)]), Poly([0, -2])),
+            Affine(Poly([2 * (p["Lambda"] + 1)]), Poly([0, -2])),
             Poly.variable(),
             (p["A"], -2 * (p["Lambda"] + 1)),
             "epsilon",
@@ -263,7 +269,7 @@ def _resolve_params(entry: CatalogEntry, params: Mapping | None) -> dict[str, Fr
             raise BadParameter(f"{entry.name} has no parameter {key!r}")
         values[key] = Fraction(raw)
     for spec in entry.parameters:
-        if spec.constraint is not None and not spec.constraint(values[spec.name]):
+        if values[spec.name] == spec.excluded:
             raise BadParameter(
                 f"{entry.name}: parameter {spec.name} violates {spec.constraint_text}"
             )

@@ -26,7 +26,7 @@ from . import eigenfunctions as eig_mod
 from . import hypergeometric as hg
 from . import nu as nu_mod
 from . import verify as verify_mod
-from .algebra import Poly
+from .algebra import Affine, Poly
 from .errors import AimnuError, BadParameter, InputError
 from .rationals import format_rational, parse_rational
 
@@ -115,7 +115,7 @@ def _load_problem(name_or_file: str, params: dict) -> tuple[str, hg.Hypergeometr
     _check_keys("tau", doc["tau"], ("r0", "r1"))
     (r0c, r0p), (r1c, r1p) = (_affine_coeff(doc["tau"].get(k, "0")) for k in ("r0", "r1"))
     problem = hg.validate(
-        hg.AffinePoly(Poly([r0c, r1c]), Poly([r0p, r1p])),
+        Affine(Poly([r0c, r1c]), Poly([r0p, r1p])),
         _coeffs(doc, "sigma"),
         _affine_coeff(doc["gamma"]),
         _string(doc, "parameter", "p"),
@@ -152,6 +152,17 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], envelope: dict):
         for row in rows:
             click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
+
+#: Bounds on the sizes whose cost grows without limit, each set so that the
+#: slowest call it accepts at catalog defaults takes a few seconds.
+MAX_SOLVE_N = 20_000  # one closed-form value per mode
+MAX_KMAX = 80  # level k costs about k^3; kratzer's bracket 0:1 runs to kmax
+MAX_EIGENFUNCTION_N = 100  # Rodrigues grows about as n^3, one sample as n^2
+MAX_SAMPLES = 1_000  # points of a --samples grid, each one exact evaluation
+
+#: Largest decimal exponent a grid bound may carry: ``Fraction("1e99999999")``
+#: builds 10^99999999 exactly, and no float prints a sample beyond about 1e308.
+MAX_BOUND_EXPONENT = 400
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table"
@@ -200,7 +211,9 @@ def cmd_list(substring, fmt):
 @main.command("solve")
 @click.argument("name_or_file")
 @_PARAM
-@click.option("--n", "n_max", type=click.IntRange(min=0), default=0, help="highest mode index")
+@click.option(
+    "--n", "n_max", type=click.IntRange(0, MAX_SOLVE_N), default=0, help="highest mode index"
+)
 @_FORMAT
 def cmd_solve(name_or_file, params, n_max, fmt):
     """Closed-form spectrum via the quantization-constant formula."""
@@ -231,7 +244,7 @@ def cmd_solve(name_or_file, params, n_max, fmt):
     help="evaluation point (rational); default: the first of 1, 1/2, 1/3, ... that is no pole",
 )
 @click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
-@click.option("--kmax", type=click.IntRange(min=2), default=40, help="highest level k")
+@click.option("--kmax", type=click.IntRange(2, MAX_KMAX), default=40, help="highest level k")
 @click.option("--tol", default="1/100000000", help="interval width for roots not certified exact")
 @_FORMAT
 def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
@@ -266,15 +279,6 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
         _fail(1, f"roots uncertified at kmax = {k} ({reason}): " + ", ".join(uncertified))
 
 
-#: Most points ``--samples`` may ask for; each is one exact evaluation, so
-#: time and memory grow linearly with the count.
-MAX_SAMPLES = 10_000
-
-#: Largest decimal exponent a grid bound may carry: ``Fraction("1e99999999")``
-#: builds 10^99999999 exactly, and no float prints a sample beyond about 1e308.
-MAX_BOUND_EXPONENT = 400
-
-
 def _grid_bound(text: str) -> Fraction:
     """A "p/q" or decimal grid bound, its exponent checked before it is built."""
     _, e, exponent = text.lower().partition("e")
@@ -287,7 +291,16 @@ def _grid_bound(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _sample_grid(spec: str):
+def _decimal12(x: Fraction) -> str:
+    try:
+        return f"{x.numerator / x.denominator:.12g}"
+    except OverflowError:
+        raise BadParameter("a sample value is beyond the float range; narrow --samples") from None
+
+
+def _sample_grid(spec: str) -> list[tuple[str, Fraction]]:
+    """The points of an a:b:count grid, each with the label it prints as;
+    points that would print alike are rejected before any is evaluated."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise BadParameter(f"expected a:b:count, got {spec!r}")
@@ -300,20 +313,17 @@ def _sample_grid(spec: str):
         raise BadParameter(str(exc)) from None
     if not 2 <= count <= MAX_SAMPLES:
         raise BadParameter(f"sample count must be between 2 and {MAX_SAMPLES}")
-    return [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
-
-
-def _decimal12(x: Fraction) -> str:
-    try:
-        return f"{x.numerator / x.denominator:.12g}"
-    except OverflowError:
-        raise BadParameter("a sample value is beyond the float range; narrow --samples") from None
+    grid = [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
+    labels = [_decimal12(x) for x in grid]
+    if len(set(labels)) < count:  # the grid is monotone, so equal labels are neighbours
+        raise BadParameter("sample points print alike at 12 significant digits; widen --samples")
+    return list(zip(labels, grid))
 
 
 @main.command("eigenfunction")
 @click.argument("name_or_file")
 @_PARAM
-@click.option("--n", "n", type=click.IntRange(min=0), default=0)
+@click.option("--n", "n", type=click.IntRange(0, MAX_EIGENFUNCTION_N), default=0)
 @click.option(
     "--method",
     type=click.Choice(["recursion", "rodrigues", "explicit", "hypergeometric"]),
@@ -347,7 +357,7 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
         "coefficients": coeffs,
     }
     if grid is not None:
-        rows = [[_decimal12(x), _decimal12(poly.evaluate(x))] for x in grid]
+        rows = [[label, _decimal12(poly.evaluate(x))] for label, x in grid]
         envelope["samples"] = rows
         header = ["r", "y"]
     else:

@@ -7,19 +7,20 @@ the closed-form quantization constant
 
 inverts affine parameter maps to obtain physical spectra, and converts
 problems into the first-order iteration form used by the iterative solver.
+tau and gamma are affine in the physical parameter; both are stored as
+``algebra.Affine``, tau with Poly fields and gamma with Fraction fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly
+from .aim import AimProblem, ParamRatFunc
+from .algebra import Affine, Poly
 from .errors import DegenerateParameterMap, NotHypergeometricType
 
 __all__ = [
-    "AffineValue",
-    "AffinePoly",
     "HypergeometricProblem",
     "validate",
     "gamma_n",
@@ -29,62 +30,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AffineValue:
-    """Scalar affine in the physical parameter p: const + slope * p."""
-
-    const: Fraction
-    slope: Fraction
-
-    def substitute(self, p: Fraction) -> Fraction:
-        return self.const + self.slope * p
-
-
-@dataclass(frozen=True)
-class AffinePoly:
-    """Polynomial whose coefficients are affine in the parameter p."""
-
-    const: Poly
-    slope: Poly = field(default_factory=Poly)
-
-    def substitute(self, p: Fraction) -> Poly:
-        return self.const + self.slope * p
-
-    @property
-    def degree(self):
-        return max(self.const.degree, self.slope.degree)
-
-
-def _as_affine_poly(tau) -> AffinePoly:
-    if isinstance(tau, AffinePoly):
-        return tau
-    return AffinePoly(tau)
-
-
-def _as_affine_value(gamma) -> AffineValue:
-    if isinstance(gamma, AffineValue):
-        return gamma
-    const, slope = gamma
-    return AffineValue(Fraction(const), Fraction(slope))
-
-
-@dataclass(frozen=True)
 class HypergeometricProblem:
     """Validated equation data with an affine map onto one physical parameter.
 
-    ``gamma`` records how the quantization constant depends on the
-    parameter; classical equations typically have a parameter-free tau and
-    the whole parameter dependence in gamma, while transformed potential
+    ``tau`` (Poly fields) and ``gamma`` (Fraction fields) are ``Affine`` in
+    the parameter; classical equations typically have a parameter-free tau
+    and the whole parameter dependence in gamma, while transformed potential
     problems carry the parameter in tau as well.
     """
 
-    tau: AffinePoly
+    tau: Affine
     sigma: Poly
-    gamma: AffineValue
+    gamma: Affine
     parameter: str = "p"
 
     def __post_init__(self):
-        if self.tau.degree > 1:
-            raise NotHypergeometricType(f"deg(tau) = {self.tau.degree} > 1")
+        tau_degree = max(self.tau.const.degree, self.tau.slope.degree)
+        if tau_degree > 1:
+            raise NotHypergeometricType(f"deg(tau) = {tau_degree} > 1")
         if self.sigma.degree > 2:
             raise NotHypergeometricType(f"deg(sigma) = {self.sigma.degree} > 2")
         if self.sigma.is_zero:
@@ -94,12 +57,13 @@ class HypergeometricProblem:
 
 
 def validate(
-    tau: Poly | AffinePoly,
-    sigma: Poly,
-    gamma: AffineValue | tuple = (0, 1),
-    parameter: str = "p",
+    tau: Poly | Affine, sigma: Poly, gamma: tuple = (0, 1), parameter: str = "p"
 ) -> HypergeometricProblem:
     """Check the degree constraints and build a problem record.
+
+    ``tau`` is an ``Affine`` of two Polys, or a bare Poly when it does not
+    depend on the parameter; ``gamma`` is the pair (const, slope), stored as
+    an ``Affine`` of two Fractions.
 
     The record holds no evaluation point: for this input delta_k(r0, E) is
     c_k(r0) times a polynomial in E alone, so r0 never moves a root and
@@ -107,9 +71,10 @@ def validate(
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2.
     """
-    return HypergeometricProblem(
-        _as_affine_poly(tau), sigma, _as_affine_value(gamma), parameter
-    )
+    if isinstance(tau, Poly):
+        tau = Affine(tau, Poly())
+    const, slope = gamma
+    return HypergeometricProblem(tau, sigma, Affine(Fraction(const), Fraction(slope)), parameter)
 
 
 def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
@@ -140,14 +105,9 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     return -at0 / slope
 
 
-def to_aim_form(problem: HypergeometricProblem):
+def to_aim_form(problem: HypergeometricProblem) -> AimProblem:
     """Rewrite as y'' = lambda0 y' + s0 y with lambda0 = -tau/sigma, s0 = -gamma/sigma."""
-    from .aim import AimProblem, ParamRatFunc
-
-    lam0 = ParamRatFunc(-problem.tau.const, -problem.tau.slope, problem.sigma)
-    s0 = ParamRatFunc(
-        Poly.const(-problem.gamma.const),
-        Poly.const(-problem.gamma.slope),
-        problem.sigma,
-    )
+    tau, gamma = problem.tau, problem.gamma
+    lam0 = ParamRatFunc(Affine(-tau.const, -tau.slope), problem.sigma)
+    s0 = ParamRatFunc(Affine(Poly.const(-gamma.const), Poly.const(-gamma.slope)), problem.sigma)
     return AimProblem(lam0, s0)

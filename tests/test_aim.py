@@ -17,7 +17,7 @@ from aimnu.aim import (
     iterate,
     solve_iterative,
 )
-from aimnu.algebra import Poly, RatFunc
+from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
 from aimnu.errors import EvaluationPole, NoRootInBracket
 from aimnu.hypergeometric import eigenvalue, to_aim_form, validate
@@ -108,13 +108,11 @@ class TestSolveIterative:
         problem = to_aim_form(catalog_get("morse"))
         scaled = AimProblem(
             ParamRatFunc(
-                problem.lambda0.num_const * 3,
-                problem.lambda0.num_slope * 3,
+                Affine(problem.lambda0.num.const * 3, problem.lambda0.num.slope * 3),
                 problem.lambda0.den * 3,
             ),
             ParamRatFunc(
-                problem.s0.num_const * 3,
-                problem.s0.num_slope * 3,
+                Affine(problem.s0.num.const * 3, problem.s0.num.slope * 3),
                 problem.s0.den * 3,
             ),
         )
@@ -182,7 +180,7 @@ class TestDerivedEvaluationPoint:
         assert [e.value for e in estimates] == [eigenvalue(problem, n) for n in range(4)]
 
     def test_zero_denominator_is_a_pole(self):
-        zero = ParamRatFunc(Poly(), Poly(), Poly())
+        zero = ParamRatFunc(Affine(Poly(), Poly()), Poly())
         with pytest.raises(EvaluationPole):
             solve_iterative(AimProblem(zero, zero), None, (F(0), F(1)))
 
@@ -221,8 +219,8 @@ class TestCertifiedBrackets:
         # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
         # has the irrational roots 2 -+ sqrt(2) in the bracket
         problem = AimProblem(
-            ParamRatFunc(Poly([0, 2]), Poly(), Poly.const(1)),
-            ParamRatFunc(Poly([0, 0, 1]), Poly.const(-1), Poly.const(1)),
+            ParamRatFunc(Affine(Poly([0, 2]), Poly()), Poly.const(1)),
+            ParamRatFunc(Affine(Poly([0, 0, 1]), Poly.const(-1)), Poly.const(1)),
         )
         estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3, tol=TOL)
         assert len(estimates) == 2 and estimates.counts == (3, 2)
@@ -247,8 +245,8 @@ def _deltas_at(problem, energy, k_max, r0=F(1)):
 #: lambda0 = (1 + 2r + E r^2)/(2 - 3r), s0 = (E - r)/(2 - 3r): at the
 #: non-integer r0 = 3/2 the cleared denominators are -10 and -5, so q = 10.
 _NEGATIVE_DEN = AimProblem(
-    ParamRatFunc(Poly([1, 2]), Poly([0, 0, 1]), Poly([2, -3])),
-    ParamRatFunc(Poly([0, -1]), Poly.const(1), Poly([2, -3])),
+    ParamRatFunc(Affine(Poly([1, 2]), Poly([0, 0, 1])), Poly([2, -3])),
+    ParamRatFunc(Affine(Poly([0, -1]), Poly.const(1)), Poly([2, -3])),
 )
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -264,7 +262,7 @@ def affine_problems(draw):
     each, which keeps the RatFunc oracle fast; their values at r0 still
     differ, so q is rarely 1."""
     den = Poly([draw(nonzero), draw(small)])
-    rows = [ParamRatFunc(draw(affine), draw(affine), den * draw(nonzero)) for _ in range(2)]
+    rows = [ParamRatFunc(Affine(draw(affine), draw(affine)), den * draw(nonzero)) for _ in range(2)]
     r0 = draw(small.filter(lambda x: den.evaluate(x) != 0))
     return AimProblem(*rows), r0
 

@@ -67,6 +67,23 @@ class TestGet:
         with pytest.raises(BadParameter):
             catalog_get("kratzer", {"Lambda": F(-1)})
 
+    def test_constraint_is_one_excluded_value(self):
+        constraints = {
+            (e.name, spec.name): spec.constraint_text
+            for e in CATALOG.values()
+            for spec in e.parameters
+            if spec.excluded is not None
+        }
+        assert constraints == {
+            ("morse", "alpha"): "alpha != 0",
+            ("morse", "beta"): "beta != 0",
+            ("hulthen", "q"): "q != 0",
+            ("kratzer", "Lambda"): "Lambda != -1",
+        }
+        with pytest.raises(BadParameter, match=r"^kratzer: parameter Lambda violates Lambda != -1$"):
+            catalog_get("kratzer", {"Lambda": F(-1)})
+        assert catalog_get("kratzer", {"Lambda": F(-1, 2)}).parameter == "epsilon"
+
 
 class TestSpectra:
     def test_every_entry_matches_its_formula(self):

@@ -14,9 +14,18 @@ from hypothesis import strategies as st
 from aimnu import verify
 from aimnu.algebra import Poly
 from aimnu.errors import InconsistentGamma
-from aimnu.cli import MAX_SAMPLES, _sample_grid, main
+from aimnu.catalog import CATALOG, catalog_get
+from aimnu.cli import (
+    MAX_EIGENFUNCTION_N,
+    MAX_KMAX,
+    MAX_SAMPLES,
+    MAX_SOLVE_N,
+    _load_problem,
+    _sample_grid,
+    main,
+)
 from aimnu.eigenfunctions import ode_residual
-from aimnu.rationals import parse_rational
+from aimnu.rationals import format_rational, parse_rational
 
 
 @pytest.fixture
@@ -140,6 +149,32 @@ class TestSolve:
         path.write_text("{not json")
         result = runner.invoke(main, ["solve", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_problem_file_builds_the_catalog_record(self, runner, tmp_path, name):
+        # the file loader and the catalog must build equal Affine tau and gamma
+        problem = catalog_get(name)
+        tau, gamma = problem.tau, problem.gamma
+        doc = {
+            "name": name,
+            "tau": {
+                f"r{i}": {
+                    "const": format_rational(tau.const.coeff(i)),
+                    "param": format_rational(tau.slope.coeff(i)),
+                }
+                for i in (0, 1)
+            },
+            "sigma": [format_rational(c) for c in problem.sigma.coeffs],
+            "gamma": {"const": format_rational(gamma.const), "param": format_rational(gamma.slope)},
+            "parameter": problem.parameter,
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert _load_problem(str(path), {}) == (name, problem)
+        from_file = invoke(runner, ["solve", str(path), "--n", "5", "--format", "json"])
+        from_catalog = invoke(runner, ["solve", name, "--n", "5", "--format", "json"])
+        assert from_file.exit_code == from_catalog.exit_code == 0
+        assert from_file.output == from_catalog.output
 
 
 class TestAim:
@@ -386,6 +421,20 @@ class TestEigenfunction:
             assert result.exit_code == 2
             assert f"error: sample count must be between 2 and {MAX_SAMPLES}" in result.output
 
+    @pytest.mark.parametrize(
+        "samples, fmt",
+        [("1:1.0000000000001:3", "table"), ("0:1e-400:3", "csv")],
+        ids=["near-one", "below-float-resolution"],
+    )
+    def test_samples_that_print_alike_exit_2(self, runner, samples, fmt):
+        args = ["eigenfunction", "legendre", "--n", "1", "--samples", samples, "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: sample points print alike")
+
+    def test_closest_distinct_labels_pass(self):
+        assert [label for label, _ in _sample_grid("1:1.00000000001:2")] == ["1", "1.00000000001"]
+
     def test_zero_denominator_in_samples_exits_2(self, runner):
         result = runner.invoke(
             main, ["eigenfunction", "legendre", "--n", "2", "--samples", "1/0:1:5"]
@@ -496,6 +545,44 @@ class TestBoundedInputs:
         result, seconds = run_process(["eigenfunction", "legendre", *args])
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in result.stderr
+        assert seconds < 5
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["solve", "hermite", "--n", str(MAX_SOLVE_N)], 0),
+            # the bracket holds more modes than kmax levels certify
+            (["aim", "morse", "--bracket=-1000000:1000000", "--kmax", str(MAX_KMAX)], 1),
+            (
+                ["eigenfunction", "hulthen", "--n", str(MAX_EIGENFUNCTION_N),
+                 "--method", "rodrigues", "--samples", f"1/3:3/7:{MAX_SAMPLES}"],
+                0,
+            ),
+        ],
+        ids=["solve", "aim", "eigenfunction"],
+    )
+    def test_slowest_accepted_call(self, args, code):
+        # each bound is sized so that the slowest call it accepts at catalog
+        # defaults takes about 2-3 s as a whole process
+        result, seconds = run_process(args, timeout=30)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert seconds < 10
+
+    @pytest.mark.parametrize(
+        "args, bound",
+        [
+            (["solve", "hermite", "--n", str(MAX_SOLVE_N + 1)], MAX_SOLVE_N),
+            (["aim", "kratzer", "--bracket", "0:1", "--kmax", str(MAX_KMAX + 1)], MAX_KMAX),
+            (["eigenfunction", "legendre", "--n", str(MAX_EIGENFUNCTION_N + 1)], MAX_EIGENFUNCTION_N),
+        ],
+        ids=["solve-n", "aim-kmax", "eigenfunction-n"],
+    )
+    def test_above_the_bound_exits_2(self, args, bound):
+        result, seconds = run_process(args)
+        assert result.returncode == 2
+        assert str(bound) in result.stderr
         assert "Traceback" not in result.stderr
         assert seconds < 5
 

@@ -2,12 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from aimnu.algebra import Poly, RatFunc
+from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import catalog_get
 from aimnu.errors import DegenerateParameterMap, NotHypergeometricType
 from aimnu.hypergeometric import (
-    AffinePoly,
-    AffineValue,
     eigenvalue,
     gamma_n,
     to_aim_form,
@@ -21,7 +19,7 @@ class TestValidate:
     def test_accepts_hermite_data(self):
         problem = validate(Poly([0, -2]), Poly.const(1), (0, 2), "k")
         assert problem.tau.const == Poly([0, -2])
-        assert problem.gamma == AffineValue(F(0), F(2))
+        assert problem.gamma == Affine(F(0), F(2))
 
     def test_rejects_quadratic_tau(self):
         with pytest.raises(NotHypergeometricType):
@@ -86,7 +84,7 @@ class TestEigenvalue:
     def test_degenerate_map(self):
         # parameter enters through tau' only; coefficient dies at n = 0
         problem = validate(
-            AffinePoly(Poly([0, -1]), Poly([0, 1])), Poly.const(1), (1, 0)
+            Affine(Poly([0, -1]), Poly([0, 1])), Poly.const(1), (1, 0)
         )
         with pytest.raises(DegenerateParameterMap):
             eigenvalue(problem, 0)
