@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .algebra import Affine, Poly, RatFunc, _integer_coeffs, _sign_at
+from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _integer_coeffs, _sign_at
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -120,25 +120,11 @@ class IterativeSpectrum(list):
         self.k, self.counts = k, counts
 
 
-def _dot(pairs) -> list[int]:
-    """Sum of the products a * b of integer lists in E, lowest power first."""
-    out: list[int] = []
-    for a, b in pairs:
-        out += [0] * (len(a) + len(b) - 1 - len(out))
-        for s, x in enumerate(a):
-            for t, y in enumerate(b):
-                out[s + t] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _cleared(f: ParamRatFunc, r0: Fraction) -> list[list[int]]:
     """num.const, num.slope and den of f in powers of r - r0, as integer
     lists with their common denominator cleared."""
-    parts = [p.compose_linear(r0).coeffs for p in (f.num.const, f.num.slope, f.den)]
-    m = math.lcm(*(c.denominator for cs in parts for c in cs))
-    return [[c.numerator * (m // c.denominator) for c in cs] for cs in parts]
+    parts = (p.compose_linear(r0).coeffs for p in (f.num.const, f.num.slope, f.den))
+    return _clear_denominators(*parts)[0]
 
 
 def _taylor_rows(parts: list[list[int]], q: int):
@@ -254,8 +240,9 @@ def solve_iterative(
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
     pole of lambda0 or s0.  That choice moves no root only for hypergeometric
-    input (``to_aim_form``), where delta_k(r0, E) is c_k(r0) times a
-    polynomial in E alone; for any other problem pass ``r0``.
+    input (``to_aim_form``), where delta_k(r0, E) = sigma(r0)^-(k+1) prod_{n<=k}
+    mu_n(E) with mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 scales delta_k
+    and never moves a root; for any other problem pass ``r0``.
     """
     if r0 is None:  # the dens have fewer roots than coefficients; a zero den gets pole r0 = 1
         dens = (problem.lambda0.den, problem.s0.den)

@@ -10,7 +10,8 @@ canonical when built: ``integrate_log_derivative`` gives prefactor 1 and
 one factor per distinct simple pole, in root order, and ``WeightExpr``
 stores its fields as given, never factoring them again.
 
-All arithmetic is exact; no floating-point value is ever produced.
+All arithmetic is exact, and no floating-point value is ever produced;
+products, evaluation and gcd run on cleared integer numerators.
 """
 
 from __future__ import annotations
@@ -129,13 +130,9 @@ class Poly:
             return Poly(c * other for c in self.coeffs)
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        (a,), da = _clear_denominators(self.coeffs)
+        (b,), db = _clear_denominators(other.coeffs)
+        return Poly(Fraction(v, da * db) for v in _dot([(a, b)]))
 
     __rmul__ = __mul__
 
@@ -148,8 +145,8 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            base = base * base if e else base
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -197,11 +194,9 @@ class Poly:
         return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def evaluate(self, x: _FractionLike) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        u, v = _as_fraction(x).as_integer_ratio()
+        (ints,), m = _clear_denominators(self.coeffs)
+        return Fraction(_horner(ints, u, v), m * v ** max(len(ints) - 1, 0))
 
     def compose_linear(self, a: _FractionLike, b: _FractionLike = 1) -> "Poly":
         """p(a + b*r) as a polynomial in r."""
@@ -293,12 +288,21 @@ def _coerce_poly(x: "Poly | _FractionLike") -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; InvalidInput if both arguments are zero."""
+    """Monic greatest common divisor; InvalidInput if both arguments are zero.
+    A primitive remainder sequence on integers (Brown, J. ACM 18 (1971) 478)."""
     if a.is_zero and b.is_zero:
         raise InvalidInput("gcd of two zero polynomials")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    x, y = _integer_coeffs(a), _integer_coeffs(b)
+    while y:
+        while len(x) >= len(y):  # x <- lc(y) x - x[-1] r^top y, whose top term cancels
+            f, top = x[-1], len(x) - len(y)
+            x = [c * y[-1] for c in x]
+            for i, c in enumerate(y):
+                x[top + i] -= f * c
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, _primitive(x)
+    return Poly(x).monic()
 
 
 class RatFunc:
@@ -318,8 +322,8 @@ class RatFunc:
             if g.degree > 0:
                 num, den = num // g, den // g
             lead = den.leading
-            num = num * (1 / lead)
-            den = den * (1 / lead)
+            if lead != 1:
+                num, den = num * (1 / lead), den * (1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -419,12 +423,28 @@ class Affine:
 # ----------------------------------------------------------------------
 
 
+def _clear_denominators(*coeff_lists: tuple[Fraction, ...]) -> tuple[list[list[int]], int]:
+    """The numerators of each list over m, the lcm of all their denominators; and m."""
+    m = math.lcm(*(c.denominator for cs in coeff_lists for c in cs))
+    return [[c.numerator * (m // c.denominator) for c in cs] for cs in coeff_lists], m
+
+
+def _dot(pairs) -> list[int]:
+    """Sum of the products a * b of integer coefficient lists, lowest power first."""
+    out: list[int] = []
+    for a, b in pairs:
+        out += [0] * (len(a) + len(b) - 1 - len(out))
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                out[s + t] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _integer_coeffs(p: Poly) -> list[int]:
     """Clear denominators and content; return primitive integer coefficients."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return _primitive([int(c * lcm) for c in p.coeffs])
+    return _primitive(_clear_denominators(p.coeffs)[0][0])
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -474,12 +494,18 @@ def _map_to_unit(ints: list[int], lo: Fraction, width: Fraction) -> list[int]:
     return _primitive([c * (v * s) ** i * t ** (n - i) for i, c in enumerate(cs)])
 
 
-def _sign_at(ints: list[int], u: int, v: int) -> int:
-    """Sign of the integer polynomial at u/v, v > 0, by homogeneous Horner."""
+def _horner(ints: list[int], u: int, v: int) -> int:
+    """v^n p(u/v) for the integer polynomial p of degree n, v > 0, by homogeneous Horner."""
     acc, vp = 0, 1
     for c in reversed(ints):
         acc = acc * u + c * vp
         vp *= v
+    return acc
+
+
+def _sign_at(ints: list[int], u: int, v: int) -> int:
+    """Sign of the integer polynomial at u/v, v > 0."""
+    acc = _horner(ints, u, v)
     return (acc > 0) - (acc < 0)
 
 

@@ -28,7 +28,7 @@ from . import nu as nu_mod
 from . import verify as verify_mod
 from .algebra import Affine, Poly
 from .errors import AimnuError, BadParameter, InputError
-from .rationals import format_rational, parse_rational
+from .rationals import MAX_DIGITS, format_rational, parse_rational
 
 
 def _fail(code: int, message: str):
@@ -154,11 +154,12 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], envelope: dict):
 
 
 #: Bounds on the sizes whose cost grows without limit, each set so that the
-#: slowest call it accepts at catalog defaults takes a few seconds.
+#: slowest call it accepts at catalog defaults takes a few seconds;
+#: ``MAX_DIGITS`` bounds every numerator and denominator read, grid bounds too.
 MAX_SOLVE_N = 20_000  # one closed-form value per mode
 MAX_KMAX = 80  # level k costs about k^3; kratzer's bracket 0:1 runs to kmax
 MAX_EIGENFUNCTION_N = 100  # Rodrigues grows about as n^3, one sample as n^2
-MAX_SAMPLES = 1_000  # points of a --samples grid, each one exact evaluation
+MAX_SAMPLES = 2_000  # points of a --samples grid, each one exact evaluation
 
 #: Largest decimal exponent a grid bound may carry: ``Fraction("1e99999999")``
 #: builds 10^99999999 exactly, and no float prints a sample beyond about 1e308.
@@ -280,14 +281,16 @@ def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
 
 
 def _grid_bound(text: str) -> Fraction:
-    """A "p/q" or decimal grid bound, its exponent checked before it is built."""
-    _, e, exponent = text.lower().partition("e")
+    """A "p/q" or decimal grid bound, its exponent and digits checked before it is built."""
+    mantissa, e, exponent = text.lower().partition("e")
     try:
         too_large = bool(e) and abs(int(exponent)) > MAX_BOUND_EXPONENT
     except ValueError:  # no integer exponent: Fraction names the bad literal
         too_large = False
     if too_large:
         raise BadParameter(f"grid bound {text!r} has an exponent beyond {MAX_BOUND_EXPONENT}")
+    if any(sum(ch.isdigit() for ch in part) > MAX_DIGITS for part in mantissa.split("/")):
+        raise BadParameter(f"a grid bound has more than {MAX_DIGITS} digits")
     return Fraction(text)
 
 

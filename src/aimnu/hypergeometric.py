@@ -65,8 +65,9 @@ def validate(
     depend on the parameter; ``gamma`` is the pair (const, slope), stored as
     an ``Affine`` of two Fractions.
 
-    The record holds no evaluation point: for this input delta_k(r0, E) is
-    c_k(r0) times a polynomial in E alone, so r0 never moves a root and
+    The record holds no evaluation point: for this input
+    delta_k(r0, E) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E), with
+    mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 never moves a root and
     ``aim.solve_iterative`` picks one off the poles of sigma.
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2.

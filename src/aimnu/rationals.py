@@ -13,10 +13,14 @@ from fractions import Fraction
 from .errors import InvalidRational
 
 __all__ = [
+    "MAX_DIGITS",
     "parse_rational",
     "format_rational",
     "rational_sqrt",
 ]
+
+#: Most digits of a numerator or denominator read; the exact work grows with them.
+MAX_DIGITS = 32
 
 
 def parse_rational(text: str) -> Fraction:
@@ -25,7 +29,8 @@ def parse_rational(text: str) -> Fraction:
     Floating-point literals are rejected: exactness is part of the contract.
     The result is reduced with a positive denominator; a zero denominator
     raises InvalidRational, as does a value that is not a string (a JSON
-    number in a problem file, say).
+    number in a problem file, say) or a numerator or denominator of more
+    than ``MAX_DIGITS`` digits.
     """
     if not isinstance(text, str):
         raise InvalidRational(f'expected a "p/q" string, got {text!r}')
@@ -42,6 +47,8 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidRational(f"cannot parse rational: {text!r}") from exc
     if d == 0:
         raise InvalidRational("zero denominator")
+    if max(abs(n), abs(d)) >= 10**MAX_DIGITS:
+        raise InvalidRational(f"more than {MAX_DIGITS} digits in a numerator or denominator")
     return Fraction(n, d)
 
 

@@ -259,13 +259,10 @@ def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -
         + tau_tilde * pi
         + problem.sigma_tilde
     )
+    sigma_sq, drift = sigma * sigma, sigma * (2 * pi + tau_tilde)
     r = Poly.variable()
     for y in (Poly.const(1), r, r * r):
-        original = (
-            sigma * sigma * y.derivative().derivative()
-            + sigma * (2 * pi + tau_tilde) * y.derivative()
-            + potential * y
-        )
+        original = sigma_sq * y.derivative().derivative() + drift * y.derivative() + potential * y
         reduced = sigma * eigenfunctions.ode_residual(
             reduction.tau, sigma, reduction.lambda_bar, y
         )
@@ -343,12 +340,14 @@ def suite_delta() -> list[CheckResult]:
     out.append(_result("delta", "delta_1 = 4k(k-1) for the Hermite form", ok))
 
     ok = True
-    for n in range(5):
+    for n in range(5):  # one pass of the recursion per mode, delta_k read at each level
         lam0 = problem.lambda0.substitute(F(n))
         s0 = problem.s0.substitute(F(n))
-        for k in range(n + 1, 9):
-            seq = aim.iterate(lam0, s0, k)
-            if aim.delta_k(seq).evaluate(F(1)) != 0:
+        lam, s = lam0, s0
+        for k in range(1, 9):
+            seq = aim.AimSequence(k, *aim.aim_step(lam, s, lam0, s0), lam, s)
+            lam, s = seq.lambda_k, seq.s_k
+            if k > n and aim.delta_k(seq).evaluate(F(1)) != 0:
                 ok = False
     out.append(_result("delta", "delta_k vanishes at integer modes for k >= n+1", ok))
     return out

@@ -22,7 +22,7 @@ from aimnu.errors import (
     InvalidRational,
     UnsupportedDenominator,
 )
-from aimnu.rationals import format_rational, parse_rational, rational_sqrt
+from aimnu.rationals import MAX_DIGITS, format_rational, parse_rational, rational_sqrt
 
 R = Poly.variable()
 
@@ -46,6 +46,13 @@ class TestRational:
     def test_parse_rejects_floats(self):
         for bad in ("1.5", "1e3", "", "x/2"):
             with pytest.raises(InvalidRational):
+                parse_rational(bad)
+
+    def test_parse_bounds_the_digits(self):
+        widest = "9" * MAX_DIGITS
+        assert parse_rational(f"-{widest}/{widest[1:]}7") == F(-int(widest), int(widest[1:] + "7"))
+        for bad in (f"1{widest}", f"1/1{widest}", f"-1{widest}/3", "3" * 300):
+            with pytest.raises(InvalidRational, match=f"more than {MAX_DIGITS} digits"):
                 parse_rational(bad)
 
     def test_rational_sqrt(self):

@@ -25,7 +25,7 @@ from aimnu.cli import (
     main,
 )
 from aimnu.eigenfunctions import ode_residual
-from aimnu.rationals import format_rational, parse_rational
+from aimnu.rationals import MAX_DIGITS, format_rational, parse_rational
 
 
 @pytest.fixture
@@ -576,8 +576,15 @@ class TestBoundedInputs:
             (["solve", "hermite", "--n", str(MAX_SOLVE_N + 1)], MAX_SOLVE_N),
             (["aim", "kratzer", "--bracket", "0:1", "--kmax", str(MAX_KMAX + 1)], MAX_KMAX),
             (["eigenfunction", "legendre", "--n", str(MAX_EIGENFUNCTION_N + 1)], MAX_EIGENFUNCTION_N),
+            # each sample is one exact evaluation whose cost grows with the bound's digits
+            (
+                ["eigenfunction", "hulthen", "--n", str(MAX_EIGENFUNCTION_N),
+                 "--samples", f"0.{'3' * 300}:1:1000"],
+                MAX_DIGITS,
+            ),
+            (["solve", "kratzer", "--param", f"A=1{'0' * MAX_DIGITS}"], MAX_DIGITS),
         ],
-        ids=["solve-n", "aim-kmax", "eigenfunction-n"],
+        ids=["solve-n", "aim-kmax", "eigenfunction-n", "grid-bound-digits", "param-digits"],
     )
     def test_above_the_bound_exits_2(self, args, bound):
         result, seconds = run_process(args)

@@ -104,6 +104,46 @@ def test_poly_gcd_matches_sympy(common, a, b):
     assert _to_sympy(poly_gcd(a, b)) == _to_sympy(a).gcd(_to_sympy(b))
 
 
+#: Coefficients with small and with 30-digit denominators; an empty list is
+#: the zero polynomial and a single entry a constant.
+wide_rationals = st.one_of(rationals, st.fractions(max_denominator=10**30))
+any_polys = st.lists(wide_rationals, max_size=7).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_polys, any_polys)
+@example(Poly(), Poly([1, 2]))
+@example(Poly([F(-3, 7)]), Poly([F(1, 10**30), 0, F(5, 3)]))
+def test_mul_matches_sympy(a, b):
+    assert _to_sympy(a * b) == _to_sympy(a) * _to_sympy(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_polys, wide_rationals)
+@example(Poly(), F(3, 2))
+@example(Poly([F(5, 4)]), F(-1, 3))
+@example(Poly([F(1, 3), 0, F(-2, 5)]), F(0))
+@example(Poly([1, -1, 1, -1]), F(-(10**30) - 1, 10**30))
+def test_evaluate_matches_sympy(p, x):
+    expected = _to_sympy(p).eval(sympy.Rational(x.numerator, x.denominator))
+    assert p.evaluate(x) == _to_fraction(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polys(), st.lists(rationals, min_size=2, max_size=6, unique=True), st.integers(1, 5))
+def test_poly_gcd_with_a_zero_or_a_coprime_argument(p, roots, cut):
+    for a, b in ((Poly(), p), (p, Poly())):
+        assert _to_sympy(poly_gcd(a, b)) == _to_sympy(a).gcd(_to_sympy(b))
+    cut = min(cut, len(roots) - 1)  # split distinct roots into two coprime products
+    a, b = Poly.const(F(3, 5)), Poly.const(-7)
+    for root in roots[:cut]:
+        a = a * Poly.linear_root(root)
+    for root in roots[cut:]:
+        b = b * Poly.linear_root(root)
+    assert poly_gcd(a, b) == Poly.const(1)
+    assert _to_sympy(a).gcd(_to_sympy(b)) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_polys(), random_polys())
 def test_divmod_matches_sympy(a, b):
