@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _integer_coeffs, _sign_at
+from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _integer_coeffs, _poly, _sign_at
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -123,8 +123,7 @@ class IterativeSpectrum(list):
 def _cleared(f: ParamRatFunc, r0: Fraction) -> list[list[int]]:
     """num.const, num.slope and den of f in powers of r - r0, as integer
     lists with their common denominator cleared."""
-    parts = (p.compose_linear(r0).coeffs for p in (f.num.const, f.num.slope, f.den))
-    return _clear_denominators(*parts)[0]
+    return _clear_denominators(*(p.compose_linear(r0) for p in (f.num.const, f.num.slope, f.den)))
 
 
 def _taylor_rows(parts: list[list[int]], q: int):
@@ -159,7 +158,7 @@ def determinants(problem: AimProblem, r0: Fraction):
     r0 makes C_k[i] = q^(k+i+1) c_k[i] and D_k[i] = q^(k+i+2) d_k[i]
     integers.  The weights balance every term, so C and D obey the same
     recursion, and delta_k = (C_k[0] D_{k-1}[0] - C_{k-1}[0] D_k[0]) / q^(2k+2)
-    is one exact division per coefficient.
+    is built from those integers and reduced with one gcd.
     """
     parts = [_cleared(f, r0) for f in (problem.lambda0, problem.s0)]
     if not all(den and den[0] for _, _, den in parts):
@@ -182,7 +181,7 @@ def determinants(problem: AimProblem, r0: Fraction):
         if level >= 1:
             neg = [-y for y in d[level][0]]
             top = _dot([(c[level][0], d[level - 1][0]), (c[level - 1][0], neg)])
-            yield Poly(Fraction(v, q ** (2 * level + 2)) for v in top)
+            yield _poly(top, q ** (2 * level + 2))
 
 
 def _divide_root(ints: list[int], u: int, v: int) -> list[int]:
@@ -210,7 +209,7 @@ def _level_roots(
         if a == b and not _sign_at(ints, a.numerator, a.denominator):
             ints = _divide_root(ints, a.numerator, a.denominator)
             inherited.append((a, a))
-    return sorted(set(inherited).union(Poly(ints).real_roots(lo, hi, tol)))
+    return sorted(set(inherited).union(_poly(ints).real_roots(lo, hi, tol)))
 
 
 def solve_iterative(

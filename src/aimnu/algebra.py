@@ -10,8 +10,9 @@ canonical when built: ``integrate_log_derivative`` gives prefactor 1 and
 one factor per distinct simple pole, in root order, and ``WeightExpr``
 stores its fields as given, never factoring them again.
 
-All arithmetic is exact, and no floating-point value is ever produced;
-products, evaluation and gcd run on cleared integer numerators.
+A Poly is stored as integer numerators over one denominator, and all of
+its arithmetic runs on those integers.  Everything is exact: no
+floating-point value is accepted or produced.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 from .errors import (
@@ -53,22 +55,45 @@ def _as_fraction(x: _FractionLike) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over the rationals, immutable and hashable.
 
-    Coefficients are stored lowest degree first; the zero polynomial is the
-    empty tuple.  Instances are immutable and hashable.
+    Stored as integer numerators, lowest degree first without trailing
+    zeros, over one positive denominator, in lowest terms (the zero
+    polynomial is () over 1); the form is canonical, so ``==`` and ``hash``
+    compare the pair.  Methods work on the integers and normalise each
+    result with one gcd; ``coeffs`` is the tuple of Fractions, built on use.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[_FractionLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise InvalidInput(f"polynomial coefficients {cs!r} are not all ints or Fractions")
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, nums: list[int], den: int) -> None:
+        """Set the stored form of nums/den, den != 0; strips nums in place."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(v, self._den) for v in self._nums))
+            return self._coeffs
 
     # -- constructors -------------------------------------------------
 
@@ -84,64 +109,58 @@ class Poly:
     @classmethod
     def linear_root(cls, root: _FractionLike) -> "Poly":
         """The monic linear factor (r - root)."""
-        return cls((-_as_fraction(root), 1))
+        return cls((-root, 1))
 
     # -- structure ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._nums:
             raise InvalidInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly | _FractionLike") -> "Poly":
-        other = _coerce_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
+        return _combine(self, _coerce_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _poly([-v for v in self._nums], self._den)
 
     def __sub__(self, other: "Poly | _FractionLike") -> "Poly":
-        return self + (-_coerce_poly(other))
+        return _combine(self, _coerce_poly(other), -1)
 
     def __rsub__(self, other: "Poly | _FractionLike") -> "Poly":
-        return _coerce_poly(other) + (-self)
+        return _combine(_coerce_poly(other), self, -1)
 
     def __mul__(self, other: "Poly | _FractionLike") -> "Poly":
         if isinstance(other, (Fraction, int)):
-            return Poly(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        (a,), da = _clear_denominators(self.coeffs)
-        (b,), db = _clear_denominators(other.coeffs)
-        return Poly(Fraction(v, da * db) for v in _dot([(a, b)]))
+            return _poly([v * other.numerator for v in self._nums], self._den * other.denominator)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _poly(_dot([(self._nums, other._nums)]), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InvalidInput("negative polynomial power")
-        result = Poly.const(1)
-        base = self
-        e = exponent
+        result, base, e = Poly.const(1), self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -150,23 +169,27 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Long division on the numerators A, B: s A = Q B + R, with s grown
+        only by what makes each next quotient coefficient an integer."""
         other = _coerce_poly(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs)
+        rem, b, dn = list(self._nums), other._nums, len(other._nums)
         if len(rem) < dn:
             return Poly(), self
-        quo = [Fraction(0)] * (len(rem) - dn + 1)
-        lead = other.coeffs[-1]
+        quo, s, lead = [0] * (len(rem) - dn + 1), 1, b[-1]
         for i in range(len(rem) - dn, -1, -1):
-            c = rem[i + dn - 1] / lead
-            if c == 0:
+            t = rem[i + dn - 1]
+            if not t:
                 continue
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= c * b
-        return Poly(quo), Poly(rem[: dn - 1])
+            g = abs(lead) // math.gcd(t, lead)
+            if g > 1:
+                rem, quo, s, t = [v * g for v in rem], [v * g for v in quo], s * g, t * g
+            quo[i] = c = t // lead
+            for j, v in enumerate(b):
+                rem[i + j] -= c * v
+        s *= self._den
+        return _poly([v * other._den for v in quo], s), _poly(rem[: dn - 1], s)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -179,31 +202,35 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     # -- calculus -----------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _poly([i * v for i, v in enumerate(self._nums)][1:], self._den)
 
     def integral(self) -> "Poly":
         """Formal antiderivative with zero constant term."""
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        m = math.lcm(*range(1, len(self._nums) + 1))
+        return _poly([0] + [v * (m // (i + 1)) for i, v in enumerate(self._nums)], self._den * m)
 
     def evaluate(self, x: _FractionLike) -> Fraction:
-        u, v = _as_fraction(x).as_integer_ratio()
-        (ints,), m = _clear_denominators(self.coeffs)
-        return Fraction(_horner(ints, u, v), m * v ** max(len(ints) - 1, 0))
+        u, v = x.as_integer_ratio()
+        return Fraction(_horner(self._nums, u, v), self._den * v ** max(len(self._nums) - 1, 0))
 
     def compose_linear(self, a: _FractionLike, b: _FractionLike = 1) -> "Poly":
-        """p(a + b*r) as a polynomial in r."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * Poly((a, b)) + c
-        return out
+        """p(a + b*r) as a polynomial in r, by homogeneous Horner on
+        a + b*r = (l0 + l1 r)/w with integers l0, l1, w."""
+        (ua, va), (ub, vb) = a.as_integer_ratio(), b.as_integer_ratio()
+        l0, l1, w = ua * vb, ub * va, va * vb
+        acc: list[int] = []
+        for k, c in enumerate(reversed(self._nums)):
+            acc = [x * l0 + y * l1 for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] += c * w**k
+        return _poly(acc, self._den * w ** max(len(self._nums) - 1, 0))
 
     def real_roots(
         self, lo: _FractionLike, hi: _FractionLike, width: Fraction | None = None
@@ -252,8 +279,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return Poly(c / lead for c in self.coeffs)
+        return _poly(list(self._nums), self._nums[-1])
 
     # -- display ------------------------------------------------------
 
@@ -282,9 +308,21 @@ class Poly:
 
 
 def _coerce_poly(x: "Poly | _FractionLike") -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(_as_fraction(x))
+    return x if isinstance(x, Poly) else Poly((x,))
+
+
+def _poly(nums: list[int], den: int = 1) -> Poly:
+    """The Poly nums/den, den != 0, built from integers; strips nums in place."""
+    p = object.__new__(Poly)
+    p._store(nums, den)
+    return p
+
+
+def _combine(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b over the lcm of the two denominators."""
+    m = math.lcm(a._den, b._den)
+    sa, sb = m // a._den, sign * (m // b._den)
+    return _poly([x * sa + y * sb for x, y in zip_longest(a._nums, b._nums, fillvalue=0)], m)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -302,7 +340,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             while x and not x[-1]:
                 x.pop()
         x, y = y, _primitive(x)
-    return Poly(x).monic()
+    return _poly(x, x[-1])
 
 
 class RatFunc:
@@ -311,8 +349,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly | _FractionLike, den: Poly | _FractionLike = 1):
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
+        num, den = _coerce_poly(num), _coerce_poly(den)
         if den.is_zero:
             raise DivisionByZero("zero denominator in rational function")
         if num.is_zero:
@@ -423,10 +460,10 @@ class Affine:
 # ----------------------------------------------------------------------
 
 
-def _clear_denominators(*coeff_lists: tuple[Fraction, ...]) -> tuple[list[list[int]], int]:
-    """The numerators of each list over m, the lcm of all their denominators; and m."""
-    m = math.lcm(*(c.denominator for cs in coeff_lists for c in cs))
-    return [[c.numerator * (m // c.denominator) for c in cs] for cs in coeff_lists], m
+def _clear_denominators(*polys: Poly) -> list[list[int]]:
+    """The integer coefficients of each Poly over the lcm of their denominators."""
+    m = math.lcm(*(p._den for p in polys))
+    return [[v * (m // p._den) for v in p._nums] for p in polys]
 
 
 def _dot(pairs) -> list[int]:
@@ -443,8 +480,8 @@ def _dot(pairs) -> list[int]:
 
 
 def _integer_coeffs(p: Poly) -> list[int]:
-    """Clear denominators and content; return primitive integer coefficients."""
-    return _primitive(_clear_denominators(p.coeffs)[0][0])
+    """Primitive integer coefficients of p: its numerators without their content."""
+    return _primitive(list(p._nums))
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -564,7 +601,7 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         raise InvalidInput("rational_roots of the zero polynomial")
     roots: list[tuple[Fraction, int]] = []
     work = p
-    bound = 1 + max((abs(c / p.leading) for c in p.coeffs[:-1]), default=0)
+    bound = 1 + Fraction(max(map(abs, p._nums[:-1]), default=0), abs(p._nums[-1]))
     for root in (a for a, b in p.real_roots(-bound, bound) if a == b):
         m = 0
         while work.evaluate(root) == 0:

@@ -1,13 +1,15 @@
 """Exact rational helpers: parsing, formatting, square roots.
 
-The package stores every coefficient as `fractions.Fraction`.  These helpers
-add the canonical "p/q" string form used on the command line and in JSON
-files, and a perfect-square test needed by the Nikiforov--Uvarov reduction.
+Scalars are `fractions.Fraction`s, and polynomials hold integer numerators
+over one denominator (``algebra.Poly``).  These helpers add the canonical
+"p/q" string form used on the command line and in JSON files, and a
+perfect-square test needed by the Nikiforov--Uvarov reduction.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InvalidRational
@@ -22,15 +24,18 @@ __all__ = [
 #: Most digits of a numerator or denominator read; the exact work grows with them.
 MAX_DIGITS = 32
 
+#: "p/q" or "p" in ASCII digits, each with an optional sign.
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([+-]?)([0-9]+))?")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer "p" into a Fraction.
 
-    Floating-point literals are rejected: exactness is part of the contract.
-    The result is reduced with a positive denominator; a zero denominator
-    raises InvalidRational, as does a value that is not a string (a JSON
-    number in a problem file, say) or a numerator or denominator of more
-    than ``MAX_DIGITS`` digits.
+    Each part is ASCII digits with an optional sign, so floats, digit
+    separators and other digits are rejected.  The result is reduced with a
+    positive denominator; a zero denominator raises InvalidRational, as does
+    a value that is not a string (a JSON number in a problem file, say) or
+    a part of more than ``MAX_DIGITS`` digits, leading zeros aside.
     """
     if not isinstance(text, str):
         raise InvalidRational(f'expected a "p/q" string, got {text!r}')
@@ -39,17 +44,16 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidRational("empty rational literal")
     if any(ch in s for ch in ".eE"):
         raise InvalidRational(f"floating literal not allowed: {text!r}")
-    num, sep, den = s.partition("/")
-    try:
-        n = int(num)
-        d = int(den) if sep else 1
-    except ValueError as exc:
-        raise InvalidRational(f"cannot parse rational: {text!r}") from exc
-    if d == 0:
-        raise InvalidRational("zero denominator")
-    if max(abs(n), abs(d)) >= 10**MAX_DIGITS:
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise InvalidRational(f"cannot parse rational: {text!r}")
+    num_sign, num, den_sign, den = match.groups()
+    num, den = num.lstrip("0") or "0", (den or "1").lstrip("0") or "0"
+    if max(len(num), len(den)) > MAX_DIGITS:
         raise InvalidRational(f"more than {MAX_DIGITS} digits in a numerator or denominator")
-    return Fraction(n, d)
+    if den == "0":
+        raise InvalidRational("zero denominator")
+    return Fraction(int(num_sign + num), int((den_sign or "") + den))
 
 
 def format_rational(value: Fraction) -> str:

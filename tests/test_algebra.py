@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ R = Poly.variable()
 class TestRational:
     def test_normalize(self):
         assert parse_rational("6/-4") == F(-3, 2)
+        assert parse_rational(" +6/-4 ") == F(-3, 2)
         assert parse_rational("0/5") == F(0, 1)
         assert parse_rational("2/4") == F(1, 2)
 
@@ -44,16 +47,19 @@ class TestRational:
         assert format_rational(F(4)) == "4"
 
     def test_parse_rejects_floats(self):
-        for bad in ("1.5", "1e3", "", "x/2"):
+        # ASCII "p/q" only: no digit separators, other digits or stray signs
+        for bad in ("1.5", "1e3", "", "x/2", "1_0/3", "\u0663/\uff17", "1 / 2", "--1", "1/2/3"):
             with pytest.raises(InvalidRational):
                 parse_rational(bad)
 
     def test_parse_bounds_the_digits(self):
         widest = "9" * MAX_DIGITS
         assert parse_rational(f"-{widest}/{widest[1:]}7") == F(-int(widest), int(widest[1:] + "7"))
-        for bad in (f"1{widest}", f"1/1{widest}", f"-1{widest}/3", "3" * 300):
+        # counted before int(), which refuses strings of more than 4,300 digits
+        for bad in (f"1{widest}", f"1/1{widest}", f"-1{widest}/3", "3" * 300, "3" * 5000):
             with pytest.raises(InvalidRational, match=f"more than {MAX_DIGITS} digits"):
                 parse_rational(bad)
+        assert parse_rational("0" * 5000 + "7/-" + "0" * 40 + "2") == F(-7, 2)
 
     def test_rational_sqrt(self):
         assert rational_sqrt(F(9, 4)) == F(3, 2)
@@ -87,6 +93,133 @@ class TestPoly:
 
     def test_evaluate(self):
         assert (R**2 - F(1, 2)).evaluate(F(1, 2)) == F(-1, 4)
+
+    def test_rejects_floats(self):
+        for bad in ([0.1], [1, F(1, 2), 0.5], ["1"]):
+            with pytest.raises(InvalidInput, match="not all ints or Fractions"):
+                Poly(bad)
+        with pytest.raises(InvalidInput):
+            R + 0.5
+
+
+def _stored(p: Poly) -> tuple[tuple[int, ...], int]:
+    return p._nums, p._den
+
+
+def _trim(cs) -> tuple[F, ...]:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b, sign=1):
+    return _trim(x + sign * y for x, y in zip_longest(a, b, fillvalue=F(0)))
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quo = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= quo[i] * y
+    return _trim(quo), _trim(rem[: len(b) - 1])
+
+
+def _ref_compose(a, u, v):
+    out: tuple[F, ...] = ()
+    for c in reversed(a):
+        out = _ref_add(_ref_mul(out, (u, v)), (c,))
+    return out
+
+
+coefficient = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+coefficients = st.lists(coefficient, max_size=7)
+
+
+class TestIntegerKernel:
+    """The stored integer form against plain Fraction-list arithmetic."""
+
+    @given(a=coefficients, b=coefficients, c=coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, a, b, c):
+        p, q, ra, rb = Poly(a), Poly(b), _trim(a), _trim(b)
+        assert p.coeffs == ra and all(type(x) is F for x in p.coeffs)
+        assert (p + q).coeffs == _ref_add(ra, rb)
+        assert (p - q).coeffs == _ref_add(ra, rb, -1)
+        assert (-p).coeffs == _ref_add((), ra, -1)
+        assert (p * q).coeffs == _ref_mul(ra, rb)
+        assert (p * c).coeffs == (c * p).coeffs == _ref_mul(ra, (F(c),))
+        assert (c - p).coeffs == _ref_add((F(c),), ra, -1)
+
+    @given(a=coefficients, x=coefficient, y=coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_calculus_and_evaluation(self, a, x, y):
+        p, ra = Poly(a), _trim(a)
+        assert p.derivative().coeffs == _trim([i * c for i, c in enumerate(ra)][1:])
+        assert p.integral().coeffs == _trim([0] + [c / (i + 1) for i, c in enumerate(ra)])
+        assert p.evaluate(x) == sum(c * F(x) ** i for i, c in enumerate(ra))
+        assert p.compose_linear(x, y).coeffs == _ref_compose(ra, F(x), F(y))
+        assert p.compose_linear(x).coeffs == _ref_compose(ra, F(x), F(1))
+        if ra:
+            assert p.monic().coeffs == tuple(c / ra[-1] for c in ra)
+            assert p.leading == ra[-1]
+        assert [p.coeff(i) for i in range(-1, 9)] == [0] + list(ra) + [0] * (9 - len(ra))
+
+    @given(a=coefficients, b=coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_divmod(self, a, b):
+        p, q = Poly(a), Poly(b)
+        if q.is_zero:
+            with pytest.raises(DivisionByZero):
+                divmod(p, q)
+            return
+        quo, rem = divmod(p, q)
+        assert (quo.coeffs, rem.coeffs) == _ref_divmod(_trim(a), _trim(b))
+        assert quo * q + rem == p
+
+    @given(a=coefficients, b=coefficients, c=coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash(self, a, b, c):
+        p, q = Poly(a), Poly(b)
+        assert (p == q) == (_trim(a) == _trim(b))
+        if p == q:
+            assert hash(p) == hash(q)
+        assert (p == c) == (_trim(a) == _trim([c]))
+
+    @given(a=coefficients, b=coefficients.filter(lambda cs: any(cs)), c=coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form(self, a, b, c):
+        # equal polynomials built by different routes store the same pair
+        p = Poly(a)
+        routes = [
+            Poly(list(a) + [0, F(0)]),
+            Poly(F(x) for x in a),
+            (p * Poly(b)) // Poly(b),
+            p + Poly(b) - Poly(b),
+            -(-p),
+            p * 3 * F(1, 3),
+            p.compose_linear(c).compose_linear(-F(c)),
+            p.integral().derivative(),
+        ]
+        nums, den = _stored(p)
+        assert den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1])
+        for route in routes:
+            assert _stored(route) == _stored(p)
+            assert hash(route) == hash(p)
+            assert repr(route) == repr(p)
+        assert _stored(Poly()) == ((), 1)
 
 
 class TestRealRoots:

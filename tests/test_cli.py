@@ -559,8 +559,15 @@ class TestBoundedInputs:
                  "--method", "rodrigues", "--samples", f"1/3:3/7:{MAX_SAMPLES}"],
                 0,
             ),
+            # each sample costs more with the grid bound's digits: about 5 s at 31
+            (
+                ["eigenfunction", "hulthen", "--n", str(MAX_EIGENFUNCTION_N),
+                 "--method", "rodrigues",
+                 "--samples", f"0.1234567890123456789012345678901:1:{MAX_SAMPLES}"],
+                0,
+            ),
         ],
-        ids=["solve", "aim", "eigenfunction"],
+        ids=["solve", "aim", "eigenfunction", "eigenfunction-31-digit-grid"],
     )
     def test_slowest_accepted_call(self, args, code):
         # each bound is sized so that the slowest call it accepts at catalog
