@@ -210,7 +210,7 @@ class Poly:
     # -- calculus -----------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return _poly([i * v for i, v in enumerate(self._nums)][1:], self._den)
+        return _poly(_derivative(self._nums), self._den)
 
     def integral(self) -> "Poly":
         """Formal antiderivative with zero constant term."""
@@ -479,6 +479,11 @@ def _dot(pairs) -> list[int]:
     return out
 
 
+def _derivative(ints) -> list[int]:
+    """The derivative of an integer coefficient list, lowest power first."""
+    return [i * v for i, v in enumerate(ints)][1:]
+
+
 def _integer_coeffs(p: Poly) -> list[int]:
     """Primitive integer coefficients of p: its numerators without their content."""
     return _primitive(list(p._nums))
@@ -557,7 +562,7 @@ def _refine(
     denominator exceeds |lc| the root is certified irrational; this happens
     by width 1/(2 lc^2) at the latest.
     """
-    derivative = [i * c for i, c in enumerate(ints)][1:]
+    derivative = _derivative(ints)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     sign_a = _sign_at(ints, an, ad) or _sign_at(derivative, an, ad)
 

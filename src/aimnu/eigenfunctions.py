@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, zip_longest
+from operator import mul
 
 from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative
+from .algebra import _clear_denominators, _derivative, _dot, _poly
 from .errors import (
     DegenerateSpectrum,
     InconsistentGamma,
@@ -70,23 +73,35 @@ def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
 
     so from c_n = 1 each c_j, j = n-1, ..., 0, follows from the two above it
     (Nikiforov & Uvarov, Special Functions of Mathematical Physics, 1988).
+
+    It runs on integers.  With tau = T/m and sigma = S/m cleared, m times
+    the three weights are the pivot P_j = -(n-j)(T_1 + (n+j-1) S_2), from
+    gamma_n - gamma_j in closed form, A_j = (j+1)(T_0 + j S_1) and
+    B_j = (j+1)(j+2) S_0.  Carrying c_j = M_j / (P_j ... P_(n-1)) gives the
+    division-free M_j = -(A_j M_(j+1) + B_j P_(j+1) M_(j+2)) from M_n = 1,
+    and the coefficients go over the one denominator P_0 ... P_(n-1).
+
     Raises DegenerateSpectrum when gamma_j = gamma_n for some j < n, and
     verifies the residual is identically zero before returning.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     g = gamma_n(tau, sigma, n)
-    t0, s0, s1 = tau.coeff(0), sigma.coeff(0), sigma.coeff(1)
-    c = [Fraction(0)] * n + [Fraction(1), Fraction(0)]  # c_0 .. c_n, and c_(n+1) = 0
+    T, S, (m,) = _clear_denominators(tau, sigma, Poly.const(1))  # the constant 1 clears to m
+    (t0, t1), (s0, s1, s2) = (T + [0, 0])[:2], (S + [0, 0, 0])[:3]
+    pivots = [-(n - j) * (t1 + (n + j - 1) * s2) for j in range(n + 1)]  # P_n = 0
+    M = [0] * n + [1, 0]  # M_0 .. M_n, and M_(n+1) = 0
     for j in range(n - 1, -1, -1):
-        pivot = g - gamma_n(tau, sigma, j)
-        if pivot == 0:
+        if not pivots[j]:
             raise DegenerateSpectrum(f"gamma_{j} = gamma_{n}; spectrum degenerate")
-        c[j] = -((j + 1) * (t0 + j * s1) * c[j + 1] + (j + 1) * (j + 2) * s0 * c[j + 2]) / pivot
-    y = Poly(c)
-    if not ode_residual(tau, sigma, g, y).is_zero:
-        raise InconsistentGamma("residual not identically zero")  # pragma: no cover
-    return EigenPolynomial(n, y, g)
+        a, b = (j + 1) * (t0 + j * s1), (j + 1) * (j + 2) * s0
+        M[j] = -(a * M[j + 1] + b * pivots[j + 1] * M[j + 2])
+    prefixes = list(accumulate(pivots[:n], mul, initial=1))  # P_0 ... P_(j-1)
+    nums = [mj * pj for mj, pj in zip(M, prefixes)]
+    gd, y1 = g.denominator, _derivative(nums)
+    if _dot([([gd * v for v in S], _derivative(y1)), ([gd * v for v in T], y1), ([m * g.numerator], nums)]):
+        raise InconsistentGamma("residual not identically zero")
+    return EigenPolynomial(n, _poly(nums, prefixes[-1]), g)
 
 
 def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
@@ -133,18 +148,25 @@ def pearson_weight(tau: Poly, sigma: Poly) -> PearsonWeight:
 def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
     """(1/rho) d^n/dr^n [sigma^n rho]; the result always has degree n.
 
-    With d^m/dr^m [sigma^n rho] = sigma^(n-m) rho P_m, Pearson's equation
+    With d^k/dr^k [sigma^n rho] = sigma^(n-k) rho P_k, Pearson's equation
     sigma rho' = (tau - sigma') rho turns each derivative into the
-    polynomial step P_(m+1) = sigma P_m' + ((n-m-1) sigma' + tau) P_m from
+    polynomial step P_(k+1) = sigma P_k' + ((n-k-1) sigma' + tau) P_k from
     P_0 = 1, and P_n is the exact result (Nikiforov & Uvarov, Special
     Functions of Mathematical Physics, 1988).
+
+    It runs on integers: with tau = T/m and sigma = S/m cleared, Q_k = m^k P_k
+    obeys the same step in S and T, Q_(k+1) = S Q_k' + ((n-k-1) S' + T) Q_k
+    from Q_0 = [1], so the result is Q_n / m^n.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    sigma_prime = sigma.derivative()
-    result = Poly.const(1)
-    for m in range(n):
-        result = sigma * result.derivative() + ((n - m - 1) * sigma_prime + tau) * result
+    T, S, (m,) = _clear_denominators(tau, sigma, Poly.const(1))  # the constant 1 clears to m
+    S1 = _derivative(S)
+    Q = [1]
+    for k in range(n):
+        step = [(n - k - 1) * a + b for a, b in zip_longest(S1, T, fillvalue=0)]
+        Q = _dot([(S, _derivative(Q)), (step, Q)])
+    result = _poly(Q, m**n)
     if result.degree != n:
         raise InconsistentGamma(f"Rodrigues output degree {result.degree} != {n}")
     return result

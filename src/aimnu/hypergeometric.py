@@ -3,7 +3,7 @@
 Validates the degree constraints (deg tau <= 1, deg sigma <= 2), provides
 the closed-form quantization constant
 
-    gamma_n = -n tau'  -  n(n-1)/2 sigma'',
+    gamma_n = -n (tau' + (n-1) sigma''/2),
 
 inverts affine parameter maps to obtain physical spectra, and converts
 problems into the first-order iteration form used by the iterative solver.
@@ -79,28 +79,24 @@ def validate(
 
 
 def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
-    """Quantization constant -n tau' - n(n-1)/2 sigma'' for numeric tau."""
+    """Quantization constant -n (tau' + (n-1) sigma''/2) for numeric tau."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    tau_prime = tau.coeff(1)
-    sigma_pp = 2 * sigma.coeff(2)
-    return -n * tau_prime - Fraction(n * (n - 1), 2) * sigma_pp
+    return -n * (tau.coeff(1) + (n - 1) * sigma.coeff(2))
 
 
 def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     """Solve the affine equation gamma_n(p) = gamma(p) for the parameter.
 
     Both tau' and gamma may depend on p, so the gap gamma_n(p) - gamma(p)
-    is affine in p; read at p = 0 and p = 1, its root is the exact n-th
-    spectrum value.  Raises DegenerateParameterMap when its slope vanishes.
+    is affine in p, with constant gamma_n(tau.const) - gamma.const and
+    slope -n tau.slope' - gamma.slope (sigma does not depend on p); its
+    root is the exact n-th spectrum value.  Raises DegenerateParameterMap
+    when the slope vanishes.
     """
-
-    def gap(p: Fraction) -> Fraction:
-        tau = problem.tau.substitute(p)
-        return gamma_n(tau, problem.sigma, n) - problem.gamma.substitute(p)
-
-    at0 = gap(Fraction(0))
-    slope = gap(Fraction(1)) - at0
+    tau, gamma = problem.tau, problem.gamma
+    at0 = gamma_n(tau.const, problem.sigma, n) - gamma.const
+    slope = -n * tau.slope.coeff(1) - gamma.slope
     if slope == 0:
         raise DegenerateParameterMap(f"parameter coefficient vanishes at n = {n}")
     return -at0 / slope

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aimnu import eigenfunctions
 from aimnu.algebra import Poly, RatFunc, WeightExpr
 from aimnu.catalog import catalog_get
 from aimnu.eigenfunctions import (
@@ -69,6 +70,15 @@ class TestPolynomialSolution:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             polynomial_solution(*HERMITE, -1)
+
+    def test_residual_check_can_fail(self, monkeypatch):
+        # the pivots come from their closed form, so a wrong gamma_n reaches
+        # the residual check, which must reject it
+        monkeypatch.setattr(eigenfunctions, "gamma_n", lambda tau, sigma, n: gamma_n(tau, sigma, n) + 1)
+        for tau, sigma in (HERMITE, LAGUERRE, LEGENDRE):
+            for n in range(4):
+                with pytest.raises(InconsistentGamma, match="residual not identically zero"):
+                    polynomial_solution(tau, sigma, n)
 
 
 class TestLowOrder:

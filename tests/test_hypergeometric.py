@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import catalog_get
@@ -88,6 +90,46 @@ class TestEigenvalue:
         )
         with pytest.raises(DegenerateParameterMap):
             eigenvalue(problem, 0)
+
+
+def _two_point_eigenvalue(problem, n):
+    """The root of the gap gamma_n(p) - gamma(p), read at p = 0 and p = 1."""
+
+    def gap(p):
+        return gamma_n(problem.tau.substitute(p), problem.sigma, n) - problem.gamma.substitute(p)
+
+    at0 = gap(F(0))
+    slope = gap(F(1)) - at0
+    if slope == 0:
+        raise DegenerateParameterMap(f"parameter coefficient vanishes at n = {n}")
+    return -at0 / slope
+
+
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_COEFFS, min_size=2, max_size=2),
+    st.lists(_COEFFS, min_size=0, max_size=2),
+    st.lists(_COEFFS, min_size=3, max_size=3),
+    st.tuples(_COEFFS, _COEFFS),
+    st.integers(0, 12),
+)
+@example([0, -1], [0, 1], [1], (1, -2), 2)  # slope -2 * 1 - (-2) = 0
+@example([1, -2], [], [0, 1], (3, F(1, 2)), 5)  # parameter in gamma only
+def test_eigenvalue_matches_two_point_gap(tau_const, tau_slope, sigma, gamma, n):
+    try:
+        problem = validate(Affine(Poly(tau_const), Poly(tau_slope)), Poly(sigma), gamma)
+    except NotHypergeometricType:
+        assume(False)
+    try:
+        expected = _two_point_eigenvalue(problem, n)
+    except DegenerateParameterMap as exc:
+        with pytest.raises(DegenerateParameterMap, match=str(exc)):
+            eigenvalue(problem, n)
+        return
+    assert eigenvalue(problem, n) == expected
 
 
 class TestToAimForm:

@@ -5,14 +5,15 @@ sympy is a test-only dependency; without it this module is skipped.
 """
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimnu.algebra import Poly, RatFunc, partial_fractions, poly_gcd, rational_roots
-from aimnu.eigenfunctions import polynomial_solution
-from aimnu.errors import DegenerateSpectrum
+from aimnu.eigenfunctions import polynomial_solution, rodrigues
+from aimnu.errors import DegenerateSpectrum, InconsistentGamma
 
 sympy = pytest.importorskip("sympy")
 
@@ -217,3 +218,32 @@ def test_polynomial_solution_matches_sympy_solve(tau, sigma, n):
     values = list((matrix.T * matrix).inv() * matrix.T * rhs) if n else []
     assert found.poly == Poly([_to_fraction(v) for v in values] + [1])
     assert found.gamma_used == _to_fraction(gamma)
+
+
+ninths = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(ninths, min_size=2, max_size=2),
+    st.lists(ninths, min_size=3, max_size=3),
+    st.integers(0, 8),
+)
+@example([F(0), F(-2)], [F(1), F(0), F(0)], 8)  # Hermite
+@example([F(1, 9), F(-5, 7)], [F(2, 3), F(1, 8), F(-1, 6)], 7)  # denominators cleared by 504
+@example([F(0), F(-3)], [F(0), F(0), F(1)], 3)  # the k = 0 factor vanishes: degenerate at j = 1
+def test_rodrigues_is_the_scaled_recursion(tau, sigma, n):
+    """Each Rodrigues step multiplies the leading coefficient by one factor
+    tau' + (n-1+k) sigma''/2, so rodrigues is the monic recursion output times
+    their product; the factors are the pivots over -(n-j), so a zero factor
+    sinks the degree exactly when the recursion meets a zero pivot."""
+    tau, sigma = Poly(tau), Poly(sigma)
+    scale = prod(tau.coeff(1) + (n - 1 + k) * sigma.coeff(2) for k in range(n))
+    try:
+        monic = polynomial_solution(tau, sigma, n).poly
+    except DegenerateSpectrum:
+        assert scale == 0
+        with pytest.raises(InconsistentGamma):
+            rodrigues(tau, sigma, n)
+        return
+    assert rodrigues(tau, sigma, n) == monic * scale
