@@ -13,6 +13,11 @@ evaluation point r0 with the trial value E symbolic, so each level gives
 delta_k(r0, E) as one exact polynomial in E.  ``solve_iterative`` reads the
 eigenvalues off the certified real roots of those polynomials, level by
 level; every step is exact, so the results are reproducible bit for bit.
+For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1} with mu_k affine
+in E (differentiate sigma y'' + tau y' + gamma y = 0 k times), so delta_k =
+delta_{k-1} quo exactly and the roots of delta_k are those of delta_{k-1} and
+the root of the linear quo: one division certifies a level.  Where it fails
+(level 1, input of another form) the level is isolated in full.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _integer_coeffs, _poly, _sign_at
+from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _poly
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -184,32 +189,18 @@ def determinants(problem: AimProblem, r0: Fraction):
             yield _poly(top, q ** (2 * level + 2))
 
 
-def _divide_root(ints: list[int], u: int, v: int) -> list[int]:
-    """Integer coefficients of p(E) / (v E - u) for an integer polynomial p
-    with p(u/v) = 0; by Gauss's lemma every step divides exactly."""
-    out, quo = [], 0
-    for c in reversed(ints[1:]):  # v q_{i-1} = c_i + u q_i
-        quo, rem = divmod(c + u * quo, v)
-        if rem:
-            raise ArithmeticError(f"{u}/{v} is not a root")
-        out.append(quo)
-    if ints[0] + u * quo:
-        raise ArithmeticError(f"{u}/{v} is not a root")
-    return out[::-1]
-
-
 def _level_roots(
-    delta: Poly, prev: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
+    delta: Poly, last: Poly | None, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """``delta.real_roots(lo, hi, tol)``, given the roots ``prev`` of the level
-    before: the exact ones at which delta vanishes are divided out of its
-    primitive integer coefficients, and only the cofactor is isolated."""
-    ints, inherited = _integer_coeffs(delta), []
-    for a, b in prev:
-        if a == b and not _sign_at(ints, a.numerator, a.denominator):
-            ints = _divide_root(ints, a.numerator, a.denominator)
-            inherited.append((a, a))
-    return sorted(set(inherited).union(_poly(ints).real_roots(lo, hi, tol)))
+    """``delta.real_roots(lo, hi, tol)``, given the roots ``carried`` of the
+    level before, ``last``: if delta = last * quo exactly, deg quo <= 1 and
+    every carried root is exact, they are the carried roots and quo's root."""
+    if last is not None and all(a == b for a, b in carried):
+        quo, rem = divmod(delta, last)
+        if rem.is_zero and quo.degree <= 1:
+            new = [-quo.coeff(0) / quo.coeff(1)] if quo.degree == 1 else []
+            return sorted(set(carried).union((x, x) for x in new if lo < x < hi))
+    return delta.real_roots(lo, hi, tol)
 
 
 def solve_iterative(
@@ -221,27 +212,22 @@ def solve_iterative(
 ) -> IterativeSpectrum:
     """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
 
-    Level by level, delta_k is one exact polynomial in E.  For an exactly
-    solvable problem delta_k vanishes at every eigenvalue that delta_{k-1}
-    has, so each level keeps the exact roots of the level before at which
-    delta_k vanishes, divides them out of delta_k exactly and isolates only
-    the cofactor with ``Poly.real_roots``; the union is every root of delta_k
-    in the bracket.  The solver stops at the first k >= 2 whose roots are
-    nonempty, all exact and those of level k-1, or at k_max.  This rule
-    assumes that each further level adds the next eigenvalue, as it does for
-    exactly solvable problems.  An estimate is ``converged`` iff it is exact
-    and among the exact roots of level k-1 at the returned level k, which is
-    delta_{k-1} vanishing there, since ``real_roots`` returns every rational
-    root exactly; any other root is reported at the midpoint of an interval
-    narrower than ``tol``.  ``n`` indexes the ascending roots
-    (bracket-relative, not the mode index).  Raises NoRootInBracket when
-    delta_k has no root in the bracket at the end.
+    Level by level, delta_k is one exact polynomial in E, whose roots
+    ``_level_roots`` certifies: by one exact division by delta_{k-1} from
+    k = 2 on, else (level 1, input of another form) by ``Poly.real_roots``.
+    The solver stops at the first k >= 2 whose roots are nonempty, all exact
+    and those of level k-1, or at k_max, assuming that each level adds the
+    next eigenvalue, as for exactly solvable problems.  An estimate is
+    ``converged`` iff it is exact and a root of level k-1 at the returned
+    level k; any other root is reported at the midpoint of an interval
+    narrower than ``tol``.  ``n`` indexes the ascending roots (bracket-
+    relative, not the mode index).  Raises NoRootInBracket when delta_k has
+    no root in the bracket at the end.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
     pole of lambda0 or s0.  That choice moves no root only for hypergeometric
-    input (``to_aim_form``), where delta_k(r0, E) = sigma(r0)^-(k+1) prod_{n<=k}
-    mu_n(E) with mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 scales delta_k
-    and never moves a root; for any other problem pass ``r0``.
+    input (``to_aim_form``), where r0 scales delta_k by sigma(r0)^-(k+1); for
+    any other problem pass ``r0``.
     """
     if r0 is None:  # the dens have fewer roots than coefficients; a zero den gets pole r0 = 1
         dens = (problem.lambda0.den, problem.s0.den)
@@ -255,12 +241,11 @@ def solve_iterative(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
 
-    prev: list[tuple[Fraction, Fraction]] = []
-    roots: list[tuple[Fraction, Fraction]] = []
+    last, prev, roots = None, [], []  # delta_{k-1}, the roots of levels k-1 and k
     for k, delta in zip(range(1, k_max + 1), determinants(problem, r0)):
         if delta.is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
-        prev, roots = roots, _level_roots(delta, roots, lo, hi, tol)
+        prev, roots, last = roots, _level_roots(delta, last, roots, lo, hi, tol), delta
         if roots and roots == prev and all(a == b for a, b in roots):
             break
     if not roots:
