@@ -1,14 +1,12 @@
 """Exact-rational univariate algebra in the variable r.
 
-Provides immutable polynomials, normalized rational functions, partial
-fraction decompositions over rational roots, and weight expressions of the
-form  P(r) * prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),  which hold every
-weight that integrating a rational log-derivative with rational poles
-gives: the Pearson weights and the Nikiforov--Uvarov factors phi
-(including exp(-2/r) for the Bessel-type equations).  Weights are
-canonical when built: ``integrate_log_derivative`` gives prefactor 1 and
-one factor per distinct simple pole, in root order, and ``WeightExpr``
-stores its fields as given, never factoring them again.
+Provides immutable polynomials, normalized rational functions, and the
+weights w with w'/w = p/sigma, deg p <= 1 and deg sigma <= 2: the Pearson
+weights and the Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special
+Functions of Mathematical Physics, 1988, ch. 1).  sigma has at most two
+rational poles, found by the quadratic formula, so each weight is
+prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)), one factor per distinct simple
+pole in root order; ``WeightExpr`` stores its fields as given.
 
 A Poly is stored as integer numerators over one denominator, and all of
 its arithmetic runs on those integers.  Everything is exact: no
@@ -29,6 +27,7 @@ from .errors import (
     InvalidInput,
     UnsupportedDenominator,
 )
+from .rationals import rational_sqrt
 
 __all__ = [
     "NEG_INF",
@@ -211,11 +210,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return _poly(_derivative(self._nums), self._den)
-
-    def integral(self) -> "Poly":
-        """Formal antiderivative with zero constant term."""
-        m = math.lcm(*range(1, len(self._nums) + 1))
-        return _poly([0] + [v * (m // (i + 1)) for i, v in enumerate(self._nums)], self._den * m)
 
     def evaluate(self, x: _FractionLike) -> Fraction:
         u, v = x.as_integer_ratio()
@@ -596,23 +590,23 @@ def _refine(
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """All rational roots of p with multiplicities, plus the root-free cofactor.
+    """The rational roots of p, nonzero of degree <= 2, ascending with their
+    multiplicities, and the cofactor: p = prod (r - c)^m * residual exactly.
 
-    Returns (roots, residual) with p = prod (r - c)^m * residual exactly;
-    residual has no rational roots.  The roots are the exact ones that
-    ``Poly.real_roots`` certifies inside the Cauchy bound.
+    For a r^2 + b r + c they are (-b -+ s)/(2a), s = sqrt(b^2 - 4ac) if it
+    is rational, else p is its own residual; for b r + c, -c/b and residual b.
     """
-    if p.is_zero:
-        raise InvalidInput("rational_roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    work = p
-    bound = 1 + Fraction(max(map(abs, p._nums[:-1]), default=0), abs(p._nums[-1]))
-    for root in (a for a, b in p.real_roots(-bound, bound) if a == b):
-        m = 0
-        while work.evaluate(root) == 0:
-            work, m = work // Poly.linear_root(root), m + 1
-        roots.append((root, m))
-    return roots, work
+    if p.is_zero or p.degree > 2:
+        raise InvalidInput(f"rational_roots takes a nonzero polynomial of degree <= 2, not {p}")
+    c, b, a = p.coeff(0), p.coeff(1), p.coeff(2)
+    if not a:
+        return ([(-c / b, 1)], Poly.const(b)) if b else ([], p)
+    s = rational_sqrt(b * b - 4 * a * c)
+    if s is None:
+        return [], p
+    if s == 0:
+        return [(-b / (2 * a), 2)], Poly.const(a)
+    return sorted([((-b - s) / (2 * a), 1), ((-b + s) / (2 * a), 1)]), Poly.const(a)
 
 
 @dataclass(frozen=True)
@@ -623,40 +617,28 @@ class PartialFractionForm:
     poly_part: Poly
     terms: tuple[tuple[Fraction, int, Fraction], ...]
 
-    def reassemble(self) -> RatFunc:
-        total = RatFunc(self.poly_part)
-        for root, order, coeff in self.terms:
-            total = total + RatFunc(Poly.const(coeff), Poly.linear_root(root) ** order)
-        return total
-
 
 def partial_fractions(f: RatFunc) -> PartialFractionForm:
-    """Decompose f over its rational linear factors.
+    """Decompose f, of denominator degree <= 2, over its rational poles.
 
-    Raises UnsupportedDenominator when the denominator has an irreducible
-    factor without rational roots; nothing is ever approximated.
+    With poly_part, rem = divmod(num, den), a simple root a has rem(a)/den'(a);
+    a double root, den = c (r - a)^2, has rem'/c at order 1 and rem(a)/c at
+    order 2.  Zero terms are dropped; no rational root: UnsupportedDenominator.
     """
-    poly_part, rem = divmod(f.num, f.den)
-    if rem.is_zero:
-        return PartialFractionForm(poly_part, ())
-    roots, residual = rational_roots(f.den)
+    den = f.den
+    if den.degree > 2:
+        raise InvalidInput(f"partial_fractions takes a denominator of degree <= 2, not {den}")
+    poly_part, rem = divmod(f.num, den)
+    roots, residual = ([], den) if rem.is_zero else rational_roots(den)
     if residual.degree > 0:
-        raise UnsupportedDenominator(
-            f"denominator factor without rational roots: {residual}"
-        )
+        raise UnsupportedDenominator(f"denominator factor without rational roots: {residual}")
     terms: list[tuple[Fraction, int, Fraction]] = []
     for root, m in roots:
-        cofactor = f.den // (Poly.linear_root(root) ** m)
-        g = RatFunc(rem, cofactor)
-        fact = 1
-        for i in range(m):
-            if i > 0:
-                g = g.derivative()
-                fact *= i
-            coeff = g.evaluate(root) / fact
-            if coeff != 0:
-                terms.append((root, m - i, coeff))
-    return PartialFractionForm(poly_part, tuple(sorted(terms)))
+        if m == 1:
+            terms.append((root, 1, rem.evaluate(root) / den.derivative().evaluate(root)))
+        else:
+            terms += [(root, 1, rem.coeff(1) / den.leading), (root, 2, rem.evaluate(root) / den.leading)]
+    return PartialFractionForm(poly_part, tuple(sorted(t for t in terms if t[2])))
 
 
 # ----------------------------------------------------------------------
@@ -712,22 +694,20 @@ class WeightExpr:
 
 
 def integrate_log_derivative(f: RatFunc) -> WeightExpr:
-    """Return w with w'/w = f, as a WeightExpr (integration constant = 1).
+    """Return w with w'/w = f as a WeightExpr (integration constant = 1).
 
-    The polynomial part integrates into the exponential argument, simple
-    poles become power factors, and higher-order poles integrate back into
-    rational exponential arguments.  Raises UnsupportedDenominator when the
-    denominator of f has no rational-root factorization.
+    f = p/sigma, deg p <= 1, deg sigma <= 2 (else InvalidInput): a pole
+    c/(r - a) becomes the factor (r - a)^c, a pole c/(r - a)^2 the exponent
+    -c/(r - a), and a polynomial part b + m r the exponent b r + m r^2/2.
     """
     pf = partial_fractions(f)
-    exp_arg = RatFunc(pf.poly_part.integral())
+    if pf.poly_part.degree > 1:
+        raise InvalidInput(f"polynomial part {pf.poly_part} of degree above 1")
+    exp_arg = RatFunc(Poly((0, pf.poly_part.coeff(0), pf.poly_part.coeff(1) / 2)))
     factors: list[tuple[Fraction, Fraction]] = []
     for root, order, coeff in pf.terms:
         if order == 1:
             factors.append((root, coeff))
         else:
-            exp_arg = exp_arg + RatFunc(
-                Poly.const(-coeff / (order - 1)),
-                Poly.linear_root(root) ** (order - 1),
-            )
+            exp_arg = exp_arg + RatFunc(Poly.const(-coeff), Poly.linear_root(root))
     return WeightExpr(1, factors, exp_arg)

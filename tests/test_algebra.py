@@ -168,7 +168,6 @@ class TestIntegerKernel:
     def test_calculus_and_evaluation(self, a, x, y):
         p, ra = Poly(a), _trim(a)
         assert p.derivative().coeffs == _trim([i * c for i, c in enumerate(ra)][1:])
-        assert p.integral().coeffs == _trim([0] + [c / (i + 1) for i, c in enumerate(ra)])
         assert p.evaluate(x) == sum(c * F(x) ** i for i, c in enumerate(ra))
         assert p.compose_linear(x, y).coeffs == _ref_compose(ra, F(x), F(y))
         assert p.compose_linear(x).coeffs == _ref_compose(ra, F(x), F(1))
@@ -211,7 +210,6 @@ class TestIntegerKernel:
             -(-p),
             p * 3 * F(1, 3),
             p.compose_linear(c).compose_linear(-F(c)),
-            p.integral().derivative(),
         ]
         nums, den = _stored(p)
         assert den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1])
@@ -250,10 +248,16 @@ class TestRealRoots:
 
     def test_rational_roots_of_a_30_digit_constant(self):
         c = 10**30 + 57
-        roots, residual = rational_roots((R - F(2, 3)) ** 2 * (R * R + c))
-        assert roots == [(F(2, 3), 2)] and residual == R * R + c
-        roots, residual = rational_roots((3 * R - 1) * (R * R - c * c))
-        assert roots == [(F(-c), 1), (F(1, 3), 1), (F(c), 1)] and residual == Poly.const(3)
+        assert rational_roots(R * R + c) == ([], R * R + c)
+        assert rational_roots(3 * (R - F(2, 3)) * (R - c)) == ([(F(2, 3), 1), (F(c), 1)], Poly.const(3))
+        assert rational_roots(F(-1, 2) * (R - F(1, c)) ** 2) == ([(F(1, c), 2)], Poly.const(F(-1, 2)))
+        assert rational_roots(3 * R - c) == ([(F(c, 3), 1)], Poly.const(3))
+        assert rational_roots(Poly.const(c)) == ([], Poly.const(c))
+
+    def test_rational_roots_rejects_zero_and_degree_three(self):
+        for p in (R**3, (R - 1) * (R * R - 4), Poly()):
+            with pytest.raises(InvalidInput):
+                rational_roots(p)
 
 
 class TestRatFunc:
@@ -297,14 +301,21 @@ class TestPartialFractions:
         with pytest.raises(UnsupportedDenominator):
             partial_fractions(RatFunc(Poly.const(1), R * R + 1))
 
+    def test_denominator_of_degree_three_rejected(self):
+        for den in (R**3, R**3 - R, R**3 + 1):
+            with pytest.raises(InvalidInput):
+                partial_fractions(RatFunc(Poly.const(1), den))
+            with pytest.raises(InvalidInput):
+                integrate_log_derivative(RatFunc(Poly.const(1), den))
+        with pytest.raises(InvalidInput):  # its polynomial part r^2 + r + 1 has degree 2
+            integrate_log_derivative(RatFunc(R**3, R - 1))
+
     @given(
         roots=st.lists(
             st.fractions(min_value=-3, max_value=3, max_denominator=3),
             min_size=1,
-            max_size=3,
-            unique=True,
+            max_size=2,
         ),
-        mults=st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
         num_coeffs=st.lists(
             st.fractions(min_value=-9, max_value=9, max_denominator=4),
             min_size=1,
@@ -312,13 +323,17 @@ class TestPartialFractions:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_reassembly_round_trip(self, roots, mults, num_coeffs):
+    def test_reassembly_round_trip(self, roots, num_coeffs):
+        # one or two roots, equal roots a double pole: the denominator has degree <= 2
         den = Poly.const(1)
-        for root, m in zip(roots, mults):
-            den = den * Poly.linear_root(root) ** m
-        num = Poly(num_coeffs)
-        f = RatFunc(num, den)
-        assert partial_fractions(f).reassemble() == f
+        for root in roots:
+            den = den * Poly.linear_root(root)
+        f = RatFunc(Poly(num_coeffs), den)
+        form = partial_fractions(f)
+        total = RatFunc(form.poly_part)
+        for root, order, coeff in form.terms:
+            total = total + RatFunc(Poly.const(coeff), Poly.linear_root(root) ** order)
+        assert total == f
 
 
 class TestProductRule:
@@ -382,7 +397,7 @@ class TestWeightExpr:
 
 class TestExactness:
     def test_no_floats_leak(self):
-        w = integrate_log_derivative(RatFunc(F(1, 3) - 2 * R, R**3 - R))
+        w = integrate_log_derivative(RatFunc(F(1, 3) - 2 * R, R**2 - R))
         for part in (w.prefactor.num, w.prefactor.den, w.exp_arg.num, w.exp_arg.den):
             assert all(isinstance(c, F) for c in part.coeffs)
         assert all(isinstance(mu, F) for _, mu in w.factors)

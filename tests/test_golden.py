@@ -39,11 +39,15 @@ EIGEN_CASES = [
 
 #: (file stem, `aimnu nu` problem file), run with ``--n 2``; every run exits 0.
 #: "readme" is the README's example, "two-roots" has sigma = (3r - 2)(r + 1),
-#: and the first phi of "exp-pole" prints ``r^2 * exp((2)/(r))``.
+#: the first phi of "exp-pole" prints ``r^2 * exp((2)/(r))``, "linear" has
+#: sigma = r and a phi ``r^1/2 * exp(1/2*r)``, and the phi of "irrational",
+#: whose sigma = r^2 - 2 has no rational root, prints ``unsupported``.
 NU_CASES = [
     ("readme", {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"]}),
     ("two-roots", {"tauTilde": ["0", "-2"], "sigma": ["-2", "1", "3"], "sigmaTilde": ["-15/4", "6", "-3"]}),
     ("exp-pole", {"tauTilde": ["2", "0"], "sigma": ["0", "0", "1"], "sigmaTilde": ["0", "0", "-2"]}),
+    ("linear", {"tauTilde": ["0"], "sigma": ["0", "1"], "sigmaTilde": ["1/4", "3", "-1/4"]}),
+    ("irrational", {"tauTilde": ["-2"], "sigma": ["-2", "0", "1"], "sigmaTilde": ["-5", "2"]}),
 ]
 NU_FORMATS = {"table": "txt", "json": "json"}
 

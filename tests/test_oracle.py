@@ -11,9 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimnu.algebra import Poly, RatFunc, partial_fractions, poly_gcd, rational_roots
+from aimnu.algebra import (
+    Poly,
+    RatFunc,
+    integrate_log_derivative,
+    partial_fractions,
+    poly_gcd,
+    rational_roots,
+)
 from aimnu.eigenfunctions import polynomial_solution, rodrigues
-from aimnu.errors import DegenerateSpectrum, InconsistentGamma
+from aimnu.errors import DegenerateSpectrum, InconsistentGamma, UnsupportedDenominator
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,15 +39,23 @@ def _to_fraction(value) -> F:
     return F(int(value.p), int(value.q))
 
 
+def _up_to_two_roots(draw) -> list[F]:
+    """Zero, one or two rational roots; a single one is at times doubled."""
+    roots = draw(st.lists(rationals, max_size=2))
+    return roots * 2 if len(roots) == 1 and draw(st.booleans()) else roots
+
+
 @st.composite
 def factored_polys(draw):
-    """Rational linear factors with multiplicity <= 3, times an optional r^2 + c."""
+    """A nonzero constant times up to two rational linear factors (one of them
+    squared, at times), or times r^2 + c with c up to 30 digits."""
     p = Poly.const(draw(rationals.filter(bool)))
-    for root in draw(st.lists(rationals, max_size=4)):
-        p = p * Poly.linear_root(root) ** draw(st.integers(1, 3))
     if draw(st.booleans()):
-        c = draw(st.one_of(st.integers(-(10**30), 10**30), rationals))
-        p = p * Poly((c, 0, 1))
+        squares = st.integers(0, 10**15).map(lambda m: -m * m)
+        c = draw(st.one_of(st.integers(-(10**30), 10**30), squares, rationals))
+        return p * Poly((c, 0, 1))
+    for root in _up_to_two_roots(draw):
+        p = p * Poly.linear_root(root)
     return p
 
 
@@ -55,6 +70,8 @@ def random_polys(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(factored_polys())
+@example(Poly((-(10**30), 0, 1)))  # roots -+10^15
+@example(Poly((F(4, 9), F(-4, 3), 1)))  # the double root 2/3
 def test_rational_roots_match_sympy(p):
     roots, residual = rational_roots(p)
     expected = sympy.roots(_to_sympy(p), filter="Q")
@@ -154,10 +171,10 @@ def test_divmod_matches_sympy(a, b):
 
 @st.composite
 def linear_factor_ratfuncs(draw):
-    """num / (c prod (r - a)^m): distinct rational roots, multiplicity <= 3."""
+    """num / (c (r - a)^m (r - b)^n), m + n <= 2: two poles, one (maybe double) or none."""
     den = Poly.const(draw(rationals.filter(bool)))
-    for root in draw(st.lists(rationals, max_size=3, unique=True)):
-        den = den * Poly.linear_root(root) ** draw(st.integers(1, 3))
+    for root in _up_to_two_roots(draw):
+        den = den * Poly.linear_root(root)
     num = Poly(draw(st.lists(rationals, min_size=1, max_size=6).filter(any)))
     return RatFunc(num, den)
 
@@ -184,6 +201,40 @@ def test_partial_fractions_match_sympy_apart(f):
     poly_part, terms = _apart(_to_sympy(f.num).as_expr() / _to_sympy(f.den).as_expr())
     assert _to_sympy(form.poly_part) == poly_part
     assert list(form.terms) == terms
+
+
+@st.composite
+def weight_problems(draw):
+    """(p, sigma), deg p <= 1, sigma of one of five shapes; "irreducible" is
+    a ((r - b)^2 + c), which has rational roots only when -c is a square."""
+    p = Poly(draw(st.lists(rationals, max_size=2)))
+    a, b, c = draw(rationals.filter(bool)), draw(rationals), draw(rationals)
+    shapes = {
+        "constant": Poly.const(a),
+        "linear": a * Poly.linear_root(b),
+        "two roots": a * Poly.linear_root(b) * Poly.linear_root(c),
+        "double root": a * Poly.linear_root(b) ** 2,
+        "irreducible": a * (Poly.linear_root(b) ** 2 + c),
+    }
+    return p, shapes[draw(st.sampled_from(list(shapes)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_problems())
+@example((Poly((1, 2)), Poly((F(1, 4), -1, 1))))  # a double pole at 1/2
+@example((Poly((0, 3)), Poly((-6, 1, 1))))  # poles at -3 and 2
+def test_weights_have_the_log_derivative_they_integrate(problem):
+    """w'/w = p/sigma, and UnsupportedDenominator exactly when the reduced
+    denominator is a quadratic in which sympy finds no rational root."""
+    f = RatFunc(*problem)
+    irrational = f.den.degree == 2 and not sympy.roots(_to_sympy(f.den), filter="Q")
+    try:
+        w = integrate_log_derivative(f)
+    except UnsupportedDenominator:
+        assert irrational
+        return
+    assert not irrational
+    assert w.log_derivative() == f
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
