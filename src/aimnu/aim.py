@@ -14,10 +14,11 @@ delta_k(r0, E) as one exact polynomial in E.  ``solve_iterative`` reads the
 eigenvalues off the certified real roots of those polynomials, level by
 level; every step is exact, so the results are reproducible bit for bit.
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1} with mu_k affine
-in E (differentiate sigma y'' + tau y' + gamma y = 0 k times), so delta_k =
-delta_{k-1} quo exactly and the roots of delta_k are those of delta_{k-1} and
-the root of the linear quo: one division certifies a level.  Where it fails
-(level 1, input of another form) the level is isolated in full.
+in E (differentiate sigma y'' + tau y' + gamma y = 0 k times), down to
+delta_0 = -s0 and delta_{-1} = 1, so delta_k = delta_{k-1} quo exactly and
+the roots of delta_k are those of delta_{k-1} and the root of the linear
+quo: one division certifies every level.  Input of another form, where the
+division fails, is isolated in full.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class EigenvalueEstimate:
 
     n: int
     value: Fraction
-    k_used: int
     converged: bool
 
 
@@ -146,7 +146,7 @@ def _taylor_rows(parts: list[list[int]], q: int):
 
 
 def determinants(problem: AimProblem, r0: Fraction):
-    """Yield delta_k(r0, E) for k = 1, 2, ... as Polys in the trial parameter E.
+    """Yield delta_k(r0, E) for k = 0, 1, ... as Polys in the trial parameter E.
 
     With c_k[i], d_k[i] the Taylor coefficients of lambda_k, s_k about r0,
     the recursion reads
@@ -155,15 +155,18 @@ def determinants(problem: AimProblem, r0: Fraction):
         d_k[i] = (i+1) d_{k-1}[i+1] + sum_j d_0[j] c_{k-1}[i-j]
 
     and delta_k(r0) = c_k[0] d_{k-1}[0] - c_{k-1}[0] d_k[0] (the improved
-    AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004).  Level K
-    needs the anti-diagonal k + i = K only, so levels extend one at a time.
+    AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004).  With
+    lambda_{-1} = 1 and s_{-1} = 0 the same formula gives delta_0 = -s0(r0).
+    Level K needs the anti-diagonal k + i = K only, so levels extend one at
+    a time.
 
     It runs on integer lists in E.  With lambda0 and s0 shifted to r0 and
     their denominators cleared, q = lcm of the two denominators' values at
     r0 makes C_k[i] = q^(k+i+1) c_k[i] and D_k[i] = q^(k+i+2) d_k[i]
     integers.  The weights balance every term, so C and D obey the same
     recursion, and delta_k = (C_k[0] D_{k-1}[0] - C_{k-1}[0] D_k[0]) / q^(2k+2)
-    is built from those integers and reduced with one gcd.
+    is built from those integers and reduced with one gcd; C_{-1}[0] = 1 and
+    D_{-1}[0] = 0 give delta_0 = -D_0[0] / q^2.
     """
     parts = [_cleared(f, r0) for f in (problem.lambda0, problem.s0)]
     if not all(den and den[0] for _, _, den in parts):
@@ -183,19 +186,19 @@ def determinants(problem: AimProblem, r0: Fraction):
             rev = lam[i::-1]  # C_{k-1}[i-j] for j = 0..i
             c[k].append(_dot([([i + 1], lam[i + 1]), ([1], s[i]), *zip(c[0], rev)]))
             d[k].append(_dot([([i + 1], s[i + 1]), *zip(d[0], rev)]))
-        if level >= 1:
-            neg = [-y for y in d[level][0]]
-            top = _dot([(c[level][0], d[level - 1][0]), (c[level - 1][0], neg)])
-            yield _poly(top, q ** (2 * level + 2))
+        lam_prev, s_prev = (c[level - 1][0], d[level - 1][0]) if level else ([1], [])
+        neg = [-y for y in d[level][0]]
+        yield _poly(_dot([(c[level][0], s_prev), (lam_prev, neg)]), q ** (2 * level + 2))
 
 
 def _level_roots(
-    delta: Poly, last: Poly | None, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
+    delta: Poly, last: Poly, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """``delta.real_roots(lo, hi, tol)``, given the roots ``carried`` of the
-    level before, ``last``: if delta = last * quo exactly, deg quo <= 1 and
-    every carried root is exact, they are the carried roots and quo's root."""
-    if last is not None and all(a == b for a, b in carried):
+    level before, ``last``: if last is nonzero, delta = last * quo exactly,
+    deg quo <= 1 and every carried root is exact, they are the carried roots
+    and quo's root."""
+    if not last.is_zero and all(a == b for a, b in carried):
         quo, rem = divmod(delta, last)
         if rem.is_zero and quo.degree <= 1:
             new = [-quo.coeff(0) / quo.coeff(1)] if quo.degree == 1 else []
@@ -213,8 +216,8 @@ def solve_iterative(
     """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
 
     Level by level, delta_k is one exact polynomial in E, whose roots
-    ``_level_roots`` certifies: by one exact division by delta_{k-1} from
-    k = 2 on, else (level 1, input of another form) by ``Poly.real_roots``.
+    ``_level_roots`` certifies by one exact division by delta_{k-1}, from
+    delta_{-1} = 1 on, or, for input of another form, by ``Poly.real_roots``.
     The solver stops at the first k >= 2 whose roots are nonempty, all exact
     and those of level k-1, or at k_max, assuming that each level adds the
     next eigenvalue, as for exactly solvable problems.  An estimate is
@@ -241,17 +244,17 @@ def solve_iterative(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
 
-    last, prev, roots = None, [], []  # delta_{k-1}, the roots of levels k-1 and k
-    for k, delta in zip(range(1, k_max + 1), determinants(problem, r0)):
-        if delta.is_zero:
+    last, prev, roots = Poly.const(1), [], []  # delta_{k-1}, the roots of levels k-1 and k
+    for k, delta in zip(range(k_max + 1), determinants(problem, r0)):
+        if k and delta.is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
         prev, roots, last = roots, _level_roots(delta, last, roots, lo, hi, tol), delta
-        if roots and roots == prev and all(a == b for a, b in roots):
+        if k >= 2 and roots and roots == prev and all(a == b for a, b in roots):
             break
     if not roots:
         raise NoRootInBracket(f"no root of delta_{k} in ({lo}, {hi})")
     estimates = [
-        EigenvalueEstimate(n, a if a == b else (a + b) / 2, k, a == b and (a, a) in prev)
+        EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and (a, a) in prev)
         for n, (a, b) in enumerate(roots)
     ]
     return IterativeSpectrum(estimates, k, (len(prev), len(roots)))

@@ -193,9 +193,6 @@ class Poly:
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (Fraction, int)):
             other = Poly.const(other)
@@ -245,9 +242,7 @@ class Poly:
             raise InvalidInput(f"empty interval ({lo}, {hi}) or width {width} <= 0")
         if self.degree < 1:
             return []
-        ints = _integer_coeffs(self)
-        if not _squarefree_mod_prime(ints):
-            ints = _integer_coeffs(self // poly_gcd(self, self.derivative()))
+        ints = _integer_coeffs(self // poly_gcd(self, self.derivative()))
         found: list[tuple[Fraction, Fraction]] = []
         isolated: list[tuple[Fraction, Fraction]] = []
         # Descartes bisection on P(x) = p(lo + (hi - lo) x), x in (0, 1)
@@ -267,13 +262,6 @@ class Poly:
                 stack += [(a, mid, left), (mid, b, right)]
         found += [_refine(ints, lo_, hi_, width) for lo_, hi_ in isolated]
         return sorted(found)
-
-    # -- normal forms -------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return _poly(list(self._nums), self._nums[-1])
 
     # -- display ------------------------------------------------------
 
@@ -488,27 +476,6 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // content for v in ints] if content > 1 else ints
 
 
-def _squarefree_mod_prime(ints: list[int]) -> bool:
-    """True when gcd(p, p') = 1 modulo 2^61 - 1, which proves p squarefree
-    (a common factor over Q would survive, the prime not dividing lc)."""
-    q = (1 << 61) - 1
-    a, b = [c % q for c in ints], [i * c % q for i, c in enumerate(ints)][1:]
-    if not a[-1]:
-        return False
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):  # a <- a mod b
-            f, top = a[-1] * inv % q, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[top + i] = (a[top + i] - f * c) % q
-            a.pop()
-        a, b = b, a
-
-
 def _shift_by_one(cs: list[int]) -> list[int]:
     """Coefficients of P(x + 1), lowest degree first."""
     cs = list(cs)
@@ -687,7 +654,7 @@ class WeightExpr:
         if not (self.prefactor == RatFunc(1)) or not self.factors:
             parts.append(f"({self.prefactor})")
         for root, mu in self.factors:
-            parts.append(f"(r - {root})^{mu}" if root != 0 else f"r^{mu}")
+            parts.append(f"(r {'-' if root > 0 else '+'} {abs(root)})^{mu}" if root else f"r^{mu}")
         if not self.exp_arg.is_zero:
             parts.append(f"exp({self.exp_arg})")
         return " * ".join(parts) if parts else "1"

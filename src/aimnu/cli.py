@@ -246,21 +246,19 @@ def cmd_solve(name_or_file, params, n_max, fmt):
 )
 @click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
 @click.option("--kmax", type=click.IntRange(2, MAX_KMAX), default=40, help="highest level k")
-@click.option("--tol", default="1/100000000", help="interval width for roots not certified exact")
 @_FORMAT
-def cmd_aim(name_or_file, params, r0, bracket, kmax, tol, fmt):
+def cmd_aim(name_or_file, params, r0, bracket, kmax, fmt):
     """Iterative spectrum: exact roots of delta_k(r0, E), certified level by level.
 
-    Stops once the roots in the open bracket are all exact and equal to those
-    of level k-1; exits 1, naming them, when some root is uncertified at kmax.
+    Each level is delta_{k-1} times a factor affine in E, from delta_{-1} = 1,
+    so one exact division certifies it and every root is an exact rational.
+    Stops once the roots in the open bracket equal those of level k-1; exits
+    1, naming them, when some root is uncertified at kmax.
     """
     name, problem = _load_problem(name_or_file, _parse_params(params))
     lo, hi = _parse_bracket(bracket)
     r0_val = parse_rational(r0) if r0 is not None else None
-    tol_val = parse_rational(tol)
-    if tol_val <= 0:
-        raise BadParameter("tol must be positive")
-    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), r0_val, (lo, hi), kmax, tol_val)
+    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), r0_val, (lo, hi), kmax)
     k = estimates.k
     rows = [
         {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}

@@ -204,7 +204,7 @@ class TestCertifiedBrackets:
         estimates = _solve(name, r0, bracket)
         assert [e.value for e in estimates] == expected
         assert all(type(e.value) is F for e in estimates)
-        assert all(e.converged and e.k_used == estimates.k for e in estimates)
+        assert all(e.converged for e in estimates)
         assert estimates.counts == (len(expected), len(expected))
 
     def test_k_max_too_small(self):
@@ -225,6 +225,18 @@ class TestCertifiedBrackets:
         problem = validate(Poly([0, F(13, 2)]), Poly([1, 0, -1]), (0, 1), "E")
         estimates = solve_iterative(to_aim_form(problem), None, (F(-7), F(-3)))
         assert [e.value for e in estimates] == [F(-13, 2), F(-7, 2)]
+
+    def test_zero_delta_0_is_not_divided_by(self):
+        # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_1 is
+        # not: level 1 is isolated in full, never divided by delta_0
+        problem = AimProblem(
+            ParamRatFunc(Affine(Poly([0, 2]), Poly()), Poly.const(1)),
+            ParamRatFunc(Affine(Poly([-1, 1]), Poly([-1, 1])), Poly.const(1)),
+        )
+        estimates = solve_iterative(problem, F(1), (F(-10), F(10)), k_max=4)
+        assert [e.value for e in estimates] == [-5, -1, F(7, 5)]
+        assert [e.converged for e in estimates] == [False, True, False]
+        assert (estimates.k, estimates.counts) == (4, (1, 3))
 
     def test_irrational_roots_reported_as_midpoints(self):
         # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
@@ -279,9 +291,11 @@ def affine_problems(draw):
 
 
 def _check_against_oracle(problem, r0, k_max):
-    deltas = [delta for _, delta in zip(range(k_max), determinants(problem, r0))]
+    deltas = [delta for _, delta in zip(range(k_max + 1), determinants(problem, r0))]
     for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
-        assert [d.evaluate(energy) for d in deltas] == _deltas_at(problem, energy, k_max, r0)
+        values = [d.evaluate(energy) for d in deltas]
+        assert values[0] == -problem.s0.substitute(energy).evaluate(r0)
+        assert values[1:] == _deltas_at(problem, energy, k_max, r0)
 
 
 @st.composite
@@ -325,7 +339,7 @@ class TestDeterminants:
         problem, r0 = case
         deltas = [d for _, d in zip(range(8), determinants(to_aim_form(problem), r0))]
         assume(not deltas[0].is_zero)
-        for k, (last, delta) in enumerate(zip(deltas, deltas[1:]), start=2):
+        for k, (last, delta) in enumerate(zip(deltas, deltas[1:]), start=1):
             quo, rem = divmod(delta, last)
             assert rem.is_zero and quo.degree <= 1
             if quo.degree == 1:
@@ -361,7 +375,8 @@ def _check_levels(problem, r0, bracket, k_max):
 
     def record(delta, *args):
         levels.append(_level_roots(delta, *args))
-        _assert_same_roots(delta, levels[-1], delta.real_roots(*bracket, TOL))
+        if not delta.is_zero:
+            _assert_same_roots(delta, levels[-1], delta.real_roots(*bracket, TOL))
         return levels[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -373,31 +388,47 @@ def _check_levels(problem, r0, bracket, k_max):
     return levels
 
 
+def _isolations(problem, r0, bracket, k_max):
+    """The polynomials that ``solve_iterative`` hands to ``Poly.real_roots``,
+    and its estimates (none when it raises NoRootInBracket)."""
+    calls, estimates = [], []
+    real_roots = Poly.real_roots
+
+    def spy(self, *args):
+        calls.append(self)
+        return real_roots(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "real_roots", spy)
+        try:
+            estimates = solve_iterative(problem, r0, bracket, k_max=k_max)
+        except NoRootInBracket:
+            pass
+    return calls, estimates
+
+
 class TestLevelRoots:
     @pytest.mark.parametrize(
         "name, r0, bracket, k_max",
         [(*case, 40) for case in GOLDEN_BRACKETS] + [("kratzer", None, (F(1, 150), F(1)), 80)],
     )
-    def test_catalog_isolates_level_one_only(self, monkeypatch, name, r0, bracket, k_max):
-        # every later level is certified by the quotient, never by isolation
-        calls = []
-        real_roots = Poly.real_roots
+    def test_catalog_never_isolates(self, name, r0, bracket, k_max):
+        # every level from delta_0 on is certified by the quotient, never by isolation
+        calls, estimates = _isolations(to_aim_form(catalog_get(name)), r0, bracket, k_max)
+        assert calls == [] and estimates and all(e.converged for e in estimates)
 
-        def spy(self, *args):
-            calls.append(self)
-            return real_roots(self, *args)
-
-        monkeypatch.setattr(Poly, "real_roots", spy)
-        estimates = _solve(name, r0, bracket, k_max=k_max)
-        assert len(calls) == 1
-        assert all(e.converged for e in estimates)
+    @settings(max_examples=40, deadline=None)
+    @given(hypergeometric_problems())
+    def test_hypergeometric_input_never_isolates(self, case):
+        problem, r0 = case
+        assert _isolations(to_aim_form(problem), r0, (F(-10), F(10)), 8)[0] == []
 
     @pytest.mark.parametrize("name, r0, bracket", GOLDEN_BRACKETS)
     def test_every_level_matches_full_isolation(self, name, r0, bracket):
         problem = to_aim_form(catalog_get(name))
         k = solve_iterative(problem, r0, bracket).k
         levels = _check_levels(problem, r0, bracket, k)
-        assert len(levels) == k
+        assert len(levels) == k + 1
         # each level keeps every root of the level before, all exact
         for before, after in zip(levels, levels[1:]):
             assert all(a == b for a, b in after) and set(before) <= set(after)

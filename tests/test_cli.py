@@ -233,9 +233,17 @@ class TestAim:
     def test_bad_bracket_exits_2(self, runner):
         result = runner.invoke(main, ["aim", "hermite", "--bracket", "zero-one"])
         assert result.exit_code == 2
-        for args in (["--bracket", "1:0"], ["--bracket", "0:1", "--tol", "0"]):
-            result = runner.invoke(main, ["aim", "hermite", *args])
-            assert result.exit_code == 2 and "error: " in result.output
+        result = runner.invoke(main, ["aim", "hermite", "--bracket", "1:0"])
+        assert result.exit_code == 2 and "error: " in result.output
+
+    def test_zero_gamma_exits_1(self, runner, tmp_path):
+        # gamma = 0 makes s0 and every s_k vanish: delta_0 = 0 is no error, delta_1 = 0 is
+        doc = {"tau": {"r1": {"const": "-2", "param": "1"}}, "sigma": ["1"], "gamma": {"const": "0", "param": "0"}}
+        path = tmp_path / "zero-gamma.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["aim", str(path), "--bracket=-10:10"])
+        assert result.exit_code == 1
+        assert "error: delta_1 vanishes for every trial value" in result.output
 
 
 @pytest.mark.parametrize("command", ["solve", "eigenfunction", "nu"])
