@@ -19,11 +19,8 @@ from .algebra import (
 )
 from .aim import (
     AimProblem,
-    AimSequence,
     EigenvalueEstimate,
     ParamRatFunc,
-    aim_step,
-    delta_k,
     iterate,
     solve_iterative,
 )
@@ -61,12 +58,9 @@ __all__ = [
     "partial_fractions",
     "integrate_log_derivative",
     "AimProblem",
-    "AimSequence",
     "EigenvalueEstimate",
     "ParamRatFunc",
-    "aim_step",
     "iterate",
-    "delta_k",
     "solve_iterative",
     "HypergeometricProblem",
     "validate",

@@ -6,11 +6,13 @@ Implements the (lambda_k, s_k) recursion
     s_k      = s_{k-1}' + s_0 lambda_{k-1}
 
 and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
-in two independent forms.  ``iterate``/``delta_k`` run it on rational
-functions of r at one numeric trial value; they serve as the oracle.
-``determinants`` runs it on integer-weighted Taylor coefficients about the
-evaluation point r0 with the trial value E symbolic, so each level gives
-delta_k(r0, E) as one exact polynomial in E.  ``solve_iterative`` reads the
+by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
+..., the levels that follow from lambda_{-1} = 1 and s_{-1} = 0.
+``iterate`` runs the recursion on rational functions of r at one numeric
+trial value; it serves as the oracle.  ``determinants`` runs it on
+integer-weighted Taylor coefficients about the evaluation point r0 with the
+trial value E symbolic, so each level gives delta_k(r0, E) as one exact
+polynomial in E.  ``solve_iterative`` reads the
 eigenvalues off the certified real roots of those polynomials, level by
 level; every step is exact, so the results are reproducible bit for bit.
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1} with mu_k affine
@@ -34,12 +36,9 @@ from .errors import EvaluationPole, NoRootInBracket
 __all__ = [
     "ParamRatFunc",
     "AimProblem",
-    "AimSequence",
     "EigenvalueEstimate",
     "IterativeSpectrum",
-    "aim_step",
     "iterate",
-    "delta_k",
     "determinants",
     "solve_iterative",
 ]
@@ -70,41 +69,19 @@ class AimProblem:
     s0: ParamRatFunc
 
 
-@dataclass(frozen=True)
-class AimSequence:
-    """Two consecutive recursion rows, parameter already numeric."""
-
-    k: int
-    lambda_k: RatFunc
-    s_k: RatFunc
-    lambda_km1: RatFunc
-    s_km1: RatFunc
-
-
-def aim_step(
-    lambda_prev: RatFunc, s_prev: RatFunc, lambda0: RatFunc, s0: RatFunc
-) -> tuple[RatFunc, RatFunc]:
-    """One exact recursion step producing (lambda_k, s_k)."""
-    lam = lambda_prev.derivative() + s_prev + lambda0 * lambda_prev
-    s = s_prev.derivative() + s0 * lambda_prev
-    return lam, s
-
-
-def iterate(lambda0: RatFunc, s0: RatFunc, k: int) -> AimSequence:
-    """Run the recursion up to level k >= 1 and return the last two rows."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lam_prev, s_prev = lambda0, s0
-    lam, s = aim_step(lam_prev, s_prev, lambda0, s0)
-    for _ in range(1, k):
-        lam_prev, s_prev = lam, s
-        lam, s = aim_step(lam_prev, s_prev, lambda0, s0)
-    return AimSequence(k, lam, s, lam_prev, s_prev)
-
-
-def delta_k(seq: AimSequence) -> RatFunc:
-    """Quantization determinant lambda_k s_{k-1} - lambda_{k-1} s_k."""
-    return seq.lambda_k * seq.s_km1 - seq.lambda_km1 * seq.s_k
+def iterate(problem: AimProblem, energy: Fraction, k: int) -> list[RatFunc]:
+    """[delta_0, ..., delta_k] as rational functions of r at one numeric trial
+    value, from one pass of the recursion on RatFunc rows: the levels of
+    ``determinants`` by an independent route, its oracle."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lam0, s0 = problem.lambda0.substitute(energy), problem.s0.substitute(energy)
+    lam, s, deltas = lam0, s0, [-s0]
+    for _ in range(k):
+        lam_next, s_next = lam.derivative() + s + lam0 * lam, s.derivative() + s0 * lam
+        deltas.append(lam_next * s - lam * s_next)
+        lam, s = lam_next, s_next
+    return deltas
 
 
 @dataclass

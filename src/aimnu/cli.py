@@ -239,26 +239,21 @@ def cmd_solve(name_or_file, params, n_max, fmt):
 @main.command("aim")
 @click.argument("name_or_file")
 @_PARAM
-@click.option(
-    "--r0",
-    default=None,
-    help="evaluation point (rational); default: the first of 1, 1/2, 1/3, ... that is no pole",
-)
 @click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
 @click.option("--kmax", type=click.IntRange(2, MAX_KMAX), default=40, help="highest level k")
 @_FORMAT
-def cmd_aim(name_or_file, params, r0, bracket, kmax, fmt):
+def cmd_aim(name_or_file, params, bracket, kmax, fmt):
     """Iterative spectrum: exact roots of delta_k(r0, E), certified level by level.
 
     Each level is delta_{k-1} times a factor affine in E, from delta_{-1} = 1,
-    so one exact division certifies it and every root is an exact rational.
+    so one exact division certifies it and every root is an exact rational;
+    r0, the first of 1, 1/2, 1/3, ... off the roots of sigma, moves no root.
     Stops once the roots in the open bracket equal those of level k-1; exits
     1, naming them, when some root is uncertified at kmax.
     """
     name, problem = _load_problem(name_or_file, _parse_params(params))
     lo, hi = _parse_bracket(bracket)
-    r0_val = parse_rational(r0) if r0 is not None else None
-    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), r0_val, (lo, hi), kmax)
+    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), bracket=(lo, hi), k_max=kmax)
     k = estimates.k
     rows = [
         {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}

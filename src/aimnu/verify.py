@@ -331,24 +331,17 @@ def suite_delta() -> list[CheckResult]:
     problem = hypergeometric.to_aim_form(catalog.catalog_get("hermite"))
     # delta_1 is a quadratic polynomial in the trial constant; checking it
     # against 4k(k-1) at seven points proves the identity
-    ok = True
-    for kappa in (F(-2), F(-1), F(0), F(1, 2), F(1), F(3), F(7, 3)):
-        seq = aim.iterate(problem.lambda0.substitute(kappa), problem.s0.substitute(kappa), 1)
-        delta = aim.delta_k(seq)
-        if delta != RatFunc(Poly.const(4 * kappa * (kappa - 1))):
-            ok = False
+    ok = all(
+        aim.iterate(problem, kappa, 1)[1] == RatFunc(Poly.const(4 * kappa * (kappa - 1)))
+        for kappa in (F(-2), F(-1), F(0), F(1, 2), F(1), F(3), F(7, 3))
+    )
     out.append(_result("delta", "delta_1 = 4k(k-1) for the Hermite form", ok))
 
-    ok = True
-    for n in range(5):  # one pass of the recursion per mode, delta_k read at each level
-        lam0 = problem.lambda0.substitute(F(n))
-        s0 = problem.s0.substitute(F(n))
-        lam, s = lam0, s0
-        for k in range(1, 9):
-            seq = aim.AimSequence(k, *aim.aim_step(lam, s, lam0, s0), lam, s)
-            lam, s = seq.lambda_k, seq.s_k
-            if k > n and aim.delta_k(seq).evaluate(F(1)) != 0:
-                ok = False
+    ok = all(
+        delta.evaluate(F(1)) == 0
+        for n in range(5)
+        for delta in aim.iterate(problem, F(n), 8)[n + 1 :]
+    )
     out.append(_result("delta", "delta_k vanishes at integer modes for k >= n+1", ok))
     return out
 

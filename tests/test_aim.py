@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,11 +8,8 @@ from hypothesis import strategies as st
 import aimnu.aim as aim_module
 from aimnu.aim import (
     AimProblem,
-    AimSequence,
     ParamRatFunc,
     _level_roots,
-    aim_step,
-    delta_k,
     determinants,
     iterate,
     solve_iterative,
@@ -25,53 +23,34 @@ R = Poly.variable()
 TOL = F(1, 10**8)
 
 
-def _hermite_rows(kappa):
-    lam0 = RatFunc(Poly([0, 2]))
-    s0 = RatFunc(Poly.const(-2 * kappa))
-    return lam0, s0
+HERMITE = to_aim_form(catalog_get("hermite"))  # lambda0 = 2r, s0 = -2E
 
 
 class TestRecursion:
-    def test_first_step_hermite(self):
-        lam0, s0 = _hermite_rows(F(3))
-        lam1, s1 = aim_step(lam0, s0, lam0, s0)
-        assert lam1 == RatFunc(Poly([-4, 0, 4]))  # 4r^2 - 2k + 2 at k = 3
-        assert s1 == RatFunc(Poly([0, -12]))  # -4kr
+    def test_iterate_starts_at_delta_0(self):
+        for kappa in (F(-1), F(0), F(5, 3)):
+            delta_0 = -HERMITE.s0.substitute(kappa)
+            assert iterate(HERMITE, kappa, 0) == [delta_0] == [RatFunc(2 * kappa)]
 
-    def test_iterate_returns_last_two_rows(self):
-        lam0, s0 = _hermite_rows(F(1))
-        seq = iterate(lam0, s0, 2)
-        assert seq.k == 2
-        lam1, s1 = aim_step(lam0, s0, lam0, s0)
-        assert (seq.lambda_km1, seq.s_km1) == (lam1, s1)
-        assert (seq.lambda_k, seq.s_k) == aim_step(lam1, s1, lam0, s0)
-
-    def test_iterate_rejects_k_zero(self):
-        lam0, s0 = _hermite_rows(F(1))
+    def test_iterate_rejects_negative_k(self):
         with pytest.raises(ValueError):
-            iterate(lam0, s0, 0)
+            iterate(HERMITE, F(1), -1)
 
 
 class TestDelta:
     def test_delta1_hermite_closed_form(self):
         for kappa in (F(-1), F(0), F(1, 2), F(1), F(5, 3)):
-            seq = iterate(*_hermite_rows(kappa), 1)
-            assert delta_k(seq) == RatFunc(Poly.const(4 * kappa * (kappa - 1)))
+            expected = [RatFunc(2 * kappa), RatFunc(4 * kappa * (kappa - 1))]
+            assert iterate(HERMITE, kappa, 1) == expected
 
     def test_delta_vanishes_at_integer_modes(self):
+        # E = n is a root of delta_k exactly from level k = n on
         for n in range(4):
-            for k in range(n + 1, 7):
-                seq = iterate(*_hermite_rows(F(n)), k)
-                assert delta_k(seq).evaluate(F(1)) == 0
+            deltas = iterate(HERMITE, F(n), 6)
+            assert [d.evaluate(F(1)) == 0 for d in deltas] == [k >= n for k in range(7)]
 
     def test_delta_nonzero_off_spectrum(self):
-        seq = iterate(*_hermite_rows(F(1, 2)), 3)
-        assert delta_k(seq).evaluate(F(1)) != 0
-
-    def test_antisymmetry_under_row_swap(self):
-        seq = iterate(*_hermite_rows(F(1, 3)), 2)
-        swapped = AimSequence(seq.k, seq.lambda_km1, seq.s_km1, seq.lambda_k, seq.s_k)
-        assert delta_k(swapped) == -delta_k(seq)
+        assert all(d.evaluate(F(1)) != 0 for d in iterate(HERMITE, F(1, 2), 3))
 
 
 class TestSolveIterative:
@@ -219,12 +198,25 @@ class TestCertifiedBrackets:
         reason="ROADMAP item A: the stopping rule ends at the first level whose roots "
         "repeat, so a spectrum that is not monotone in n loses the modes after it",
     )
-    def test_nonmonotone_spectrum_is_complete(self):
-        # sigma = 1 - r^2, tau = 13r/2, gamma = E: E_n = n^2 - 15n/2, and the
-        # bracket holds E_1 = -13/2 and E_7 = -7/2
-        problem = validate(Poly([0, F(13, 2)]), Poly([1, 0, -1]), (0, 1), "E")
-        estimates = solve_iterative(to_aim_form(problem), None, (F(-7), F(-3)))
-        assert [e.value for e in estimates] == [F(-13, 2), F(-7, 2)]
+    @pytest.mark.parametrize(
+        "problem, bracket, expected",
+        [
+            # sigma = 1 - r^2, tau = 13r/2, gamma = E: E_n = n^2 - 15n/2, and the
+            # bracket holds E_1 = -13/2 and E_7 = -7/2
+            (
+                validate(Poly([0, F(13, 2)]), Poly([1, 0, -1]), (0, 1), "E"),
+                (F(-7), F(-3)),
+                [F(-13, 2), F(-7, 2)],
+            ),
+            # E_n = n(n - 7/2) is 0, -5/2, -3, -3/2, 2 for n <= 4, and the bracket
+            # holds E_0 = 0 and E_4 = 2
+            (catalog_get("jacobi", {"alpha": F(-9, 2), "beta": F(0)}), (F(-1), F(3)), [0, 2]),
+        ],
+        ids=["nonmono", "jacobi-alpha-minus-9/2"],
+    )
+    def test_nonmonotone_spectrum_is_complete(self, problem, bracket, expected):
+        estimates = solve_iterative(to_aim_form(problem), None, bracket)
+        assert [e.value for e in estimates] == expected
 
     def test_zero_delta_0_is_not_divided_by(self):
         # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_1 is
@@ -255,14 +247,8 @@ class TestCertifiedBrackets:
 
 
 def _deltas_at(problem, energy, k_max, r0=F(1)):
-    """[delta_k(r0) for k = 1..k_max] at one energy, from the RatFunc rows."""
-    lam0, s0 = problem.lambda0.substitute(energy), problem.s0.substitute(energy)
-    seq = iterate(lam0, s0, 1)
-    out = [delta_k(seq).evaluate(r0)]
-    for k in range(2, k_max + 1):
-        seq = AimSequence(k, *aim_step(seq.lambda_k, seq.s_k, lam0, s0), seq.lambda_k, seq.s_k)
-        out.append(delta_k(seq).evaluate(r0))
-    return out
+    """[delta_k(r0) for k = 0..k_max] at one energy, from the RatFunc rows."""
+    return [delta.evaluate(r0) for delta in iterate(problem, energy, k_max)]
 
 
 #: lambda0 = (1 + 2r + E r^2)/(2 - 3r), s0 = (E - r)/(2 - 3r): at the
@@ -293,9 +279,7 @@ def affine_problems(draw):
 def _check_against_oracle(problem, r0, k_max):
     deltas = [delta for _, delta in zip(range(k_max + 1), determinants(problem, r0))]
     for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
-        values = [d.evaluate(energy) for d in deltas]
-        assert values[0] == -problem.s0.substitute(energy).evaluate(r0)
-        assert values[1:] == _deltas_at(problem, energy, k_max, r0)
+        assert [d.evaluate(energy) for d in deltas] == _deltas_at(problem, energy, k_max, r0)
 
 
 @st.composite
@@ -344,6 +328,17 @@ class TestDeterminants:
             assert rem.is_zero and quo.degree <= 1
             if quo.degree == 1:
                 assert -quo.coeff(0) / quo.coeff(1) == eigenvalue(problem, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypergeometric_problems(), st.sampled_from([F(0), F(2, 3), F(-5, 2)]))
+    def test_oracle_is_the_product_formula(self, case, energy):
+        # delta_k = sigma^-(k+1) prod_{n<=k} mu_n(E) as a rational function of r,
+        # mu_n = gamma + n tau' + n(n-1) sigma_2 with sigma_2 the r^2 coefficient
+        problem, _ = case
+        gamma, slope = problem.gamma.substitute(energy), problem.tau.substitute(energy).coeff(1)
+        mu = [gamma + n * slope + n * (n - 1) * problem.sigma.coeff(2) for n in range(4)]
+        for k, delta in enumerate(iterate(to_aim_form(problem), energy, 3)):
+            assert delta == RatFunc(Poly.const(prod(mu[: k + 1])), problem.sigma ** (k + 1))
 
 
 def _assert_same_roots(delta, got, expected):

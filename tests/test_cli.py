@@ -199,10 +199,11 @@ class TestAim:
         assert result.exit_code == 1
         assert "no root of delta_6 in (10, 11)" in result.output
 
-    def test_pole_at_r0_exits_1(self, runner):
-        result = runner.invoke(main, ["aim", "morse", "--r0", "0", "--bracket", "0:4"])
-        assert result.exit_code == 1
-        assert "error: denominator pole at r0 = 0" in result.output
+    def test_r0_is_no_option(self, runner):
+        # r0 scales delta_k by sigma(r0)^-(k+1) and moves no root, so it is not asked for
+        result = runner.invoke(main, ["aim", "legendre", "--r0", "1/3", "--bracket", "-1/2:60"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_kratzer_json_certificate(self, runner):
         result = invoke(runner, ["aim", "kratzer", "--bracket", "1/50:1", "--format", "json"])

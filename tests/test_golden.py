@@ -18,12 +18,12 @@ DATA = Path(__file__).parent / "data"
 #: (file stem, `aimnu aim` arguments, exit code); hermite-kmax5 has an
 #: uncertified row, since 5 is a root of delta_5 but not of delta_4.
 CASES = [
-    ("hermite", ["hermite", "--r0", "1", "--bracket", "-1/2:21/2"], 0),
-    ("legendre", ["legendre", "--r0", "1/3", "--bracket", "-1/2:60"], 0),
-    ("kratzer", ["kratzer", "--r0", "1", "--bracket", "1/50:1"], 0),
-    ("morse", ["morse", "--r0", "1", "--bracket", "0:4"], 0),
-    ("hulthen", ["hulthen", "--r0", "1/2", "--bracket", "0:3"], 0),
-    ("hermite-kmax5", ["hermite", "--r0", "1", "--bracket", "-1/2:21/2", "--kmax", "5"], 1),
+    ("hermite", ["hermite", "--bracket", "-1/2:21/2"], 0),
+    ("legendre", ["legendre", "--bracket", "-1/2:60"], 0),
+    ("kratzer", ["kratzer", "--bracket", "1/50:1"], 0),
+    ("morse", ["morse", "--bracket", "0:4"], 0),
+    ("hulthen", ["hulthen", "--bracket", "0:3"], 0),
+    ("hermite-kmax5", ["hermite", "--bracket", "-1/2:21/2", "--kmax", "5"], 1),
 ]
 FORMATS = ("json", "csv")
 

@@ -32,8 +32,10 @@ def _drop_a_root(monkeypatch):
 
 
 def _shift_delta(monkeypatch):
-    original = aim.delta_k
-    monkeypatch.setattr(aim, "delta_k", lambda seq: original(seq) + RatFunc(1))
+    original = aim.iterate
+    monkeypatch.setattr(
+        aim, "iterate", lambda *args: [delta + RatFunc(1) for delta in original(*args)]
+    )
 
 
 def _hulthen_series_times_r(monkeypatch):
