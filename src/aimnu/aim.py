@@ -168,10 +168,13 @@ def determinants(problem: AimProblem, r0: Fraction):
         yield _poly(_dot([(c[level][0], s_prev), (lam_prev, neg)]), q ** (2 * level + 2))
 
 
+_TOL = Fraction(1, 10**8)  # an uncertified root is reported on an interval narrower than this
+
+
 def _level_roots(
-    delta: Poly, last: Poly, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction, tol: Fraction
+    delta: Poly, last: Poly, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """``delta.real_roots(lo, hi, tol)``, given the roots ``carried`` of the
+    """``delta.real_roots(lo, hi, _TOL)``, given the roots ``carried`` of the
     level before, ``last``: if last is nonzero, delta = last * quo exactly,
     deg quo <= 1 and every carried root is exact, they are the carried roots
     and quo's root."""
@@ -180,7 +183,7 @@ def _level_roots(
         if rem.is_zero and quo.degree <= 1:
             new = [-quo.coeff(0) / quo.coeff(1)] if quo.degree == 1 else []
             return sorted(set(carried).union((x, x) for x in new if lo < x < hi))
-    return delta.real_roots(lo, hi, tol)
+    return delta.real_roots(lo, hi, _TOL)
 
 
 def solve_iterative(
@@ -188,7 +191,6 @@ def solve_iterative(
     r0: Fraction | None = None,
     bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
     k_max: int = 40,
-    tol: Fraction = Fraction(1, 10**8),
 ) -> IterativeSpectrum:
     """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
 
@@ -196,13 +198,14 @@ def solve_iterative(
     ``_level_roots`` certifies by one exact division by delta_{k-1}, from
     delta_{-1} = 1 on, or, for input of another form, by ``Poly.real_roots``.
     The solver stops at the first k >= 2 whose roots are nonempty, all exact
-    and those of level k-1, or at k_max, assuming that each level adds the
-    next eigenvalue, as for exactly solvable problems.  An estimate is
-    ``converged`` iff it is exact and a root of level k-1 at the returned
-    level k; any other root is reported at the midpoint of an interval
-    narrower than ``tol``.  ``n`` indexes the ascending roots (bracket-
-    relative, not the mode index).  Raises NoRootInBracket when delta_k has
-    no root in the bracket at the end.
+    and those of level k-1, or at k_max.  Level k adds the root of mode k,
+    so when the spectrum is not monotone in n the rule can stop before a
+    later mode that lies in the bracket and drop it (ROADMAP item A).  An
+    estimate is ``converged`` iff it is exact and a root of level k-1 at the
+    returned level k; any other root is reported at the midpoint of an
+    interval narrower than ``_TOL`` = 10^-8.  ``n`` indexes the ascending
+    roots (bracket-relative, not the mode index).  Raises NoRootInBracket
+    when delta_k has no root in the bracket at the end.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
     pole of lambda0 or s0.  That choice moves no root only for hypergeometric
@@ -216,8 +219,6 @@ def solve_iterative(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
 
@@ -225,7 +226,7 @@ def solve_iterative(
     for k, delta in zip(range(k_max + 1), determinants(problem, r0)):
         if k and delta.is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
-        prev, roots, last = roots, _level_roots(delta, last, roots, lo, hi, tol), delta
+        prev, roots, last = roots, _level_roots(delta, last, roots, lo, hi), delta
         if k >= 2 and roots and roots == prev and all(a == b for a, b in roots):
             break
     if not roots:

@@ -212,16 +212,15 @@ class Poly:
         u, v = x.as_integer_ratio()
         return Fraction(_horner(self._nums, u, v), self._den * v ** max(len(self._nums) - 1, 0))
 
-    def compose_linear(self, a: _FractionLike, b: _FractionLike = 1) -> "Poly":
-        """p(a + b*r) as a polynomial in r, by homogeneous Horner on
-        a + b*r = (l0 + l1 r)/w with integers l0, l1, w."""
-        (ua, va), (ub, vb) = a.as_integer_ratio(), b.as_integer_ratio()
-        l0, l1, w = ua * vb, ub * va, va * vb
+    def compose_linear(self, a: _FractionLike) -> "Poly":
+        """p(a + r) as a polynomial in r, by homogeneous Horner on
+        a + r = (u + v r)/v with a = u/v."""
+        u, v = a.as_integer_ratio()
         acc: list[int] = []
         for k, c in enumerate(reversed(self._nums)):
-            acc = [x * l0 + y * l1 for x, y in zip(acc + [0], [0] + acc)]
-            acc[0] += c * w**k
-        return _poly(acc, self._den * w ** max(len(self._nums) - 1, 0))
+            acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] += c * v**k
+        return _poly(acc, self._den * v ** max(len(self._nums) - 1, 0))
 
     def real_roots(
         self, lo: _FractionLike, hi: _FractionLike, width: Fraction | None = None
@@ -613,34 +612,19 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class WeightExpr:
     """P(r) * prod_i (r - c_i)^{mu_i} * exp(g(r)) with P, g rational functions.
 
-    The prefactor is never zero.  The fields are stored as given: the
-    producer builds the canonical form (``integrate_log_derivative`` gives
-    prefactor 1 and distinct, sorted roots with nonzero mu), so that equal
-    weights compare equal.
+    The fields are stored as given, with no coercion or check: the producer
+    builds the canonical form (``integrate_log_derivative`` gives prefactor
+    1 and distinct, sorted roots with nonzero mu), so that equal weights
+    compare equal.
     """
 
     prefactor: RatFunc
     factors: tuple[tuple[Fraction, Fraction], ...]
     exp_arg: RatFunc
-
-    def __init__(
-        self,
-        prefactor: RatFunc | Poly | _FractionLike = 1,
-        factors: Iterable[tuple[Fraction, Fraction]] = (),
-        exp_arg: RatFunc | Poly | _FractionLike = 0,
-    ):
-        prefactor = _coerce_ratfunc(prefactor)
-        if prefactor.is_zero:
-            raise InvalidInput("a weight expression is never zero")
-        object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(
-            self, "factors", tuple((_as_fraction(r), _as_fraction(mu)) for r, mu in factors)
-        )
-        object.__setattr__(self, "exp_arg", _coerce_ratfunc(exp_arg))
 
     def log_derivative(self) -> RatFunc:
         """(w'/w) as an exact rational function."""
@@ -677,4 +661,4 @@ def integrate_log_derivative(f: RatFunc) -> WeightExpr:
             factors.append((root, coeff))
         else:
             exp_arg = exp_arg + RatFunc(Poly.const(-coeff), Poly.linear_root(root))
-    return WeightExpr(1, factors, exp_arg)
+    return WeightExpr(RatFunc(1), tuple(factors), exp_arg)

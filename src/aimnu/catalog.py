@@ -267,6 +267,8 @@ def _resolve_params(entry: CatalogEntry, params: Mapping | None) -> dict[str, Fr
     for key, raw in (params or {}).items():
         if key not in values:
             raise BadParameter(f"{entry.name} has no parameter {key!r}")
+        if not isinstance(raw, (int, Fraction)):
+            raise BadParameter(f"{entry.name}: parameter {key} is {raw!r}, not an int or a Fraction")
         values[key] = Fraction(raw)
     for spec in entry.parameters:
         if values[spec.name] == spec.excluded:

@@ -343,7 +343,7 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
     elif method == "explicit":
         poly = eig_mod.y_low_order(tau, problem.sigma, n)
     else:
-        poly = eig_mod.hulthen_eigenfunction(n, parsed.get("q", Fraction(1)), value)
+        poly = eig_mod.hulthen_eigenfunction(n, -problem.sigma.coeff(2), value)  # sigma = r(1 - q r)
     coeffs = [format_rational(c) for c in poly.coeffs] or ["0"]
     envelope = {
         "name": name,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .aim import AimProblem, ParamRatFunc
 from .algebra import Affine, Poly
-from .errors import DegenerateParameterMap, NotHypergeometricType
+from .errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
 
 __all__ = [
     "HypergeometricProblem",
@@ -70,11 +70,14 @@ def validate(
     mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 never moves a root and
     ``aim.solve_iterative`` picks one off the poles of sigma.
 
-    Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2.
+    Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2, and
+    InvalidInput if a gamma coefficient is not an int or a Fraction.
     """
     if isinstance(tau, Poly):
         tau = Affine(tau, Poly())
     const, slope = gamma
+    if not all(isinstance(x, (int, Fraction)) for x in gamma):
+        raise InvalidInput(f"gamma {gamma!r} must be a pair of ints or Fractions")
     return HypergeometricProblem(tau, sigma, Affine(Fraction(const), Fraction(slope)), parameter)
 
 

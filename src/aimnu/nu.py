@@ -66,20 +66,16 @@ class NuReduction:
 
 
 def _square_root_of_quadratic(u: Poly) -> Poly | None:
-    """Exact polynomial square root of a degree <= 2 polynomial, or None."""
-    if u.is_zero:
-        return Poly()
+    """Exact polynomial square root of a degree <= 2 polynomial u = a r^2 +
+    b r + c whose discriminant b^2 - 4ac is zero, or None.  That premise
+    makes u = (s r + b/(2s))^2 with s^2 = a when a != 0, and b = 0 when
+    a = 0, so only the rational square root of a or of c can fail."""
     a, b, c = u.coeff(2), u.coeff(1), u.coeff(0)
-    if a != 0:
+    if a:
         s = rational_sqrt(a)
-        if s is None:
-            return None
-        w = Poly((b / (2 * s), s))
-        return w if w * w == u else None
-    if b != 0:
-        return None
+        return None if s is None else Poly((b / (2 * s), s))
     t = rational_sqrt(c)
-    return Poly.const(t) if t is not None else None
+    return None if t is None else Poly.const(t)
 
 
 def nu_find_k(problem: NuProblem) -> list[NuReduction]:
@@ -93,15 +89,10 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     u0 = half * half - problem.sigma_tilde
     sigma = problem.sigma
 
-    # u(r; k) coefficients, affine in k
-    a0, a1 = u0.coeff(2), sigma.coeff(2)
-    b0, b1 = u0.coeff(1), sigma.coeff(1)
-    c0, c1 = u0.coeff(0), sigma.coeff(0)
-    d2 = b1 * b1 - 4 * a1 * c1
-    d1 = 2 * b0 * b1 - 4 * (a0 * c1 + c0 * a1)
-    d0 = b0 * b0 - 4 * a0 * c0
-
-    if d2 == 0 and d1 == 0 and d0 == 0:
+    # discriminant in k of u(r; k), whose coefficients are affine in k
+    a, b, c = (Poly((u0.coeff(i), sigma.coeff(i))) for i in (2, 1, 0))
+    disc = b * b - 4 * a * c
+    if disc.is_zero:
         if u0.is_zero:
             # radicand vanishes identically at k = 0
             return [_make_reduction(problem, Fraction(0), half)]
@@ -110,18 +101,11 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
         )
 
     candidates: list[NuReduction] = []
-    for k, _ in rational_roots(Poly((d0, d1, d2)))[0]:
-        u = u0 + sigma * k
-        w = _square_root_of_quadratic(u)
-        if w is None:
-            continue
-        seen: set[Poly] = set()
-        for signed in (w, -w):
-            pi = half + signed
-            if pi in seen:
-                continue
-            seen.add(pi)
-            candidates.append(_make_reduction(problem, k, pi))
+    for k, _ in rational_roots(disc)[0]:
+        w = _square_root_of_quadratic(u0 + sigma * k)
+        if w is not None:
+            for signed in (w,) if w.is_zero else (w, -w):
+                candidates.append(_make_reduction(problem, k, half + signed))
     if not candidates:
         raise NoRationalReduction("no rational k gives a perfect-square radicand")
     return candidates

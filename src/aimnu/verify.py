@@ -107,17 +107,17 @@ def suite_morse() -> list[CheckResult]:
     detail = ""
     for alpha, beta in _morse_cases():
         problem = catalog.catalog_get("morse", {"alpha": alpha, "beta": beta})
-        certified, note = _iterative_matches(problem, F(1), (beta - 2 * alpha, beta))
+        certified, note = _iterative_matches(problem, (beta - 2 * alpha, beta))
         if not certified:
             ok, detail = False, f"alpha={alpha}, beta={beta}: {note}"
     out.append(_result("morse", "iterative roots exact and complete, n = 0, 1", ok, detail))
     return out
 
 
-def _iterative_matches(problem, r0: Fraction, bracket: tuple[Fraction, Fraction]):
+def _iterative_matches(problem, bracket: tuple[Fraction, Fraction]):
     """(ok, detail): the iterative route returns, each one converged, exactly
     the closed-form eigenvalues E_0..E_20 that lie inside the open bracket."""
-    estimates = aim.solve_iterative(hypergeometric.to_aim_form(problem), r0, bracket, k_max=40)
+    estimates = aim.solve_iterative(hypergeometric.to_aim_form(problem), None, bracket, k_max=40)
     closed = {hypergeometric.eigenvalue(problem, n) for n in range(21)}
     expected = sorted(v for v in closed if bracket[0] < v < bracket[1])
     ok = all(e.converged for e in estimates) and [e.value for e in estimates] == expected
@@ -348,14 +348,14 @@ def suite_delta() -> list[CheckResult]:
 
 def suite_aim_consistency() -> list[CheckResult]:
     cases = {
-        "morse": (F(1), (F(0), F(4))),
-        "hulthen": (F(1, 2), (F(0), F(3))),
-        "kratzer": (F(1), (F(1, 5), F(1))),
-        "hermite": (F(1), (F(-1, 2), F(3, 2))),
+        "morse": (F(0), F(4)),
+        "hulthen": (F(0), F(3)),
+        "kratzer": (F(1, 5), F(1)),
+        "hermite": (F(-1, 2), F(3, 2)),
     }
     out = []
-    for name, (r0, bracket) in cases.items():
-        ok, detail = _iterative_matches(catalog.catalog_get(name), r0, bracket)
+    for name, bracket in cases.items():
+        ok, detail = _iterative_matches(catalog.catalog_get(name), bracket)
         out.append(_result("aim", f"iterative agrees with closed form: {name}", ok, detail))
     return out
 

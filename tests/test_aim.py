@@ -20,7 +20,7 @@ from aimnu.errors import EvaluationPole, NoRootInBracket
 from aimnu.hypergeometric import eigenvalue, to_aim_form, validate
 
 R = Poly.variable()
-TOL = F(1, 10**8)
+TOL = F(1, 10**8)  # the width of an uncertified root's interval, aim._TOL
 
 
 HERMITE = to_aim_form(catalog_get("hermite"))  # lambda0 = 2r, s0 = -2E
@@ -56,7 +56,7 @@ class TestDelta:
 class TestSolveIterative:
     def test_hermite_bracket(self):
         problem = to_aim_form(catalog_get("hermite"))
-        estimates = solve_iterative(problem, F(1), (F(-1, 2), F(3, 2)), tol=TOL)
+        estimates = solve_iterative(problem, F(1), (F(-1, 2), F(3, 2)))
         assert len(estimates) >= 2
         assert all(e.converged for e in estimates)
         for target in (F(0), F(1)):
@@ -67,7 +67,7 @@ class TestSolveIterative:
 
     def test_morse_single_root(self):
         problem = catalog_get("morse")  # alpha=1, beta=5/2; eigenvalues 2, 1, 0, ...
-        estimates = solve_iterative(to_aim_form(problem), F(1), (F(3, 2), F(5, 2)), tol=TOL)
+        estimates = solve_iterative(to_aim_form(problem), F(1), (F(3, 2), F(5, 2)))
         assert any(e.converged and abs(e.value - 2) < 10 * TOL for e in estimates)
 
     def test_no_root_in_bracket(self):
@@ -94,8 +94,8 @@ class TestSolveIterative:
                 problem.s0.den * 3,
             ),
         )
-        a = solve_iterative(problem, F(1), (F(0), F(4)), tol=TOL)
-        b = solve_iterative(scaled, F(1), (F(0), F(4)), tol=TOL)
+        a = solve_iterative(problem, F(1), (F(0), F(4)))
+        b = solve_iterative(scaled, F(1), (F(0), F(4)))
         assert [e.value for e in a] == [e.value for e in b]
 
     def test_input_validation(self):
@@ -103,14 +103,12 @@ class TestSolveIterative:
         with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(1), F(0)))
         with pytest.raises(ValueError):
-            solve_iterative(problem, F(1), (F(0), F(1)), tol=F(0))
-        with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(0), F(1)), k_max=1)
 
     def test_agrees_with_closed_form(self):
         problem = catalog_get("kratzer")
         estimates = solve_iterative(
-            to_aim_form(problem), F(1), (F(1, 5), F(1)), tol=TOL
+            to_aim_form(problem), F(1), (F(1, 5), F(1))
         )
         closed = {eigenvalue(problem, n) for n in range(4)}
         targets = [v for v in closed if F(1, 5) < v < F(1)]
@@ -237,7 +235,7 @@ class TestCertifiedBrackets:
             ParamRatFunc(Affine(Poly([0, 2]), Poly()), Poly.const(1)),
             ParamRatFunc(Affine(Poly([0, 0, 1]), Poly.const(-1)), Poly.const(1)),
         )
-        estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3, tol=TOL)
+        estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3)
         assert len(estimates) == 2 and estimates.counts == (3, 2)
         for e in estimates:
             assert not e.converged
@@ -377,7 +375,7 @@ def _check_levels(problem, r0, bracket, k_max):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(aim_module, "_level_roots", record)
         try:
-            solve_iterative(problem, r0, bracket, k_max=k_max, tol=TOL)
+            solve_iterative(problem, r0, bracket, k_max=k_max)
         except NoRootInBracket:
             pass
     return levels
@@ -436,31 +434,31 @@ class TestLevelRoots:
     def test_root_shared_by_quotient_and_carried_roots_appears_once(self):
         last = Poly.linear_root(F(1, 3)) * Poly.linear_root(2)
         delta = last * Poly([-1, 3])  # the quotient 3E - 1 vanishes at 1/3 again
-        roots = _level_roots(delta, last, [(F(1, 3), F(1, 3)), (F(2), F(2))], F(0), F(5), TOL)
+        roots = _level_roots(delta, last, [(F(1, 3), F(1, 3)), (F(2), F(2))], F(0), F(5))
         assert roots == [(F(1, 3), F(1, 3)), (2, 2)]
 
     def test_quotient_root_outside_the_bracket_is_left_out(self):
         last = Poly.linear_root(1)
         delta = last * Poly.linear_root(7)
-        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5), TOL) == [(1, 1)]
+        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5)) == [(1, 1)]
 
     def test_root_where_delta_does_not_vanish_is_left_out(self):
         # delta_{k-1} does not divide delta_k: the level is isolated in full
         last = Poly.linear_root(2) * Poly.linear_root(3)
         delta = Poly.linear_root(1) * Poly.linear_root(3)
-        roots = _level_roots(delta, last, [(F(2), F(2)), (F(3), F(3))], F(0), F(5), TOL)
+        roots = _level_roots(delta, last, [(F(2), F(2)), (F(3), F(3))], F(0), F(5))
         assert roots == [(1, 1), (3, 3)]
 
     def test_double_root(self):
         # the quotient (E - 3/2)^2 is not linear: the level is isolated in full
         last = Poly.linear_root(1)
         delta = last * Poly.linear_root(F(3, 2)) ** 2
-        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5), TOL) == [(1, 1), (F(3, 2), F(3, 2))]
+        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5)) == [(1, 1), (F(3, 2), F(3, 2))]
 
     def test_irrational_cofactor_root_is_a_narrow_interval(self):
         last = Poly.linear_root(F(1, 3))
         delta = last * Poly([-2, 0, 1])  # (E - 1/3)(E^2 - 2)
-        (one_third, _), (a, b) = _level_roots(delta, last, [(F(1, 3), F(1, 3))], F(0), F(5), TOL)
+        (one_third, _), (a, b) = _level_roots(delta, last, [(F(1, 3), F(1, 3))], F(0), F(5))
         assert one_third == F(1, 3)
         assert a * a < 2 < b * b and b - a < TOL
 
@@ -472,6 +470,6 @@ class TestLevelRoots:
         ((a, b),) = carried
         x = (a + b) / 2
         delta = last * Poly.linear_root(x)
-        roots = _level_roots(delta, last, carried, F(0), F(5), TOL)
+        roots = _level_roots(delta, last, carried, F(0), F(5))
         assert roots == delta.real_roots(F(0), F(5), TOL)
         assert (x, x) in roots and (a, b) not in roots

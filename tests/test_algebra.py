@@ -134,10 +134,10 @@ def _ref_divmod(a, b):
     return _trim(quo), _trim(rem[: len(b) - 1])
 
 
-def _ref_compose(a, u, v):
+def _ref_compose(a, u):
     out: tuple[F, ...] = ()
     for c in reversed(a):
-        out = _ref_add(_ref_mul(out, (u, v)), (c,))
+        out = _ref_add(_ref_mul(out, (u, F(1))), (c,))
     return out
 
 
@@ -163,14 +163,13 @@ class TestIntegerKernel:
         assert (p * c).coeffs == (c * p).coeffs == _ref_mul(ra, (F(c),))
         assert (c - p).coeffs == _ref_add((F(c),), ra, -1)
 
-    @given(a=coefficients, x=coefficient, y=coefficient)
+    @given(a=coefficients, x=coefficient)
     @settings(max_examples=100, deadline=None)
-    def test_calculus_and_evaluation(self, a, x, y):
+    def test_calculus_and_evaluation(self, a, x):
         p, ra = Poly(a), _trim(a)
         assert p.derivative().coeffs == _trim([i * c for i, c in enumerate(ra)][1:])
         assert p.evaluate(x) == sum(c * F(x) ** i for i, c in enumerate(ra))
-        assert p.compose_linear(x, y).coeffs == _ref_compose(ra, F(x), F(y))
-        assert p.compose_linear(x).coeffs == _ref_compose(ra, F(x), F(1))
+        assert p.compose_linear(x).coeffs == _ref_compose(ra, F(x))
         if ra:
             assert p.leading == ra[-1]
         assert [p.coeff(i) for i in range(-1, 9)] == [0] + list(ra) + [0] * (9 - len(ra))
@@ -349,30 +348,28 @@ class TestProductRule:
 class TestWeightExpr:
     def test_gaussian_derivative(self):
         # (exp(-r^2))' = -2r exp(-r^2)
-        w = WeightExpr(1, (), -R * R)
+        w = WeightExpr(RatFunc(1), (), RatFunc(-R * R))
         assert w.log_derivative() == RatFunc(-2 * R)
 
     def test_half_power_derivative(self):
         # ((r-1)^{1/2})' = (1/2)(r-1)^{-1/2}
-        w = WeightExpr(1, ((F(1), F(1, 2)),), 0)
+        w = WeightExpr(RatFunc(1), ((F(1), F(1, 2)),), RatFunc(0))
         assert w.log_derivative() == RatFunc(F(1, 2), R - 1)
 
     def test_rational_exp_arg_derivative(self):
         # (exp(-2/r))' = (2/r^2) exp(-2/r)
-        w = WeightExpr(1, (), RatFunc(-2, R))
+        w = WeightExpr(RatFunc(1), (), RatFunc(-2, R))
         assert w.log_derivative() == RatFunc(2, R**2)
 
     def test_value_semantics(self):
-        a = WeightExpr(-2, ((F(0), F(1)),), RatFunc(-R * R))
-        b = WeightExpr(-2, ((0, 1),), -R * R)  # coerced to the same fields
+        a = WeightExpr(RatFunc(-2), ((F(0), F(1)),), RatFunc(-R * R))
+        b = WeightExpr(RatFunc(-2), ((F(0), F(1)),), RatFunc(-R * R))
         assert a == b and hash(a) == hash(b)
         with pytest.raises(AttributeError):
             a.factors = ()
-        with pytest.raises(InvalidInput):
-            WeightExpr(0)
 
     def test_str_signs_each_root_once(self):
-        w = WeightExpr(1, ((F(-1), F(17, 10)), (F(0), F(2)), (F(2, 3), F(-1, 30))))
+        w = WeightExpr(RatFunc(1), ((F(-1), F(17, 10)), (F(0), F(2)), (F(2, 3), F(-1, 30))), RatFunc(0))
         assert str(w) == "(r + 1)^17/10 * r^2 * (r - 2/3)^-1/30"
 
     def test_log_derivative_identity(self):
@@ -384,7 +381,7 @@ class TestWeightExpr:
         import random
 
         rng = random.Random(42)
-        w = WeightExpr(1, ((F(2), F(1, 2)), (F(3), F(2))), RatFunc(-R, Poly.const(2)))
+        w = WeightExpr(RatFunc(1), ((F(2), F(1, 2)), (F(3), F(2))), RatFunc(-R, Poly.const(2)))
         log_d = w.log_derivative()
 
         def log_w(x: float) -> float:  # log of (r-2)^(1/2) (r-3)^2 exp(-r/2)

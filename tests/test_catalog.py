@@ -61,6 +61,15 @@ class TestGet:
         with pytest.raises(BadParameter):
             catalog_get("morse", {"gamma": F(1)})
 
+    def test_float_parameter_rejected(self):
+        # Fraction(0.1) would silently become 3602879701896397/36028797018963968
+        with pytest.raises(BadParameter, match=r"^morse: parameter alpha is 0.1, not an int or a Fraction$"):
+            catalog_get("morse", {"alpha": 0.1})
+        with pytest.raises(BadParameter):
+            expected_eigenvalue("morse", {"beta": 2.5}, 0)
+        with pytest.raises(BadParameter):
+            catalog_get("morse", {"alpha": "1/2"})
+
     def test_constraint_violation(self):
         with pytest.raises(BadParameter):
             catalog_get("morse", {"alpha": F(0)})

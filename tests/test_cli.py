@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -200,10 +201,12 @@ class TestAim:
         assert "no root of delta_6 in (10, 11)" in result.output
 
     def test_r0_is_no_option(self, runner):
-        # r0 scales delta_k by sigma(r0)^-(k+1) and moves no root, so it is not asked for
-        result = runner.invoke(main, ["aim", "legendre", "--r0", "1/3", "--bracket", "-1/2:60"])
-        assert result.exit_code == 2
-        assert "No such option" in result.output
+        # r0 scales delta_k by sigma(r0)^-(k+1) and moves no root, and every
+        # catalog root is exact, so neither r0 nor a root width is asked for
+        for option in (["--r0", "1/3"], ["--tol", "1/10"]):
+            result = runner.invoke(main, ["aim", "legendre", *option, "--bracket", "-1/2:60"])
+            assert result.exit_code == 2
+            assert "No such option" in result.output
 
     def test_kratzer_json_certificate(self, runner):
         result = invoke(runner, ["aim", "kratzer", "--bracket", "1/50:1", "--format", "json"])
@@ -413,6 +416,21 @@ class TestEigenfunction:
             ["eigenfunction", "hulthen", "--n", "1", "--method", "hypergeometric", "--format", "json"],
         )
         assert json.loads(result.output)["coefficients"] == ["-1", "3"]
+
+    def test_hypergeometric_reads_q_off_the_problem(self, runner, monkeypatch):
+        # with q defaulting to 2 the 2F1 route must still solve the problem the
+        # catalog builds, so it agrees with the recursion up to a scalar
+        hulthen = CATALOG["hulthen"]
+        q, beta2 = hulthen.parameters  # q defaults to 1
+        entry = dataclasses.replace(hulthen, parameters=(dataclasses.replace(q, default=Fraction(2)), beta2))
+        monkeypatch.setitem(CATALOG, "hulthen", entry)
+        coeffs = {}
+        for method in ("hypergeometric", "recursion"):
+            args = ["eigenfunction", "hulthen", "--n", "2", "--method", method, "--format", "json"]
+            doc = json.loads(invoke(runner, args).output)
+            coeffs[method] = Poly([parse_rational(c) for c in doc["coefficients"]])
+        a, b = coeffs["hypergeometric"], coeffs["recursion"]
+        assert a.degree == 2 and a * b.leading == b * a.leading
 
     def test_samples_csv(self, runner):
         result = invoke(
@@ -633,6 +651,13 @@ class TestReadme:
         result = invoke(runner, ["nu", str(path), "--format", "json"])
         assert result.exit_code == 0
         assert [c["k"] for c in json.loads(result.output)["candidates"]] == ["5", "5"]
+
+
+    def test_library_example_runs(self, capsys):
+        # the README's python block, with its plain int parameter alpha = 1
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        exec(re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1), {})
+        assert capsys.readouterr().out.splitlines() == ["2", "0 1 True", "1 2 True", "2 (2, 2)"]
 
 
 class TestVerify:

@@ -109,7 +109,7 @@ class TestLowOrder:
 class TestPearsonWeight:
     def test_hermite_gaussian(self):
         rho = pearson_weight(*HERMITE).weight
-        assert rho == WeightExpr(1, (), -R * R)
+        assert rho == WeightExpr(RatFunc(1), (), RatFunc(-R * R))
 
     def test_laguerre_exponential(self):
         rho = pearson_weight(*LAGUERRE).weight

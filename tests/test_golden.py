@@ -1,5 +1,5 @@
-"""`aimnu aim`, `aimnu eigenfunction` and `aimnu nu` output, byte for byte,
-against files written by an earlier build.
+"""`aimnu aim`, `aimnu eigenfunction`, `aimnu nu` and `aimnu verify` output,
+byte for byte, against files written by an earlier build.
 
 Any change to these outputs must be deliberate: rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record why in CHANGES.md.
@@ -85,6 +85,12 @@ def test_nu_output_matches_golden(stem, doc, fmt, tmp_path):
     assert result.stdout_bytes == (DATA / f"nu-{stem}.{NU_FORMATS[fmt]}").read_bytes()
 
 
+def test_verify_output_matches_golden():
+    result = CliRunner().invoke(main, ["verify"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "verify.txt").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -99,3 +105,4 @@ if __name__ == "__main__":
         for stem, doc in NU_CASES:
             for fmt, ext in NU_FORMATS.items():
                 (DATA / f"nu-{stem}.{ext}").write_bytes(_run_nu(doc, fmt, tmp_dir).stdout_bytes)
+    (DATA / "verify.txt").write_bytes(CliRunner().invoke(main, ["verify"]).stdout_bytes)

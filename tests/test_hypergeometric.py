@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import catalog_get
-from aimnu.errors import DegenerateParameterMap, NotHypergeometricType
+from aimnu.errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
 from aimnu.hypergeometric import (
     eigenvalue,
     gamma_n,
@@ -34,6 +34,12 @@ class TestValidate:
     def test_rejects_zero_sigma(self):
         with pytest.raises(NotHypergeometricType):
             validate(R, Poly())
+
+    def test_rejects_float_gamma(self):
+        with pytest.raises(InvalidInput):
+            validate(R, Poly.const(1), (0, 0.5))
+        with pytest.raises(InvalidInput):
+            validate(R, Poly.const(1), (0.1, 1))
 
     def test_rejects_parameter_free_problem(self):
         with pytest.raises(NotHypergeometricType):

@@ -60,6 +60,17 @@ def _rodrigues_times_r(monkeypatch):
     monkeypatch.setattr(eigenfunctions, "rodrigues", lambda *args: original(*args) * R)
 
 
+def _pearson_exp_plus_r(monkeypatch):
+    # rho times exp(r): its log-derivative is off by 1 from (tau - sigma')/sigma
+    original = eigenfunctions.integrate_log_derivative
+
+    def plus_r(f):
+        weight = original(f)
+        return replace(weight, exp_arg=weight.exp_arg + RatFunc(R))
+
+    monkeypatch.setattr(eigenfunctions, "integrate_log_derivative", plus_r)
+
+
 def _shift_k(monkeypatch):
     # k + 1 with lambdaBar = k + pi' kept consistent, as a wrong root would give
     original = nu.nu_find_k
@@ -85,6 +96,7 @@ MUTANTS = [
     ("kratzer", _recursion_times_r, [1]),
     ("eigenfunctions", _rodrigues_times_r, range(9)),
     ("eigenfunctions", _recursion_times_r, range(9)),
+    ("eigenfunctions", _pearson_exp_plus_r, range(9)),
     ("nu", _shift_k, [0, 1, 2]),
     ("delta", _shift_delta, [0, 1]),
     ("aim", _drop_a_root, [0, 1, 2, 3]),
@@ -99,6 +111,13 @@ def test_mutant_fails_its_rows(monkeypatch, key, mutant, failing):
     mutant(monkeypatch)
     rows = verify.SUITES[key]()  # a suite that raised would fail this test
     assert [i for i, row in enumerate(rows) if not row.ok] == list(failing)
+
+
+def test_pearson_mutant_names_the_residual(monkeypatch):
+    # pearson_weight returns the wrong weight unchecked; the suite's own
+    # comparison is the one that fails
+    _pearson_exp_plus_r(monkeypatch)
+    assert {row.detail for row in verify.suite_eigenfunctions()} == {"Pearson residual nonzero"}
 
 
 def test_every_row_has_a_failing_mutant():
