@@ -9,10 +9,11 @@ and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
 ..., the levels that follow from lambda_{-1} = 1 and s_{-1} = 0.
 ``iterate`` runs the recursion on rational functions of r at one numeric
-trial value; it serves as the oracle.  ``determinants`` runs it on
-integer-weighted Taylor coefficients about the evaluation point r0 with the
-trial value E symbolic, so each level gives delta_k(r0, E) as one exact
-polynomial in E.  ``solve_iterative`` reads the
+trial value; it serves as the oracle.  ``determinants`` runs it on the
+integer numerators A_k = lambda_k (m D)^(k+1) and B_k = s_k (m D)^(k+1),
+polynomials in r - r0 with the trial value E symbolic, where m D clears
+the denominators of lambda0 and s0; each level gives delta_k(r0, E) as one
+exact polynomial in E.  ``solve_iterative`` reads the
 eigenvalues off the certified real roots of those polynomials, level by
 level; every step is exact, so the results are reproducible bit for bit.
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1} with mu_k affine
@@ -26,11 +27,12 @@ division fails, is isolated in full.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 
-from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _poly
+from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _poly, poly_gcd
 from .errors import EvaluationPole, NoRootInBracket
 
 __all__ = [
@@ -102,70 +104,83 @@ class IterativeSpectrum(list):
         self.k, self.counts = k, counts
 
 
-def _cleared(f: ParamRatFunc, r0: Fraction) -> list[list[int]]:
-    """num.const, num.slope and den of f in powers of r - r0, as integer
-    lists with their common denominator cleared."""
-    return _clear_denominators(*(p.compose_linear(r0) for p in (f.num.const, f.num.slope, f.den)))
-
-
-def _taylor_rows(parts: list[list[int]], q: int):
-    """Yield U_j = q^(j+1) f_j for j = 0, 1, ..., f_j the Taylor coefficients
-    of f = (num.const + E num.slope)/den about r0, as integer lists in E, by
-    the division-free recurrence U_j = (q/d0) (q^j N_j - sum_i den_i q^(i-1)
-    U_{j-i}), where d0 = den_0 divides q."""
-    const, slope, den = parts
-    g, rows = q // den[0], []
-    for j in count():
-        n_j = [cs[j] if j < len(cs) else 0 for cs in (const, slope)]
-        terms = [([-den[i] * q ** (i - 1)], rows[j - i]) for i in range(1, min(j + 1, len(den)))]
-        rows.append([g * y for y in _dot([([q**j], n_j), *terms])])
-        yield rows[-1]
+def _numerators(problem: AimProblem, r0: Fraction):
+    """D, m, L and S of ``determinants``, in x = r - r0: D is the primitive
+    integer lcm of the two denominators, and L = m D lambda0 and S = m D s0
+    are lists in x of integer lists in E, m > 0 the least integer that
+    makes them integral."""
+    fs = (problem.lambda0, problem.s0)
+    dens = [f.den for f in fs]
+    lcm = dens[0] if dens[0] == dens[1] else dens[0] * dens[1] // poly_gcd(*dens)
+    if not lcm.evaluate(r0):  # also a zero denominator
+        raise EvaluationPole(f"denominator pole at r0 = {r0}")
+    nums = [
+        p if den == lcm else lcm // den * p
+        for f, den in zip(fs, dens)
+        for p in (f.num.const, f.num.slope)
+    ]
+    # lambda0 = L'/D' and s0 = S'/D' over one cleared denominator, and m D = D'/g
+    D, lc, ls, sc, ss = _clear_denominators(*(p.compose_linear(r0) for p in (lcm, *nums)))
+    m = math.gcd(*D)
+    g = math.gcd(m, *lc, *ls, *sc, *ss)
+    L, S = (
+        [[c // g, e // g] if e else [c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
+        for row in ((lc, ls), (sc, ss))
+    )
+    return [d // m for d in D], m // g, L, S
 
 
 def determinants(problem: AimProblem, r0: Fraction):
     """Yield delta_k(r0, E) for k = 0, 1, ... as Polys in the trial parameter E.
 
-    With c_k[i], d_k[i] the Taylor coefficients of lambda_k, s_k about r0,
-    the recursion reads
+    For rational lambda0 and s0 the recursion stays on polynomials.  Write
+    lambda0 = L/(m D) and s0 = S/(m D) in x = r - r0 (``_numerators``; D is
+    sigma up to a constant for hypergeometric input) and
+    lambda_k = A_k/(m D)^(k+1), s_k = B_k/(m D)^(k+1).  With A = A_{k-1}
+    and B = B_{k-1}, lambda_{k-1}' = m (D A' - k D' A)/(m D)^(k+1) and
+    s_{k-1} = m D B/(m D)^(k+1), so the recursion reads
 
-        c_k[i] = (i+1) c_{k-1}[i+1] + d_{k-1}[i] + sum_j c_0[j] c_{k-1}[i-j]
-        d_k[i] = (i+1) d_{k-1}[i+1] + sum_j d_0[j] c_{k-1}[i-j]
+        A_k = m (D A' - k D' A + D B) + L A
+        B_k = m (D B' - k D' B) + S A
 
-    and delta_k(r0) = c_k[0] d_{k-1}[0] - c_{k-1}[0] d_k[0] (the improved
-    AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004).  With
-    lambda_{-1} = 1 and s_{-1} = 0 the same formula gives delta_0 = -s0(r0).
-    Level K needs the anti-diagonal k + i = K only, so levels extend one at
-    a time.
+    from A_{-1} = 1 and B_{-1} = 0, and
 
-    It runs on integer lists in E.  With lambda0 and s0 shifted to r0 and
-    their denominators cleared, q = lcm of the two denominators' values at
-    r0 makes C_k[i] = q^(k+i+1) c_k[i] and D_k[i] = q^(k+i+2) d_k[i]
-    integers.  The weights balance every term, so C and D obey the same
-    recursion, and delta_k = (C_k[0] D_{k-1}[0] - C_{k-1}[0] D_k[0]) / q^(2k+2)
-    is built from those integers and reduced with one gcd; C_{-1}[0] = 1 and
-    D_{-1}[0] = 0 give delta_0 = -D_0[0] / q^2.
+        delta_k(r0) = (A_k(0) B_{k-1}(0) - A_{k-1}(0) B_k(0)) / (m D(0))^(2k+1).
+
+    The coefficients of A_k and B_k are integer lists in E.  That of x^i in
+    D A' - k D' A is sum_u D[u] (i + 1 - (k + 1) u) A[i + 1 - u], so cell
+    (k, i) needs cells of level k - 1 up to i + 1 only.  Level K fills the
+    anti-diagonal k + i = K, whose cells (K, 0) and (K - 1, 0) give
+    delta_K, so levels extend one at a time; a cell costs O(deg D + deg L +
+    deg S) products of a row by a scalar or an E-affine coefficient.  (The
+    improved AIM of Cho, Cornell, Doukas & Naylor, CQG 27 (2010) 155004,
+    runs the recursion on the Taylor series of lambda0 and s0 about r0
+    instead, where cell (k, i) is a convolution of length i.)
     """
-    parts = [_cleared(f, r0) for f in (problem.lambda0, problem.s0)]
-    if not all(den and den[0] for _, _, den in parts):
-        raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    q = math.lcm(*(den[0] for _, _, den in parts))
-    lam0, s0 = (_taylor_rows(p, q) for p in parts)
-    c: list[list[list[int]]] = []
-    d: list[list[list[int]]] = []
+    D, m, L, S = _numerators(problem, r0)
+    mD = [m * d for d in D]
+    a: list[list[list[int]]] = []  # a[k][i], b[k][i]: the x^i coefficients of A_k, B_k
+    b: list[list[list[int]]] = []
     for level in count():
-        c.append([])
-        d.append([])
-        c[0].append(next(lam0))
-        d[0].append([q * y for y in next(s0)])
+        a.append([])
+        b.append([])
+        a[0].append(L[level] if level < len(L) else [])
+        b[0].append(S[level] if level < len(S) else [])
         for k in range(1, level + 1):
-            i = level - k
-            lam, s = c[k - 1], d[k - 1]
-            rev = lam[i::-1]  # C_{k-1}[i-j] for j = 0..i
-            c[k].append(_dot([([i + 1], lam[i + 1]), ([1], s[i]), *zip(c[0], rev)]))
-            d[k].append(_dot([([i + 1], s[i + 1]), *zip(d[0], rev)]))
-        lam_prev, s_prev = (c[level - 1][0], d[level - 1][0]) if level else ([1], [])
-        neg = [-y for y in d[level][0]]
-        yield _poly(_dot([(c[level][0], s_prev), (lam_prev, neg)]), q ** (2 * level + 2))
+            i, A, B = level - k, a[k - 1], b[k - 1]
+            lam = [(L[j], A[i - j]) for j in range(min(i + 1, len(L)))]
+            s = [(S[j], A[i - j]) for j in range(min(i + 1, len(S)))]
+            for u, c in enumerate(mD[: i + 2]):
+                w = [c * (i + 1 - (k + 1) * u)]
+                lam.append((w, A[i + 1 - u]))
+                s.append((w, B[i + 1 - u]))
+                if u <= i:
+                    lam.append(([c], B[i - u]))
+            a[k].append(_dot(lam))
+            b[k].append(_dot(s))
+        lam_prev, s_prev = (a[level - 1][0], b[level - 1][0]) if level else ([1], [])
+        neg = [-y for y in b[level][0]]
+        yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), mD[0] ** (2 * level + 1))
 
 
 _TOL = Fraction(1, 10**8)  # an uncertified root is reported on an interval narrower than this
@@ -181,8 +196,12 @@ def _level_roots(
     if not last.is_zero and all(a == b for a, b in carried):
         quo, rem = divmod(delta, last)
         if rem.is_zero and quo.degree <= 1:
-            new = [-quo.coeff(0) / quo.coeff(1)] if quo.degree == 1 else []
-            return sorted(set(carried).union((x, x) for x in new if lo < x < hi))
+            roots = list(carried)
+            if quo.degree == 1 and lo < (x := -quo.coeff(0) / quo.coeff(1)) < hi:
+                i = bisect_left(roots, (x, x))
+                if roots[i : i + 1] != [(x, x)]:
+                    roots.insert(i, (x, x))
+            return roots
     return delta.real_roots(lo, hi, _TOL)
 
 
@@ -231,8 +250,9 @@ def solve_iterative(
             break
     if not roots:
         raise NoRootInBracket(f"no root of delta_{k} in ({lo}, {hi})")
+    before = set(prev)
     estimates = [
-        EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and (a, a) in prev)
+        EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and (a, a) in before)
         for n, (a, b) in enumerate(roots)
     ]
     return IterativeSpectrum(estimates, k, (len(prev), len(roots)))

@@ -451,6 +451,8 @@ def _dot(pairs) -> list[int]:
     """Sum of the products a * b of integer coefficient lists, lowest power first."""
     out: list[int] = []
     for a, b in pairs:
+        if not (a and b):  # a zero factor
+            continue
         out += [0] * (len(a) + len(b) - 1 - len(out))
         for s, x in enumerate(a):
             for t, y in enumerate(b):

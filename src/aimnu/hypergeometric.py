@@ -45,6 +45,13 @@ class HypergeometricProblem:
     parameter: str = "p"
 
     def __post_init__(self):
+        tau = self.tau
+        if not isinstance(tau, Affine) or not all(
+            isinstance(p, Poly) for p in (tau.const, tau.slope)
+        ):
+            raise InvalidInput(f"tau {tau!r} must be a Poly or an Affine of two Polys")
+        if not isinstance(self.sigma, Poly):
+            raise InvalidInput(f"sigma {self.sigma!r} must be a Poly")
         tau_degree = max(self.tau.const.degree, self.tau.slope.degree)
         if tau_degree > 1:
             raise NotHypergeometricType(f"deg(tau) = {tau_degree} > 1")
@@ -71,7 +78,8 @@ def validate(
     ``aim.solve_iterative`` picks one off the poles of sigma.
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2, and
-    InvalidInput if a gamma coefficient is not an int or a Fraction.
+    InvalidInput if tau or sigma is not a Poly or a gamma coefficient is
+    not an int or a Fraction.
     """
     if isinstance(tau, Poly):
         tau = Affine(tau, Poly())

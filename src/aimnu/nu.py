@@ -19,6 +19,7 @@ from fractions import Fraction
 from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative, rational_roots
 from .errors import (
     AmbiguousBranch,
+    InvalidInput,
     NoRationalReduction,
     NotHypergeometricType,
     UnsupportedDenominator,
@@ -42,6 +43,10 @@ class NuProblem:
     sigma_tilde: Poly
 
     def __post_init__(self):
+        fields = {"tauTilde": self.tau_tilde, "sigma": self.sigma, "sigmaTilde": self.sigma_tilde}
+        for name, p in fields.items():
+            if not isinstance(p, Poly):
+                raise InvalidInput(f"{name} {p!r} must be a Poly")
         if self.tau_tilde.degree > 1:
             raise NotHypergeometricType("deg(tauTilde) > 1")
         if self.sigma.degree > 2 or self.sigma.is_zero:

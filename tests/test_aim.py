@@ -250,7 +250,8 @@ def _deltas_at(problem, energy, k_max, r0=F(1)):
 
 
 #: lambda0 = (1 + 2r + E r^2)/(2 - 3r), s0 = (E - r)/(2 - 3r): at the
-#: non-integer r0 = 3/2 the cleared denominators are -10 and -5, so q = 10.
+#: non-integer r0 = 3/2 both denominators are -5/2 - 3x in x = r - r0, so
+#: D = 5 + 6x and m = 2 carry their sign and fraction into L and S.
 _NEGATIVE_DEN = AimProblem(
     ParamRatFunc(Affine(Poly([1, 2]), Poly([0, 0, 1])), Poly([2, -3])),
     ParamRatFunc(Affine(Poly([0, -1]), Poly.const(1)), Poly([2, -3])),
@@ -266,17 +267,32 @@ def affine_problems(draw):
     """An AimProblem with rational coefficients and a point r0 off its poles.
 
     The two rows share a constant or linear denominator up to a factor
-    each, which keeps the RatFunc oracle fast; their values at r0 still
-    differ, so q is rarely 1."""
+    each, which keeps the RatFunc oracle fast; ``general_problems`` draws
+    the two denominators independently."""
     den = Poly([draw(nonzero), draw(small)])
     rows = [ParamRatFunc(Affine(draw(affine), draw(affine)), den * draw(nonzero)) for _ in range(2)]
     r0 = draw(small.filter(lambda x: den.evaluate(x) != 0))
     return AimProblem(*rows), r0
 
 
-def _check_against_oracle(problem, r0, k_max):
+quadratic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
+
+
+@st.composite
+def general_problems(draw):
+    """An AimProblem whose two denominators are drawn independently, with
+    integer numerators and denominators of degree <= 2, and a point r0 off
+    both denominators' roots.  Their product is the D of ``determinants``
+    whenever they are coprime."""
+    dens = [draw(quadratic.filter(lambda p: not p.is_zero)) for _ in range(2)]
+    rows = [ParamRatFunc(Affine(draw(quadratic), draw(quadratic)), den) for den in dens]
+    r0 = draw(small.filter(lambda x: all(den.evaluate(x) for den in dens)))
+    return AimProblem(*rows), r0
+
+
+def _check_against_oracle(problem, r0, k_max, energies=(F(0), F(1, 3), F(-2), F(5, 7), F(9, 4))):
     deltas = [delta for _, delta in zip(range(k_max + 1), determinants(problem, r0))]
-    for energy in (F(0), F(1, 3), F(-2), F(5, 7), F(9, 4)):
+    for energy in energies:
         assert [d.evaluate(energy) for d in deltas] == _deltas_at(problem, energy, k_max, r0)
 
 
@@ -300,7 +316,7 @@ class TestDeterminants:
             ("kratzer", F(1)),
             ("morse", F(1)),
             ("hulthen", F(1, 2)),
-            ("legendre", F(1, 3)),  # q = 8
+            ("legendre", F(1, 3)),  # D(0) = -8, so (m D(0))^(2k+1) < 0
         ],
     )
     def test_matches_rational_function_recursion(self, name, r0):
@@ -313,6 +329,14 @@ class TestDeterminants:
     @given(affine_problems())
     def test_matches_recursion_on_random_problems(self, case):
         _check_against_oracle(*case, 5)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(general_problems())
+    def test_matches_recursion_with_unrelated_denominators(self, case):
+        # the RatFunc oracle takes seconds per trial value at k = 8 when both
+        # denominators are quadratic: fixed examples and two trial values
+        # keep the run time steady
+        _check_against_oracle(*case, 8, (F(1, 3), F(-2)))
 
     @settings(max_examples=40, deadline=None)
     @given(hypergeometric_problems())

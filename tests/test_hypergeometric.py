@@ -41,6 +41,13 @@ class TestValidate:
         with pytest.raises(InvalidInput):
             validate(R, Poly.const(1), (0.1, 1))
 
+    def test_rejects_a_list_for_a_poly(self):
+        # a plain list once failed with a bare AttributeError on .degree
+        one = Poly.const(1)
+        for tau, sigma in ((Poly([0, 1]), [1]), ([0, 1], one), (Affine([0, 1], Poly()), one)):
+            with pytest.raises(InvalidInput):
+                validate(tau, sigma)
+
     def test_rejects_parameter_free_problem(self):
         with pytest.raises(NotHypergeometricType):
             validate(R, Poly.const(1), (1, 0))

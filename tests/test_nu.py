@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from aimnu.algebra import Poly, RatFunc
-from aimnu.errors import AmbiguousBranch, NoRationalReduction, NotHypergeometricType
+from aimnu.errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from aimnu.nu import NuProblem, build_phi, nu_find_k, nu_solve
 from aimnu.verify import reduction_identity_holds
 
@@ -19,6 +19,13 @@ class TestValidation:
             NuProblem(Poly(), Poly.const(1), R**3)
         with pytest.raises(NotHypergeometricType):
             NuProblem(Poly(), Poly(), Poly())
+
+    def test_rejects_a_list_for_a_poly(self):
+        # a plain list once failed with a bare AttributeError on .degree
+        one = Poly.const(1)
+        for args in (([0], one, one), (one, [1], one), (one, one, [1])):
+            with pytest.raises(InvalidInput):
+                NuProblem(*args)
 
 
 class TestFindK:
