@@ -18,9 +18,7 @@ from .algebra import (
     poly_gcd,
 )
 from .aim import (
-    AimProblem,
     EigenvalueEstimate,
-    ParamRatFunc,
     iterate,
     solve_iterative,
 )
@@ -39,7 +37,6 @@ from .hypergeometric import (
     HypergeometricProblem,
     eigenvalue,
     gamma_n,
-    to_aim_form,
     validate,
 )
 from .nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
@@ -57,16 +54,13 @@ __all__ = [
     "poly_gcd",
     "partial_fractions",
     "integrate_log_derivative",
-    "AimProblem",
     "EigenvalueEstimate",
-    "ParamRatFunc",
     "iterate",
     "solve_iterative",
     "HypergeometricProblem",
     "validate",
     "gamma_n",
     "eigenvalue",
-    "to_aim_form",
     "NuProblem",
     "NuReduction",
     "nu_find_k",

@@ -1,6 +1,7 @@
-"""Asymptotic-iteration machinery.
+"""Asymptotic-iteration machinery for sigma y'' + tau y' + gamma y = 0.
 
-Implements the (lambda_k, s_k) recursion
+Implements the (lambda_k, s_k) recursion from lambda0 = -tau/sigma and
+s0 = -gamma/sigma,
 
     lambda_k = lambda_{k-1}' + s_{k-1} + lambda_0 lambda_{k-1}
     s_k      = s_{k-1}' + s_0 lambda_{k-1}
@@ -12,16 +13,19 @@ by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
 trial value; it serves as the oracle.  ``determinants`` runs it on the
 integer numerators A_k = lambda_k (m D)^(k+1) and B_k = s_k (m D)^(k+1),
 polynomials in r - r0 with the trial value E symbolic, where m D clears
-the denominators of lambda0 and s0; each level gives delta_k(r0, E) as one
-exact polynomial in E.  ``solve_iterative`` reads the
-eigenvalues off the certified real roots of those polynomials, level by
-level; every step is exact, so the results are reproducible bit for bit.
-For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1} with mu_k affine
-in E (differentiate sigma y'' + tau y' + gamma y = 0 k times), down to
-delta_0 = -s0 and delta_{-1} = 1, so delta_k = delta_{k-1} quo exactly and
-the roots of delta_k are those of delta_{k-1} and the root of the linear
-quo: one division certifies every level.  Input of another form, where the
-division fails, is isolated in full.
+sigma; each level gives delta_k(r0, E) as one exact polynomial in E.
+``solve_iterative`` reads the eigenvalues off the certified real roots of
+those polynomials, level by level; every step is exact, so the results
+are reproducible bit for bit.
+
+For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1}, with
+mu_k = gamma + k tau' + k(k-1) sigma''/2 affine in E.  Proof: the equation
+differentiated k times reads sigma y^(k+2) + (tau + k sigma') y^(k+1) +
+mu_k y^(k) = 0; with y^(j) = a_j y' + b_j y, this turns delta_k =
+a_{k+2} b_{k+1} - a_{k+1} b_{k+2} into (mu_k/sigma) delta_{k-1}, from
+delta_{-1} = a_1 b_0 - a_0 b_1 = 1.  So delta_k = delta_{k-1} quo exactly,
+quo linear, and its root joins those of delta_{k-1}: one division
+certifies every level.  Input of another form is isolated in full.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
 
-from .algebra import Affine, Poly, RatFunc, _clear_denominators, _dot, _poly, poly_gcd
+from .algebra import Poly, RatFunc, _clear_denominators, _coerce_poly, _dot, _poly
 from .errors import EvaluationPole, NoRootInBracket
+from .hypergeometric import HypergeometricProblem
 
 __all__ = [
-    "ParamRatFunc",
-    "AimProblem",
     "EigenvalueEstimate",
     "IterativeSpectrum",
     "iterate",
@@ -46,38 +49,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParamRatFunc:
-    """Rational function num/den whose numerator is ``Affine`` in the trial
-    parameter, with Poly fields."""
-
-    num: Affine
-    den: Poly
-
-    def substitute(self, value: Fraction) -> RatFunc:
-        return RatFunc(self.num.substitute(value), self.den)
-
-
-@dataclass(frozen=True)
-class AimProblem:
-    """y'' = lambda0 y' + s0 y with one affine trial parameter.
-
-    It holds no evaluation point r0.  For input from ``to_aim_form`` the
-    roots of delta_k(r0, E) do not depend on r0; for any other problem they
-    may, so pass r0 to ``solve_iterative`` explicitly.
-    """
-
-    lambda0: ParamRatFunc
-    s0: ParamRatFunc
-
-
-def iterate(problem: AimProblem, energy: Fraction, k: int) -> list[RatFunc]:
+def iterate(problem: HypergeometricProblem, energy: Fraction, k: int) -> list[RatFunc]:
     """[delta_0, ..., delta_k] as rational functions of r at one numeric trial
-    value, from one pass of the recursion on RatFunc rows: the levels of
-    ``determinants`` by an independent route, its oracle."""
+    value, by one pass of the recursion on RatFuncs from lambda0 and s0: the
+    levels of ``determinants`` by an independent route, its oracle."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    lam0, s0 = problem.lambda0.substitute(energy), problem.s0.substitute(energy)
+    lam0, s0 = (RatFunc(-f.substitute(energy), problem.sigma) for f in (problem.tau, problem.gamma))
     lam, s, deltas = lam0, s0, [-s0]
     for _ in range(k):
         lam_next, s_next = lam.derivative() + s + lam0 * lam, s.derivative() + s0 * lam
@@ -104,41 +82,34 @@ class IterativeSpectrum(list):
         self.k, self.counts = k, counts
 
 
-def _numerators(problem: AimProblem, r0: Fraction):
-    """D, m, L and S of ``determinants``, in x = r - r0: D is the primitive
-    integer lcm of the two denominators, and L = m D lambda0 and S = m D s0
-    are lists in x of integer lists in E, m > 0 the least integer that
-    makes them integral."""
-    fs = (problem.lambda0, problem.s0)
-    dens = [f.den for f in fs]
-    lcm = dens[0] if dens[0] == dens[1] else dens[0] * dens[1] // poly_gcd(*dens)
-    if not lcm.evaluate(r0):  # also a zero denominator
+def _numerators(problem: HypergeometricProblem, r0: Fraction):
+    """D, m, L and S of ``determinants``, in x = r - r0: D is sigma as
+    primitive integers, and L = -m D tau/sigma and S = -m D gamma/sigma are
+    lists in x of integer lists in E, m > 0 the least integer that makes
+    them integral."""
+    sigma, tau, gamma = problem.sigma, problem.tau, problem.gamma
+    if not sigma.evaluate(r0):
         raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    nums = [
-        p if den == lcm else lcm // den * p
-        for f, den in zip(fs, dens)
-        for p in (f.num.const, f.num.slope)
-    ]
-    # lambda0 = L'/D' and s0 = S'/D' over one cleared denominator, and m D = D'/g
-    D, lc, ls, sc, ss = _clear_denominators(*(p.compose_linear(r0) for p in (lcm, *nums)))
+    # -lambda0 = L'/D' and -s0 = S'/D' over one cleared denominator, and m D = D'/g
+    polys = (sigma, tau.const, tau.slope, gamma.const, gamma.slope)
+    D, lc, ls, sc, ss = _clear_denominators(*(_coerce_poly(p).compose_linear(r0) for p in polys))
     m = math.gcd(*D)
     g = math.gcd(m, *lc, *ls, *sc, *ss)
     L, S = (
-        [[c // g, e // g] if e else [c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
+        [[-c // g, -e // g] if e else [-c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
         for row in ((lc, ls), (sc, ss))
     )
     return [d // m for d in D], m // g, L, S
 
 
-def determinants(problem: AimProblem, r0: Fraction):
+def determinants(problem: HypergeometricProblem, r0: Fraction):
     """Yield delta_k(r0, E) for k = 0, 1, ... as Polys in the trial parameter E.
 
-    For rational lambda0 and s0 the recursion stays on polynomials.  Write
-    lambda0 = L/(m D) and s0 = S/(m D) in x = r - r0 (``_numerators``; D is
-    sigma up to a constant for hypergeometric input) and
-    lambda_k = A_k/(m D)^(k+1), s_k = B_k/(m D)^(k+1).  With A = A_{k-1}
-    and B = B_{k-1}, lambda_{k-1}' = m (D A' - k D' A)/(m D)^(k+1) and
-    s_{k-1} = m D B/(m D)^(k+1), so the recursion reads
+    The recursion stays on polynomials.  Write lambda0 = -tau/sigma = L/(m D),
+    s0 = -gamma/sigma = S/(m D) in x = r - r0 (``_numerators``; D is sigma
+    up to a constant), lambda_k = A_k/(m D)^(k+1) and s_k = B_k/(m D)^(k+1).
+    With A = A_{k-1} and B = B_{k-1}, lambda_{k-1}' = m (D A' - k D' A)/(m D)^(k+1)
+    and s_{k-1} = m D B/(m D)^(k+1), so the recursion reads
 
         A_k = m (D A' - k D' A + D B) + L A
         B_k = m (D B' - k D' B) + S A
@@ -206,7 +177,7 @@ def _level_roots(
 
 
 def solve_iterative(
-    problem: AimProblem,
+    problem: HypergeometricProblem,
     r0: Fraction | None = None,
     bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
     k_max: int = 40,
@@ -227,14 +198,11 @@ def solve_iterative(
     when delta_k has no root in the bracket at the end.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
-    pole of lambda0 or s0.  That choice moves no root only for hypergeometric
-    input (``to_aim_form``), where r0 scales delta_k by sigma(r0)^-(k+1); for
-    any other problem pass ``r0``.
+    root of sigma.  For hypergeometric input r0 only scales delta_k by
+    sigma(r0)^-(k+1) and moves no root; for any other input pass ``r0``.
     """
-    if r0 is None:  # the dens have fewer roots than coefficients; a zero den gets pole r0 = 1
-        dens = (problem.lambda0.den, problem.s0.den)
-        tries = (Fraction(1, m) for m in range(1, 1 + sum(len(d.coeffs) for d in dens)))
-        r0 = next((x for x in tries if all(d.evaluate(x) for d in dens)), Fraction(1))
+    if r0 is None:  # sigma != 0 has finitely many roots
+        r0 = next(x for x in (Fraction(1, m) for m in count(1)) if problem.sigma.evaluate(x))
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")

@@ -253,7 +253,7 @@ def cmd_aim(name_or_file, params, bracket, kmax, fmt):
     """
     name, problem = _load_problem(name_or_file, _parse_params(params))
     lo, hi = _parse_bracket(bracket)
-    estimates = aim_mod.solve_iterative(hg.to_aim_form(problem), bracket=(lo, hi), k_max=kmax)
+    estimates = aim_mod.solve_iterative(problem, bracket=(lo, hi), k_max=kmax)
     k = estimates.k
     rows = [
         {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}

@@ -41,7 +41,7 @@ class NoRootInBracket(AimnuError, RuntimeError):
 
 
 class NotHypergeometricType(InputError, ValueError):
-    """Degree bounds deg(tau) <= 1, deg(sigma) <= 2 are violated."""
+    """The caps deg(tau) <= 1, deg(sigma) <= 2, gamma constant in r are violated."""
 
 
 class DegenerateParameterMap(AimnuError, ValueError):

@@ -1,14 +1,13 @@
 """Hypergeometric-type equations sigma y'' + tau y' + gamma y = 0.
 
-Validates the degree constraints (deg tau <= 1, deg sigma <= 2), provides
-the closed-form quantization constant
+``HypergeometricProblem`` is the one record of an equation for every route,
+with tau and gamma affine in the physical parameter.  Under the caps
+deg tau <= 1, deg sigma <= 2 and gamma constant in r, which ``validate``
+and ``eigenvalue`` check, the closed-form quantization constant is
 
     gamma_n = -n (tau' + (n-1) sigma''/2),
 
-inverts affine parameter maps to obtain physical spectra, and converts
-problems into the first-order iteration form used by the iterative solver.
-tau and gamma are affine in the physical parameter; both are stored as
-``algebra.Affine``, tau with Poly fields and gamma with Fraction fields.
+and ``eigenvalue`` inverts the affine parameter map to obtain physical spectra.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .aim import AimProblem, ParamRatFunc
 from .algebra import Affine, Poly
 from .errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
 
@@ -25,18 +23,18 @@ __all__ = [
     "validate",
     "gamma_n",
     "eigenvalue",
-    "to_aim_form",
 ]
 
 
 @dataclass(frozen=True)
 class HypergeometricProblem:
-    """Validated equation data with an affine map onto one physical parameter.
+    """Equation data with an affine map onto one physical parameter.
 
-    ``tau`` (Poly fields) and ``gamma`` (Fraction fields) are ``Affine`` in
-    the parameter; classical equations typically have a parameter-free tau
-    and the whole parameter dependence in gamma, while transformed potential
-    problems carry the parameter in tau as well.
+    ``tau`` is an ``Affine`` of two Polys and ``sigma`` a nonzero Poly, of
+    any degree; ``gamma`` is an ``Affine`` of two Fractions when it is
+    constant in r, else of two Polys.  Classical equations typically have
+    a parameter-free tau and the whole parameter dependence in gamma, while
+    transformed potential problems carry the parameter in tau as well.
     """
 
     tau: Affine
@@ -45,22 +43,30 @@ class HypergeometricProblem:
     parameter: str = "p"
 
     def __post_init__(self):
-        tau = self.tau
-        if not isinstance(tau, Affine) or not all(
-            isinstance(p, Poly) for p in (tau.const, tau.slope)
-        ):
+        tau, gamma = self.tau, self.gamma
+        if not isinstance(tau, Affine) or {type(tau.const), type(tau.slope)} != {Poly}:
             raise InvalidInput(f"tau {tau!r} must be a Poly or an Affine of two Polys")
         if not isinstance(self.sigma, Poly):
             raise InvalidInput(f"sigma {self.sigma!r} must be a Poly")
-        tau_degree = max(self.tau.const.degree, self.tau.slope.degree)
-        if tau_degree > 1:
-            raise NotHypergeometricType(f"deg(tau) = {tau_degree} > 1")
-        if self.sigma.degree > 2:
-            raise NotHypergeometricType(f"deg(sigma) = {self.sigma.degree} > 2")
+        kinds = {type(gamma.const), type(gamma.slope)} if isinstance(gamma, Affine) else None
+        if kinds not in ({Fraction}, {Poly}):
+            raise InvalidInput(f"gamma {gamma!r} must be an Affine of two Fractions or two Polys")
         if self.sigma.is_zero:
             raise NotHypergeometricType("sigma is identically zero")
-        if self.gamma.slope == 0 and self.tau.slope.is_zero:
-            raise NotHypergeometricType("no parameter dependence to quantize")
+
+
+def _check_caps(problem: HypergeometricProblem) -> None:
+    """Raise NotHypergeometricType outside the caps, or with nothing to quantize."""
+    tau, gamma = problem.tau, problem.gamma
+    tau_degree = max(tau.const.degree, tau.slope.degree)
+    if tau_degree > 1:
+        raise NotHypergeometricType(f"deg(tau) = {tau_degree} > 1")
+    if problem.sigma.degree > 2:
+        raise NotHypergeometricType(f"deg(sigma) = {problem.sigma.degree} > 2")
+    if isinstance(gamma.const, Poly):
+        raise NotHypergeometricType("gamma depends on r")
+    if gamma.slope == 0 and tau.slope.is_zero:
+        raise NotHypergeometricType("no parameter dependence to quantize")
 
 
 def validate(
@@ -75,18 +81,20 @@ def validate(
     The record holds no evaluation point: for this input
     delta_k(r0, E) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E), with
     mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 never moves a root and
-    ``aim.solve_iterative`` picks one off the poles of sigma.
+    ``aim.solve_iterative`` picks one off the roots of sigma.
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2, and
-    InvalidInput if tau or sigma is not a Poly or a gamma coefficient is
-    not an int or a Fraction.
+    InvalidInput if tau or sigma is not a Poly or gamma is not a pair of
+    ints or Fractions.
     """
     if isinstance(tau, Poly):
         tau = Affine(tau, Poly())
-    const, slope = gamma
-    if not all(isinstance(x, (int, Fraction)) for x in gamma):
+    const, slope = gamma if isinstance(gamma, (tuple, list)) and len(gamma) == 2 else (None, None)
+    if not all(isinstance(x, (int, Fraction)) for x in (const, slope)):
         raise InvalidInput(f"gamma {gamma!r} must be a pair of ints or Fractions")
-    return HypergeometricProblem(tau, sigma, Affine(Fraction(const), Fraction(slope)), parameter)
+    problem = HypergeometricProblem(tau, sigma, Affine(Fraction(const), Fraction(slope)), parameter)
+    _check_caps(problem)
+    return problem
 
 
 def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
@@ -102,9 +110,10 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     Both tau' and gamma may depend on p, so the gap gamma_n(p) - gamma(p)
     is affine in p, with constant gamma_n(tau.const) - gamma.const and
     slope -n tau.slope' - gamma.slope (sigma does not depend on p); its
-    root is the exact n-th spectrum value.  Raises DegenerateParameterMap
-    when the slope vanishes.
+    root is the exact n-th spectrum value.  Raises NotHypergeometricType
+    outside the caps and DegenerateParameterMap when the slope vanishes.
     """
+    _check_caps(problem)
     tau, gamma = problem.tau, problem.gamma
     at0 = gamma_n(tau.const, problem.sigma, n) - gamma.const
     slope = -n * tau.slope.coeff(1) - gamma.slope
@@ -113,9 +122,6 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     return -at0 / slope
 
 
-def to_aim_form(problem: HypergeometricProblem) -> AimProblem:
-    """Rewrite as y'' = lambda0 y' + s0 y with lambda0 = -tau/sigma, s0 = -gamma/sigma."""
-    tau, gamma = problem.tau, problem.gamma
-    lam0 = ParamRatFunc(Affine(-tau.const, -tau.slope), problem.sigma)
-    s0 = ParamRatFunc(Affine(Poly.const(-gamma.const), Poly.const(-gamma.slope)), problem.sigma)
-    return AimProblem(lam0, s0)
+def to_aim_form(problem: HypergeometricProblem) -> HypergeometricProblem:
+    """The record itself, as ``aim`` reads it; kept for ``benchmarks/workloads.py``."""
+    return problem

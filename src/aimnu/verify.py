@@ -117,7 +117,7 @@ def suite_morse() -> list[CheckResult]:
 def _iterative_matches(problem, bracket: tuple[Fraction, Fraction]):
     """(ok, detail): the iterative route returns, each one converged, exactly
     the closed-form eigenvalues E_0..E_20 that lie inside the open bracket."""
-    estimates = aim.solve_iterative(hypergeometric.to_aim_form(problem), None, bracket, k_max=40)
+    estimates = aim.solve_iterative(problem, None, bracket, k_max=40)
     closed = {hypergeometric.eigenvalue(problem, n) for n in range(21)}
     expected = sorted(v for v in closed if bracket[0] < v < bracket[1])
     ok = all(e.converged for e in estimates) and [e.value for e in estimates] == expected
@@ -328,7 +328,7 @@ def suite_nu() -> list[CheckResult]:
 
 def suite_delta() -> list[CheckResult]:
     out = []
-    problem = hypergeometric.to_aim_form(catalog.catalog_get("hermite"))
+    problem = catalog.catalog_get("hermite")
     # delta_1 is a quadratic polynomial in the trial constant; checking it
     # against 4k(k-1) at seven points proves the identity
     ok = all(

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 import aimnu.aim as aim_module
 from aimnu.aim import (
-    AimProblem,
-    ParamRatFunc,
     _level_roots,
     determinants,
     iterate,
@@ -17,20 +15,37 @@ from aimnu.aim import (
 from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
 from aimnu.errors import EvaluationPole, NoRootInBracket
-from aimnu.hypergeometric import eigenvalue, to_aim_form, validate
+from aimnu.hypergeometric import HypergeometricProblem, eigenvalue, gamma_n, validate
 
 R = Poly.variable()
 TOL = F(1, 10**8)  # the width of an uncertified root's interval, aim._TOL
 
 
-HERMITE = to_aim_form(catalog_get("hermite"))  # lambda0 = 2r, s0 = -2E
+HERMITE = catalog_get("hermite")  # lambda0 = 2r, s0 = -2E
+
+
+def _record(lam0, s0):
+    """The record of y'' = lambda0 y' + s0 y for lambda0 = P/Q and s0 = U/T,
+    given as pairs (P, Q) and (U, T) with P and U Affine in E:
+    sigma = Q T, tau = -P T and gamma = -U Q."""
+    (P, Q), (U, T) = lam0, s0
+    tau = Affine(-(P.const * T), -(P.slope * T))
+    return HypergeometricProblem(tau, Q * T, Affine(-(U.const * Q), -(U.slope * Q)), "E")
 
 
 class TestRecursion:
     def test_iterate_starts_at_delta_0(self):
         for kappa in (F(-1), F(0), F(5, 3)):
-            delta_0 = -HERMITE.s0.substitute(kappa)
+            delta_0 = RatFunc(HERMITE.gamma.substitute(kappa), HERMITE.sigma)  # -s0
             assert iterate(HERMITE, kappa, 0) == [delta_0] == [RatFunc(2 * kappa)]
+
+    def test_first_two_levels_from_lambda0_and_s0(self):
+        # lambda0 = -tau/sigma, s0 = -gamma/sigma and delta_1 = lambda0' s0 + s0^2 - lambda0 s0'
+        problem = catalog_get("morse")  # alpha=1, beta=5/2
+        lam0 = RatFunc(Poly([-5, 5]), Poly([0, 1]))  # -(tau_const + 2 eps)/sigma at eps = 2
+        s0 = RatFunc(-problem.gamma.substitute(F(2)), problem.sigma)
+        delta_1 = lam0.derivative() * s0 + s0 * s0 - lam0 * s0.derivative()
+        assert iterate(problem, F(2), 1) == [-s0, delta_1]
 
     def test_iterate_rejects_negative_k(self):
         with pytest.raises(ValueError):
@@ -55,7 +70,7 @@ class TestDelta:
 
 class TestSolveIterative:
     def test_hermite_bracket(self):
-        problem = to_aim_form(catalog_get("hermite"))
+        problem = catalog_get("hermite")
         estimates = solve_iterative(problem, F(1), (F(-1, 2), F(3, 2)))
         assert len(estimates) >= 2
         assert all(e.converged for e in estimates)
@@ -67,39 +82,35 @@ class TestSolveIterative:
 
     def test_morse_single_root(self):
         problem = catalog_get("morse")  # alpha=1, beta=5/2; eigenvalues 2, 1, 0, ...
-        estimates = solve_iterative(to_aim_form(problem), F(1), (F(3, 2), F(5, 2)))
+        estimates = solve_iterative(problem, F(1), (F(3, 2), F(5, 2)))
         assert any(e.converged and abs(e.value - 2) < 10 * TOL for e in estimates)
 
     def test_no_root_in_bracket(self):
-        problem = to_aim_form(catalog_get("morse"))
+        problem = catalog_get("morse")
         with pytest.raises(NoRootInBracket):
             solve_iterative(problem, F(1), (F(10), F(11)), k_max=6)
 
     def test_pole_at_evaluation_point(self):
-        problem = to_aim_form(catalog_get("morse"))  # sigma = r vanishes at 0
+        problem = catalog_get("morse")  # sigma = r vanishes at 0
         with pytest.raises(EvaluationPole):
             solve_iterative(problem, F(0), (F(0), F(4)))
 
     def test_representation_invariance(self):
-        # scaling numerator and denominator polynomials together must not
-        # move any root of the quantization determinant
-        problem = to_aim_form(catalog_get("morse"))
-        scaled = AimProblem(
-            ParamRatFunc(
-                Affine(problem.lambda0.num.const * 3, problem.lambda0.num.slope * 3),
-                problem.lambda0.den * 3,
-            ),
-            ParamRatFunc(
-                Affine(problem.s0.num.const * 3, problem.s0.num.slope * 3),
-                problem.s0.den * 3,
-            ),
+        # scaling sigma, tau and gamma together must not move any root of
+        # the quantization determinant
+        problem = catalog_get("morse")
+        tau, gamma = problem.tau, problem.gamma
+        scaled = HypergeometricProblem(
+            Affine(tau.const * 3, tau.slope * 3),
+            problem.sigma * 3,
+            Affine(gamma.const * 3, gamma.slope * 3),
         )
         a = solve_iterative(problem, F(1), (F(0), F(4)))
         b = solve_iterative(scaled, F(1), (F(0), F(4)))
         assert [e.value for e in a] == [e.value for e in b]
 
     def test_input_validation(self):
-        problem = to_aim_form(catalog_get("hermite"))
+        problem = catalog_get("hermite")
         with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(1), F(0)))
         with pytest.raises(ValueError):
@@ -107,14 +118,24 @@ class TestSolveIterative:
 
     def test_agrees_with_closed_form(self):
         problem = catalog_get("kratzer")
-        estimates = solve_iterative(
-            to_aim_form(problem), F(1), (F(1, 5), F(1))
-        )
+        estimates = solve_iterative(problem, F(1), (F(1, 5), F(1)))
         closed = {eigenvalue(problem, n) for n in range(4)}
         targets = [v for v in closed if F(1, 5) < v < F(1)]
         assert targets
         for v in targets:
             assert any(e.converged and abs(e.value - v) < 10 * TOL for e in estimates)
+
+
+def _solve_watching_r0(monkeypatch, problem, bracket, **kwargs):
+    """``solve_iterative`` without r0, and the points it passes to ``determinants``."""
+    seen = []
+
+    def spy(record, point):
+        seen.append(point)
+        return determinants(record, point)
+
+    monkeypatch.setattr(aim_module, "determinants", spy)
+    return solve_iterative(problem, None, bracket, **kwargs), seen
 
 
 class TestDerivedEvaluationPoint:
@@ -127,7 +148,7 @@ class TestDerivedEvaluationPoint:
         values = [expected_eigenvalue(name, None, n) for n in range(4)]
         pad = (max(values) - min(values)) / 8
         bracket = (min(values) - pad, max(values) + pad)
-        problem = to_aim_form(catalog_get(name))
+        problem = catalog_get(name)
         derived = solve_iterative(problem, None, bracket)
         fixed = solve_iterative(problem, F(2, 5), bracket)
         assert derived == fixed
@@ -143,26 +164,20 @@ class TestDerivedEvaluationPoint:
         ids=["legendre", "sigma-roots-1-and-half"],
     )
     def test_point_avoids_poles(self, monkeypatch, problem, bracket, r0):
-        seen = []
-
-        def spy(aim_problem, point):
-            seen.append(point)
-            return determinants(aim_problem, point)
-
-        monkeypatch.setattr(aim_module, "determinants", spy)
-        estimates = solve_iterative(to_aim_form(problem), None, bracket)
+        estimates, seen = _solve_watching_r0(monkeypatch, problem, bracket)
         assert seen == [r0]
         assert all(e.converged for e in estimates)
         assert [e.value for e in estimates] == [eigenvalue(problem, n) for n in range(4)]
 
-    def test_zero_denominator_is_a_pole(self):
-        zero = ParamRatFunc(Affine(Poly(), Poly()), Poly())
-        with pytest.raises(EvaluationPole):
-            solve_iterative(AimProblem(zero, zero), None, (F(0), F(1)))
+    def test_point_avoids_the_roots_of_a_cubic_sigma(self, monkeypatch):
+        # a record outside the caps: sigma = (r - 1)(2r - 1)(3r - 1)
+        sigma = Poly([-1, 1]) * Poly([-1, 2]) * Poly([-1, 3])
+        problem = HypergeometricProblem(Affine(R, Poly()), sigma, Affine(F(0), F(1)))
+        assert _solve_watching_r0(monkeypatch, problem, (F(-10), F(10)), k_max=4)[1] == [F(1, 4)]
 
 
 def _solve(name, r0, bracket, **kwargs):
-    return solve_iterative(to_aim_form(catalog_get(name)), r0, bracket, **kwargs)
+    return solve_iterative(catalog_get(name), r0, bracket, **kwargs)
 
 
 class TestCertifiedBrackets:
@@ -213,16 +228,14 @@ class TestCertifiedBrackets:
         ids=["nonmono", "jacobi-alpha-minus-9/2"],
     )
     def test_nonmonotone_spectrum_is_complete(self, problem, bracket, expected):
-        estimates = solve_iterative(to_aim_form(problem), None, bracket)
+        estimates = solve_iterative(problem, None, bracket)
         assert [e.value for e in estimates] == expected
 
     def test_zero_delta_0_is_not_divided_by(self):
         # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_1 is
         # not: level 1 is isolated in full, never divided by delta_0
-        problem = AimProblem(
-            ParamRatFunc(Affine(Poly([0, 2]), Poly()), Poly.const(1)),
-            ParamRatFunc(Affine(Poly([-1, 1]), Poly([-1, 1])), Poly.const(1)),
-        )
+        one = Poly.const(1)
+        problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([-1, 1]), Poly([-1, 1])), one))
         estimates = solve_iterative(problem, F(1), (F(-10), F(10)), k_max=4)
         assert [e.value for e in estimates] == [-5, -1, F(7, 5)]
         assert [e.converged for e in estimates] == [False, True, False]
@@ -231,10 +244,8 @@ class TestCertifiedBrackets:
     def test_irrational_roots_reported_as_midpoints(self):
         # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
         # has the irrational roots 2 -+ sqrt(2) in the bracket
-        problem = AimProblem(
-            ParamRatFunc(Affine(Poly([0, 2]), Poly()), Poly.const(1)),
-            ParamRatFunc(Affine(Poly([0, 0, 1]), Poly.const(-1)), Poly.const(1)),
-        )
+        one = Poly.const(1)
+        problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([0, 0, 1]), -one), one))
         estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3)
         assert len(estimates) == 2 and estimates.counts == (3, 2)
         for e in estimates:
@@ -250,11 +261,11 @@ def _deltas_at(problem, energy, k_max, r0=F(1)):
 
 
 #: lambda0 = (1 + 2r + E r^2)/(2 - 3r), s0 = (E - r)/(2 - 3r): at the
-#: non-integer r0 = 3/2 both denominators are -5/2 - 3x in x = r - r0, so
-#: D = 5 + 6x and m = 2 carry their sign and fraction into L and S.
-_NEGATIVE_DEN = AimProblem(
-    ParamRatFunc(Affine(Poly([1, 2]), Poly([0, 0, 1])), Poly([2, -3])),
-    ParamRatFunc(Affine(Poly([0, -1]), Poly.const(1)), Poly([2, -3])),
+#: non-integer r0 = 3/2 sigma is -5/2 - 3x in x = r - r0, so D = -5 - 6x
+#: and m = 2 carry their sign and fraction into L and S.  The two
+#: denominators are equal, so sigma is the one denominator, not its square.
+_NEGATIVE_DEN = HypergeometricProblem(
+    Affine(Poly([-1, -2]), Poly([0, 0, -1])), Poly([2, -3]), Affine(Poly([0, 1]), Poly.const(-1)), "E"
 )
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -264,15 +275,16 @@ affine = st.lists(small, min_size=1, max_size=2).map(Poly)
 
 @st.composite
 def affine_problems(draw):
-    """An AimProblem with rational coefficients and a point r0 off its poles.
+    """A record of lambda0 and s0 with rational coefficients and a point r0
+    off its poles.
 
     The two rows share a constant or linear denominator up to a factor
     each, which keeps the RatFunc oracle fast; ``general_problems`` draws
     the two denominators independently."""
     den = Poly([draw(nonzero), draw(small)])
-    rows = [ParamRatFunc(Affine(draw(affine), draw(affine)), den * draw(nonzero)) for _ in range(2)]
+    rows = [(Affine(draw(affine), draw(affine)), den * draw(nonzero)) for _ in range(2)]
     r0 = draw(small.filter(lambda x: den.evaluate(x) != 0))
-    return AimProblem(*rows), r0
+    return _record(*rows), r0
 
 
 quadratic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
@@ -280,14 +292,13 @@ quadratic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
 
 @st.composite
 def general_problems(draw):
-    """An AimProblem whose two denominators are drawn independently, with
-    integer numerators and denominators of degree <= 2, and a point r0 off
-    both denominators' roots.  Their product is the D of ``determinants``
-    whenever they are coprime."""
+    """A record of lambda0 and s0 whose two denominators are drawn
+    independently, with integer numerators and denominators of degree <= 2,
+    and a point r0 off both denominators' roots.  Their product is sigma."""
     dens = [draw(quadratic.filter(lambda p: not p.is_zero)) for _ in range(2)]
-    rows = [ParamRatFunc(Affine(draw(quadratic), draw(quadratic)), den) for den in dens]
+    rows = [(Affine(draw(quadratic), draw(quadratic)), den) for den in dens]
     r0 = draw(small.filter(lambda x: all(den.evaluate(x) for den in dens)))
-    return AimProblem(*rows), r0
+    return _record(*rows), r0
 
 
 def _check_against_oracle(problem, r0, k_max, energies=(F(0), F(1, 3), F(-2), F(5, 7), F(9, 4))):
@@ -320,7 +331,7 @@ class TestDeterminants:
         ],
     )
     def test_matches_rational_function_recursion(self, name, r0):
-        _check_against_oracle(to_aim_form(catalog_get(name)), r0, 6)
+        _check_against_oracle(catalog_get(name), r0, 6)
 
     def test_negative_denominator_at_non_integer_r0(self):
         _check_against_oracle(_NEGATIVE_DEN, F(3, 2), 6)
@@ -343,13 +354,29 @@ class TestDeterminants:
     def test_each_level_divides_the_next(self, case):
         # delta_k = (mu_k / sigma(r0)) delta_{k-1}, mu_k affine in E with root E_k
         problem, r0 = case
-        deltas = [d for _, d in zip(range(8), determinants(to_aim_form(problem), r0))]
+        deltas = [d for _, d in zip(range(8), determinants(problem, r0))]
         assume(not deltas[0].is_zero)
         for k, (last, delta) in enumerate(zip(deltas, deltas[1:]), start=1):
             quo, rem = divmod(delta, last)
             assert rem.is_zero and quo.degree <= 1
             if quo.degree == 1:
                 assert -quo.coeff(0) / quo.coeff(1) == eigenvalue(problem, k)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_catalog_levels_are_the_product_formula(self, name):
+        # delta_k(r0) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E) for k <= 12, with
+        # mu_n(E) = gamma(E) - gamma_n(tau(E)) built from gamma_n, never from AIM data;
+        # gamma_n is affine in tau, so its values at tau_c and tau_c + tau_s fix it
+        problem = catalog_get(name)
+        tau, sigma, gamma = problem.tau, problem.sigma, problem.gamma
+        mu = []
+        for n in range(13):
+            at0, at1 = gamma_n(tau.const, sigma, n), gamma_n(tau.const + tau.slope, sigma, n)
+            mu.append(Poly([gamma.const - at0, gamma.slope - (at1 - at0)]))
+        for r0 in (F(2, 5), F(-7, 3)):  # roots of no catalog sigma
+            deltas = [d for _, d in zip(range(13), determinants(problem, r0))]
+            for k, delta in enumerate(deltas):
+                assert delta == prod(mu[: k + 1], start=Poly.const(1)) * sigma.evaluate(r0) ** -(k + 1)
 
     @settings(max_examples=100, deadline=None)
     @given(hypergeometric_problems(), st.sampled_from([F(0), F(2, 3), F(-5, 2)]))
@@ -359,7 +386,7 @@ class TestDeterminants:
         problem, _ = case
         gamma, slope = problem.gamma.substitute(energy), problem.tau.substitute(energy).coeff(1)
         mu = [gamma + n * slope + n * (n - 1) * problem.sigma.coeff(2) for n in range(4)]
-        for k, delta in enumerate(iterate(to_aim_form(problem), energy, 3)):
+        for k, delta in enumerate(iterate(problem, energy, 3)):
             assert delta == RatFunc(Poly.const(prod(mu[: k + 1])), problem.sigma ** (k + 1))
 
 
@@ -431,18 +458,18 @@ class TestLevelRoots:
     )
     def test_catalog_never_isolates(self, name, r0, bracket, k_max):
         # every level from delta_0 on is certified by the quotient, never by isolation
-        calls, estimates = _isolations(to_aim_form(catalog_get(name)), r0, bracket, k_max)
+        calls, estimates = _isolations(catalog_get(name), r0, bracket, k_max)
         assert calls == [] and estimates and all(e.converged for e in estimates)
 
     @settings(max_examples=40, deadline=None)
     @given(hypergeometric_problems())
     def test_hypergeometric_input_never_isolates(self, case):
         problem, r0 = case
-        assert _isolations(to_aim_form(problem), r0, (F(-10), F(10)), 8)[0] == []
+        assert _isolations(problem, r0, (F(-10), F(10)), 8)[0] == []
 
     @pytest.mark.parametrize("name, r0, bracket", GOLDEN_BRACKETS)
     def test_every_level_matches_full_isolation(self, name, r0, bracket):
-        problem = to_aim_form(catalog_get(name))
+        problem = catalog_get(name)
         k = solve_iterative(problem, r0, bracket).k
         levels = _check_levels(problem, r0, bracket, k)
         assert len(levels) == k + 1

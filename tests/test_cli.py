@@ -315,6 +315,18 @@ def test_malformed_input_exits_2(runner, tmp_path, command, doc, extra):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("solve", []), ("aim", ["--bracket", "0:1"]), ("eigenfunction", [])]
+)
+def test_cubic_sigma_exits_2(runner, tmp_path, command, extra):
+    # the record takes any degree, but problem files keep the hypergeometric caps
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({**HERMITE_FILE, "sigma": ["1", "0", "0", "1"]}))
+    result = runner.invoke(main, [command, str(path), *extra])
+    assert result.exit_code == 2
+    assert result.output == "error: deg(sigma) = 3 > 2\n"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
     | st.sampled_from(["0", "1", "-2", "1/2", "3/0", "1.5", "r0", "const"]),

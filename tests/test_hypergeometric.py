@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aimnu.algebra import Affine, Poly, RatFunc
+from aimnu.algebra import Affine, Poly
 from aimnu.catalog import catalog_get
 from aimnu.errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
 from aimnu.hypergeometric import (
+    HypergeometricProblem,
     eigenvalue,
     gamma_n,
-    to_aim_form,
     validate,
 )
 
@@ -34,12 +34,24 @@ class TestValidate:
     def test_rejects_zero_sigma(self):
         with pytest.raises(NotHypergeometricType):
             validate(R, Poly())
+        with pytest.raises(NotHypergeometricType):  # the record itself, outside the caps too
+            HypergeometricProblem(Affine(R, Poly()), Poly(), Affine(Poly(), R))
 
     def test_rejects_float_gamma(self):
         with pytest.raises(InvalidInput):
             validate(R, Poly.const(1), (0, 0.5))
         with pytest.raises(InvalidInput):
             validate(R, Poly.const(1), (0.1, 1))
+
+    def test_rejects_a_gamma_that_is_not_a_pair(self):
+        # each once failed with a bare AttributeError, ValueError or TypeError
+        tau, sigma = Affine(R, Poly()), Poly.const(1)
+        for gamma in ((0, 1), Affine(F(0), R), Affine(0, 1)):
+            with pytest.raises(InvalidInput):
+                HypergeometricProblem(tau, sigma, gamma)
+        for gamma in ((0, 1, 2), 5):
+            with pytest.raises(InvalidInput):
+                validate(tau, sigma, gamma)
 
     def test_rejects_a_list_for_a_poly(self):
         # a plain list once failed with a bare AttributeError on .degree
@@ -104,6 +116,22 @@ class TestEigenvalue:
         with pytest.raises(DegenerateParameterMap):
             eigenvalue(problem, 0)
 
+    @pytest.mark.parametrize(
+        "tau, sigma, gamma",
+        [
+            (Poly([0, -2]), R**3 + 1, Affine(F(0), F(2))),
+            (Poly([0, -2]), Poly.const(1), Affine(R, Poly.const(2))),
+            (R * R, Poly.const(1), Affine(F(0), F(2))),
+            (Poly([0, -2]), Poly.const(1), Affine(F(1), F(0))),
+        ],
+        ids=["cubic-sigma", "gamma-in-r", "quadratic-tau", "parameter-free"],
+    )
+    def test_record_outside_the_caps(self, tau, sigma, gamma):
+        # a record built directly, not through validate, once gave a TypeError or a wrong number
+        problem = HypergeometricProblem(Affine(tau, Poly()), sigma, gamma)
+        with pytest.raises(NotHypergeometricType):
+            eigenvalue(problem, 2)
+
 
 def _two_point_eigenvalue(problem, n):
     """The root of the gap gamma_n(p) - gamma(p), read at p = 0 and p = 1."""
@@ -143,20 +171,3 @@ def test_eigenvalue_matches_two_point_gap(tau_const, tau_slope, sigma, gamma, n)
             eigenvalue(problem, n)
         return
     assert eigenvalue(problem, n) == expected
-
-
-class TestToAimForm:
-    def test_hermite_round_trip(self):
-        problem = catalog_get("hermite")
-        aim_problem = to_aim_form(problem)
-        lam0 = aim_problem.lambda0.substitute(F(3))
-        s0 = aim_problem.s0.substitute(F(3))
-        assert lam0 == RatFunc(Poly([0, 2]))  # -tau/sigma = 2r
-        assert s0 == RatFunc(Poly.const(-6))  # -gamma = -2k at k=3
-
-    def test_morse_lambda0(self):
-        problem = catalog_get("morse")  # alpha=1, beta=5/2
-        aim_problem = to_aim_form(problem)
-        lam0 = aim_problem.lambda0.substitute(F(2))  # epsilon = 2
-        # -(tau_const + 2*eps)/sigma = -(1 - 5r + 4)/r
-        assert lam0 == RatFunc(Poly([-5, 5]), Poly([0, 1]))
