@@ -14,7 +14,7 @@ from aimnu.aim import (
 )
 from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
-from aimnu.errors import EvaluationPole, NoRootInBracket
+from aimnu.errors import EvaluationPole, NoRootInBracket, NotHypergeometricType
 from aimnu.hypergeometric import HypergeometricProblem, eigenvalue, gamma_n, validate
 
 R = Poly.variable()
@@ -174,6 +174,16 @@ class TestDerivedEvaluationPoint:
         sigma = Poly([-1, 1]) * Poly([-1, 2]) * Poly([-1, 3])
         problem = HypergeometricProblem(Affine(R, Poly()), sigma, Affine(F(0), F(1)))
         assert _solve_watching_r0(monkeypatch, problem, (F(-10), F(10)), k_max=4)[1] == [F(1, 4)]
+
+    def test_zero_denominator_is_a_pole(self):
+        # the candidates the derived point skips are zeros of sigma; passed as r0 each is a pole
+        problem = validate(Poly([0, 4]), Poly([1, -3, 2]), (0, -1), "E")
+        for r0 in (F(1), F(1, 2)):
+            with pytest.raises(EvaluationPole):
+                solve_iterative(problem, r0, (F(-1), F(25)))
+        # sigma = 0 vanishes at every point: the record is refused before any is chosen
+        with pytest.raises(NotHypergeometricType):
+            HypergeometricProblem(Affine(R, Poly()), Poly(), Affine(Poly(), R))
 
 
 def _solve(name, r0, bracket, **kwargs):
