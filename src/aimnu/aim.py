@@ -10,39 +10,36 @@ and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
 ..., the levels that follow from lambda_{-1} = 1 and s_{-1} = 0.
 ``iterate`` runs the recursion on rational functions of r at one numeric
-trial value; it serves as the oracle.  ``determinants`` runs it on the
-integer numerators A_k = lambda_k (m D)^(k+1) and B_k = s_k (m D)^(k+1),
-polynomials in r - r0 with the trial value E symbolic, where m D clears
-sigma; each level gives delta_k(r0, E) as one exact polynomial in E.
-``solve_iterative`` reads the eigenvalues off the certified real roots of
-those polynomials, level by level; every step is exact, so the results
-are reproducible bit for bit.
+trial value; it serves as the oracle.  ``determinants`` runs it on integer
+numerators in r - r0 with the trial value E symbolic, so each level gives
+delta_k(r0, E) as one exact polynomial in E.
 
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1}, with
 mu_k = gamma + k tau' + k(k-1) sigma''/2 affine in E.  Proof: the equation
 differentiated k times reads sigma y^(k+2) + (tau + k sigma') y^(k+1) +
 mu_k y^(k) = 0; with y^(j) = a_j y' + b_j y, this turns delta_k =
 a_{k+2} b_{k+1} - a_{k+1} b_{k+2} into (mu_k/sigma) delta_{k-1}, from
-delta_{-1} = a_1 b_0 - a_0 b_1 = 1.  So delta_k = delta_{k-1} quo exactly,
-quo linear, and its root joins those of delta_{k-1}: one division
-certifies every level.  Input of another form is isolated in full.
+delta_{-1} = a_1 b_0 - a_0 b_1 = 1.  So each level quotient
+delta_k / delta_{k-1} is c(k) + E e(k), c quadratic and e linear in k,
+and the root -c(n)/e(n) of mode n is a root of every delta_k with k >= n
+(Ciftci, Hall & Saad, J. Phys. A 38 (2005) 1147).  ``solve_iterative``
+therefore reads every mode in a bracket off delta_0, delta_1 and delta_2;
+input of another form is isolated at one level.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
 
 from .algebra import Poly, RatFunc, _clear_denominators, _coerce_poly, _dot, _poly
-from .errors import EvaluationPole, NoRootInBracket
-from .hypergeometric import HypergeometricProblem
+from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket, NotHypergeometricType
+from .hypergeometric import HypergeometricProblem, _check_caps
 
 __all__ = [
     "EigenvalueEstimate",
-    "IterativeSpectrum",
     "iterate",
     "determinants",
     "solve_iterative",
@@ -66,20 +63,11 @@ def iterate(problem: HypergeometricProblem, energy: Fraction, k: int) -> list[Ra
 
 @dataclass
 class EigenvalueEstimate:
-    """One root of delta_k(r0, E) = 0 inside the bracket."""
+    """One root of delta_k(r0, E) = 0 inside the bracket, ``n`` its mode index if known."""
 
     n: int
     value: Fraction
     converged: bool
-
-
-class IterativeSpectrum(list):
-    """Ascending estimates; ``counts`` holds the numbers of distinct roots of
-    delta_{k-1} and delta_k in the bracket at the final level ``k``."""
-
-    def __init__(self, estimates: list[EigenvalueEstimate], k: int, counts: tuple[int, int]):
-        super().__init__(estimates)
-        self.k, self.counts = k, counts
 
 
 def _numerators(problem: HypergeometricProblem, r0: Fraction):
@@ -154,26 +142,45 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
         yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), mD[0] ** (2 * level + 1))
 
 
-_TOL = Fraction(1, 10**8)  # an uncertified root is reported on an interval narrower than this
+_TOL = Fraction(1, 10**8)  # an inexact root is reported on an interval narrower than this
+MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
 
 
-def _level_roots(
-    delta: Poly, last: Poly, carried: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """``delta.real_roots(lo, hi, _TOL)``, given the roots ``carried`` of the
-    level before, ``last``: if last is nonzero, delta = last * quo exactly,
-    deg quo <= 1 and every carried root is exact, they are the carried roots
-    and quo's root."""
-    if not last.is_zero and all(a == b for a, b in carried):
-        quo, rem = divmod(delta, last)
-        if rem.is_zero and quo.degree <= 1:
-            roots = list(carried)
-            if quo.degree == 1 and lo < (x := -quo.coeff(0) / quo.coeff(1)) < hi:
-                i = bisect_left(roots, (x, x))
-                if roots[i : i + 1] != [(x, x)]:
-                    roots.insert(i, (x, x))
-            return roots
-    return delta.real_roots(lo, hi, _TOL)
+def _floors(p: list[int]) -> list[int]:
+    """floor(x) for each real root x of p0 + p1 n + p2 n^2, p integers, not all 0."""
+    c, b, a = p if p[2] >= 0 else [-x for x in p]
+    if not a:
+        return [-c // b] if b else []
+    d = b * b - 4 * a * c
+    s = math.isqrt(max(d, 0))  # floor(-b - sqrt d) = -b - ceil(sqrt d)
+    return [(-b - s - (s * s < d)) // (2 * a), (-b + s) // (2 * a)] if d >= 0 else []
+
+
+def _modes(c: list[int], e: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """The modes n >= 0 with lo < -c(n)/e(n) < hi, for integer lists c, e of length 3.
+
+    For lo = u/v, hi = w/z: e(n) (v c(n) + u e(n)) < 0 < e(n) (z c(n) + w e(n)), whose
+    signs change on the integers only at the floor of a real root of e or of either
+    quadratic; one test per such cut point and per run between two decides every n.
+    """
+    (u, v), (w, z) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    polys = (e, [v * x + u * y for x, y in zip(c, e)], [z * x + w * y for x, y in zip(c, e)])
+    cuts = sorted({0, *(f for p in polys if any(p) for f in _floors(p) if f > 0)})
+
+    def inside(n):
+        en, below, above = ((p[2] * n + p[1]) * n + p[0] for p in polys)
+        if not en and not below:  # a common root of c and e, so a root of e: a cut point
+            raise NoRootInBracket(f"delta_{n} vanishes for every trial value")
+        return en * below < 0 < en * above
+
+    runs = [range(n, n + 1) for n in cuts if inside(n)]
+    if inside(cuts[-1] + 1):
+        raise IncompleteSpectrum(f"the bracket ({lo}, {hi}) holds infinitely many modes")
+    runs += [range(n + 1, m) for n, m in zip(cuts, cuts[1:]) if m > n + 1 and inside(n + 1)]
+    size = sum(r.stop - r.start for r in runs)
+    if size > MAX_MODES:
+        raise IncompleteSpectrum(f"the bracket ({lo}, {hi}) holds {size} modes, over {MAX_MODES}")
+    return [n for r in runs for n in r]
 
 
 def solve_iterative(
@@ -181,21 +188,19 @@ def solve_iterative(
     r0: Fraction | None = None,
     bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
     k_max: int = 40,
-) -> IterativeSpectrum:
-    """Eigenvalues as the certified roots of delta_k(r0, E) in the open bracket.
+) -> list[EigenvalueEstimate]:
+    """Eigenvalues as the roots of delta_k(r0, E) in the open bracket, ascending.
 
-    Level by level, delta_k is one exact polynomial in E, whose roots
-    ``_level_roots`` certifies by one exact division by delta_{k-1}, from
-    delta_{-1} = 1 on, or, for input of another form, by ``Poly.real_roots``.
-    The solver stops at the first k >= 2 whose roots are nonempty, all exact
-    and those of level k-1, or at k_max.  Level k adds the root of mode k,
-    so when the spectrum is not monotone in n the rule can stop before a
-    later mode that lies in the bracket and drop it (ROADMAP item A).  An
-    estimate is ``converged`` iff it is exact and a root of level k-1 at the
-    returned level k; any other root is reported at the midpoint of an
-    interval narrower than ``_TOL`` = 10^-8.  ``n`` indexes the ascending
-    roots (bracket-relative, not the mode index).  Raises NoRootInBracket
-    when delta_k has no root in the bracket at the end.
+    Within the hypergeometric caps, delta_0, delta_1 and delta_2, each
+    divided exactly by the level before, give the factors c(k) + E e(k),
+    k = 0, 1, 2, of c quadratic and e linear in k; the third e checks the
+    fit.  Every mode n >= 0 whose root -c(n)/e(n) lies in the bracket gives
+    an exact, converged estimate, ``n`` its mode index.  No mode, or a
+    delta_n that vanishes for every trial value, raises NoRootInBracket;
+    infinitely many or more than MAX_MODES modes raise IncompleteSpectrum.
+    Other input is isolated at level k_max: a root is ``converged`` iff it
+    is exact and a root of delta_{k_max-1}; any other is the midpoint of an
+    interval narrower than ``_TOL`` = 10^-8, and ``n`` indexes the roots.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
     root of sigma.  For hypergeometric input r0 only scales delta_k by
@@ -208,19 +213,29 @@ def solve_iterative(
         raise ValueError("empty bracket")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    try:
+        _check_caps(problem)
+    except NotHypergeometricType:  # outside the caps: isolate level k_max
+        last, delta = [d for _, d in zip(range(k_max + 1), determinants(problem, r0))][-2:]
+        if delta.is_zero or not (roots := delta.real_roots(lo, hi, _TOL)):
+            raise NoRootInBracket(f"delta_{k_max} has no isolated root in ({lo}, {hi})") from None
+        return [
+            EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and not last.evaluate(a))
+            for n, (a, b) in enumerate(roots)
+        ]
 
-    last, prev, roots = Poly.const(1), [], []  # delta_{k-1}, the roots of levels k-1 and k
-    for k, delta in zip(range(k_max + 1), determinants(problem, r0)):
-        if k and delta.is_zero:
+    levels = [Poly.const(1), *(d for _, d in zip(range(3), determinants(problem, r0)))]
+    for k in (1, 2):  # delta_0 = 0 makes delta_1 = 0
+        if levels[k + 1].is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
-        prev, roots, last = roots, _level_roots(delta, last, roots, lo, hi), delta
-        if k >= 2 and roots and roots == prev and all(a == b for a, b in roots):
-            break
-    if not roots:
-        raise NoRootInBracket(f"no root of delta_{k} in ({lo}, {hi})")
-    before = set(prev)
-    estimates = [
-        EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and (a, a) in before)
-        for n, (a, b) in enumerate(roots)
-    ]
-    return IterativeSpectrum(estimates, k, (len(prev), len(roots)))
+    fits = [divmod(b, a) for a, b in zip(levels, levels[1:])]
+    (c0, e0), (c1, e1), (c2, e2) = ([*q, 0][:2] for q in _clear_denominators(*(q for q, _ in fits)))
+    if any(q.degree > 1 or not r.is_zero for q, r in fits) or e2 - e1 != e1 - e0:
+        raise IncompleteSpectrum("delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)")
+    d = c2 - 2 * c1 + c0  # 2 c(n) = 2 c0 + 2 (c1 - c0) n + d n (n - 1)
+    c, e = [2 * c0, 2 * (c1 - c0) - d, d], [2 * e0, 2 * (e1 - e0), 0]
+    modes = _modes(c, e, lo, hi)
+    if not modes:
+        raise NoRootInBracket(f"no mode in ({lo}, {hi})")
+    values = sorted((Fraction(-((d * n + c[1]) * n + c[0]), e[0] + e[1] * n), n) for n in modes)
+    return [EigenvalueEstimate(n, value, True) for value, n in values]

@@ -6,7 +6,7 @@ literals are accepted only for sample-grid bounds.  csv/json output is
 byte-deterministic for identical invocations.
 
 Exit codes: 0 success; 2 for an ``InputError``, 1 for any other aimnu error
-and for a failed verification or convergence (see ``_Main``).
+and for a failed verification (see ``_Main``).
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ from .errors import AimnuError, BadParameter, InputError
 from .rationals import MAX_DIGITS, format_rational, parse_rational
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 class _Main(click.Group):
     """The one place where an aimnu error becomes an exit code, from its class.
 
@@ -47,7 +42,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except AimnuError as exc:
-            _fail(2 if isinstance(exc, InputError) else 1, str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, InputError) else 1)
 
 
 def _parse_params(pairs: tuple[str, ...]) -> dict[str, Fraction]:
@@ -156,8 +152,7 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], envelope: dict):
 #: Bounds on the sizes whose cost grows without limit, each set so that the
 #: slowest call it accepts at catalog defaults takes a few seconds;
 #: ``MAX_DIGITS`` bounds every numerator and denominator read, grid bounds too.
-MAX_SOLVE_N = 20_000  # one closed-form value per mode
-MAX_KMAX = 80  # level k costs about k^3; kratzer's bracket 0:1 runs to kmax
+MAX_SOLVE_N = aim_mod.MAX_MODES  # one closed-form value per mode, as many as aim returns
 MAX_EIGENFUNCTION_N = 100  # Rodrigues grows about as n^3, one sample as n^2
 MAX_SAMPLES = 2_000  # points of a --samples grid, each one exact evaluation
 
@@ -240,37 +235,24 @@ def cmd_solve(name_or_file, params, n_max, fmt):
 @click.argument("name_or_file")
 @_PARAM
 @click.option("--bracket", required=True, help="lo:hi open search bracket (rationals)")
-@click.option("--kmax", type=click.IntRange(2, MAX_KMAX), default=40, help="highest level k")
 @_FORMAT
-def cmd_aim(name_or_file, params, bracket, kmax, fmt):
-    """Iterative spectrum: exact roots of delta_k(r0, E), certified level by level.
+def cmd_aim(name_or_file, params, bracket, fmt):
+    """Iterative spectrum: every mode whose eigenvalue lies in the open bracket.
 
-    Each level is delta_{k-1} times a factor affine in E, from delta_{-1} = 1,
-    so one exact division certifies it and every root is an exact rational;
-    r0, the first of 1, 1/2, 1/3, ... off the roots of sigma, moves no root.
-    Stops once the roots in the open bracket equal those of level k-1; exits
-    1, naming them, when some root is uncertified at kmax.
+    delta_0..delta_2, each divided by the level before, fix the factor
+    c(k) + E e(k) of every level k; mode n's exact eigenvalue -c(n)/e(n) is
+    a root of every level k >= n.  Exits 1 for no mode, infinitely many or
+    more than 20,000.
     """
     name, problem = _load_problem(name_or_file, _parse_params(params))
-    lo, hi = _parse_bracket(bracket)
-    estimates = aim_mod.solve_iterative(problem, bracket=(lo, hi), k_max=kmax)
-    k = estimates.k
-    rows = [
-        {"n": e.n, "value": format_rational(e.value), "k_used": k, "converged": e.converged}
-        for e in estimates
-    ]
+    estimates = aim_mod.solve_iterative(problem, None, _parse_bracket(bracket))
+    rows = [{"n": e.n, "value": format_rational(e.value), "converged": e.converged} for e in estimates]
     _emit(
         fmt,
-        ["n", "value", "k_used", "converged"],
-        [[str(r["n"]), r["value"], str(k), str(r["converged"]).lower()] for r in rows],
-        {"name": name, "rows": rows, "certificate": {"k": k, "counts": list(estimates.counts)}},
+        ["n", "value", "converged"],
+        [[str(r["n"]), r["value"], str(r["converged"]).lower()] for r in rows],
+        {"name": name, "rows": rows},
     )
-    if fmt == "table":
-        click.echo(f"  certificate: k={k}, roots at k-1 and k: {estimates.counts}")
-    uncertified = [f"n={r['n']} ({r['value']})" for r in rows if not r["converged"]]
-    if uncertified:
-        reason = f"not exact roots of both delta_{k - 1} and delta_{k}"
-        _fail(1, f"roots uncertified at kmax = {k} ({reason}): " + ", ".join(uncertified))
 
 
 def _grid_bound(text: str) -> Fraction:

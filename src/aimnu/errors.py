@@ -40,6 +40,10 @@ class NoRootInBracket(AimnuError, RuntimeError):
     """The iterative solver found no root of delta_k inside the bracket."""
 
 
+class IncompleteSpectrum(AimnuError, RuntimeError):
+    """The iterative solver cannot list every mode inside the bracket."""
+
+
 class NotHypergeometricType(InputError, ValueError):
     """The caps deg(tau) <= 1, deg(sigma) <= 2, gamma constant in r are violated."""
 

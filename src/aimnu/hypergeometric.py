@@ -65,7 +65,7 @@ def _check_caps(problem: HypergeometricProblem) -> None:
         raise NotHypergeometricType(f"deg(sigma) = {problem.sigma.degree} > 2")
     if isinstance(gamma.const, Poly):
         raise NotHypergeometricType("gamma depends on r")
-    if gamma.slope == 0 and tau.slope.is_zero:
+    if gamma.slope == 0 and tau.slope.coeff(1) == 0:  # the parameter enters through tau' and gamma
         raise NotHypergeometricType("no parameter dependence to quantize")
 
 
@@ -78,10 +78,8 @@ def validate(
     depend on the parameter; ``gamma`` is the pair (const, slope), stored as
     an ``Affine`` of two Fractions.
 
-    The record holds no evaluation point: for this input
-    delta_k(r0, E) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E), with
-    mu_n = gamma + n tau' + n(n-1) sigma''/2, so r0 never moves a root and
-    ``aim.solve_iterative`` picks one off the roots of sigma.
+    The record holds no evaluation point: for this input r0 moves no root
+    of delta_k(r0, E), and ``aim.solve_iterative`` picks one off sigma's roots.
 
     Raises NotHypergeometricType if deg(tau) > 1 or deg(sigma) > 2, and
     InvalidInput if tau or sigma is not a Poly or gamma is not a pair of

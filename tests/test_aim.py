@@ -6,19 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aimnu.aim as aim_module
-from aimnu.aim import (
-    _level_roots,
-    determinants,
-    iterate,
-    solve_iterative,
-)
+import aimnu.hypergeometric as hypergeometric_module
+from aimnu.aim import MAX_MODES, determinants, iterate, solve_iterative
 from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
-from aimnu.errors import EvaluationPole, NoRootInBracket, NotHypergeometricType
+from aimnu.errors import (
+    DegenerateParameterMap,
+    EvaluationPole,
+    IncompleteSpectrum,
+    NoRootInBracket,
+    NotHypergeometricType,
+)
 from aimnu.hypergeometric import HypergeometricProblem, eigenvalue, gamma_n, validate
 
 R = Poly.variable()
-TOL = F(1, 10**8)  # the width of an uncertified root's interval, aim._TOL
+TOL = F(1, 10**8)  # the width of an inexact root's interval, aim._TOL
 
 
 HERMITE = catalog_get("hermite")  # lambda0 = 2r, s0 = -2E
@@ -87,8 +89,8 @@ class TestSolveIterative:
 
     def test_no_root_in_bracket(self):
         problem = catalog_get("morse")
-        with pytest.raises(NoRootInBracket):
-            solve_iterative(problem, F(1), (F(10), F(11)), k_max=6)
+        with pytest.raises(NoRootInBracket, match=r"^no mode in \(10, 11\)$"):
+            solve_iterative(problem, F(1), (F(10), F(11)))
 
     def test_pole_at_evaluation_point(self):
         problem = catalog_get("morse")  # sigma = r vanishes at 0
@@ -152,7 +154,6 @@ class TestDerivedEvaluationPoint:
         derived = solve_iterative(problem, None, bracket)
         fixed = solve_iterative(problem, F(2, 5), bracket)
         assert derived == fixed
-        assert (derived.k, derived.counts) == (fixed.k, fixed.counts)
 
     @pytest.mark.parametrize(
         "problem, bracket, r0",
@@ -207,20 +208,18 @@ class TestCertifiedBrackets:
         assert [e.value for e in estimates] == expected
         assert all(type(e.value) is F for e in estimates)
         assert all(e.converged for e in estimates)
-        assert estimates.counts == (len(expected), len(expected))
+        assert all(expected_eigenvalue(name, None, e.n) == e.value for e in estimates)
 
     def test_k_max_too_small(self):
-        estimates = _solve("hermite", F(1), (F(-1, 2), F(21, 2)), k_max=5)
-        assert estimates.k == 5 and estimates.counts == (5, 6)
+        # the Hermite record with gamma stored as two Polys, which the caps refuse,
+        # is isolated at level k_max: 5 is a root of delta_5 but not of delta_4,
+        # and 6..10 are no roots of delta_5
+        gamma = Affine(Poly(), Poly.const(2))
+        problem = HypergeometricProblem(Affine(Poly([0, -2]), Poly()), Poly.const(1), gamma)
+        estimates = solve_iterative(problem, F(1), (F(-1, 2), F(21, 2)), k_max=5)
         assert [e.value for e in estimates] == [0, 1, 2, 3, 4, 5]
-        # 5 is a root of delta_5 but not of delta_4; 6..10 are not found yet
         assert [e.converged for e in estimates] == [True] * 5 + [False]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item A: the stopping rule ends at the first level whose roots "
-        "repeat, so a spectrum that is not monotone in n loses the modes after it",
-    )
     @pytest.mark.parametrize(
         "problem, bracket, expected",
         [
@@ -229,27 +228,67 @@ class TestCertifiedBrackets:
             (
                 validate(Poly([0, F(13, 2)]), Poly([1, 0, -1]), (0, 1), "E"),
                 (F(-7), F(-3)),
-                [F(-13, 2), F(-7, 2)],
+                [(1, F(-13, 2)), (7, F(-7, 2))],
             ),
             # E_n = n(n - 7/2) is 0, -5/2, -3, -3/2, 2 for n <= 4, and the bracket
             # holds E_0 = 0 and E_4 = 2
-            (catalog_get("jacobi", {"alpha": F(-9, 2), "beta": F(0)}), (F(-1), F(3)), [0, 2]),
+            (catalog_get("jacobi", {"alpha": F(-9, 2), "beta": F(0)}), (F(-1), F(3)), [(0, 0), (4, 2)]),
         ],
         ids=["nonmono", "jacobi-alpha-minus-9/2"],
     )
     def test_nonmonotone_spectrum_is_complete(self, problem, bracket, expected):
         estimates = solve_iterative(problem, None, bracket)
-        assert [e.value for e in estimates] == expected
+        assert [(e.n, e.value) for e in estimates] == expected
+        assert all(e.converged for e in estimates)
+
+    def test_degenerate_modes_give_one_row_each(self):
+        # sigma = 1 - r^2, tau = 6r, gamma = E: E_n = n(n - 7), so E_n = E_(7-n)
+        problem = validate(Poly([0, 6]), Poly([1, 0, -1]), (0, 1), "E")
+        estimates = solve_iterative(problem, None, (F(-11), F(1)))
+        rows = [(2, -10), (5, -10), (1, -6), (6, -6), (0, 0), (7, 0)]
+        assert [(e.n, e.value) for e in estimates] == rows
+
+    @pytest.mark.parametrize("bracket", [(F(0), F(5)), (F(100), F(200))])
+    def test_mode_whose_factor_vanishes_fails_loudly(self, bracket):
+        # sigma = 1, tau = (E - 2) r, gamma = 6 - 3E: mu_3 = 6 - 3E + 3(E - 2) = 0, so
+        # delta_k = 0 for every E from k = 3 on, whatever the bracket
+        problem = validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (6, -3), "E")
+        deltas = [d for _, d in zip(range(6), determinants(problem, F(1)))]
+        assert [d.is_zero for d in deltas] == [False] * 3 + [True] * 3
+        with pytest.raises(NoRootInBracket, match="^delta_3 vanishes for every trial value$"):
+            solve_iterative(problem, None, bracket)
+
+    @pytest.mark.parametrize(
+        "name, bracket, message",
+        [
+            # E_n = 1/(2(n + 1)) accumulates at 0
+            ("kratzer", (F(0), F(1)), r"^the bracket \(0, 1\) holds infinitely many modes$"),
+            (
+                "hermite",
+                (F(-1, 2), F(2 * MAX_MODES + 1, 2)),
+                rf"holds {MAX_MODES + 1} modes, over {MAX_MODES}$",
+            ),
+        ],
+        ids=["infinite", "above-the-cap"],
+    )
+    def test_too_many_modes_raise(self, name, bracket, message):
+        with pytest.raises(IncompleteSpectrum, match=message):
+            solve_iterative(catalog_get(name), None, bracket)
+
+    def test_as_many_modes_as_the_cap(self):
+        estimates = solve_iterative(catalog_get("hermite"), None, (F(-1, 2), F(2 * MAX_MODES - 1, 2)))
+        assert [(e.n, e.value) for e in estimates] == [(n, n) for n in range(MAX_MODES)]
 
     def test_zero_delta_0_is_not_divided_by(self):
-        # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_1 is
-        # not: level 1 is isolated in full, never divided by delta_0
+        # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_4 is
+        # not: the record is outside the caps, and level 4 is isolated in full
         one = Poly.const(1)
         problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([-1, 1]), Poly([-1, 1])), one))
+        assert next(determinants(problem, F(1))).is_zero
         estimates = solve_iterative(problem, F(1), (F(-10), F(10)), k_max=4)
         assert [e.value for e in estimates] == [-5, -1, F(7, 5)]
         assert [e.converged for e in estimates] == [False, True, False]
-        assert (estimates.k, estimates.counts) == (4, (1, 3))
+        assert [e.n for e in estimates] == [0, 1, 2]
 
     def test_irrational_roots_reported_as_midpoints(self):
         # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
@@ -257,7 +296,7 @@ class TestCertifiedBrackets:
         one = Poly.const(1)
         problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([0, 0, 1]), -one), one))
         estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3)
-        assert len(estimates) == 2 and estimates.counts == (3, 2)
+        assert len(estimates) == 2
         for e in estimates:
             assert not e.converged
             below = _deltas_at(problem, e.value - TOL, 3, F(0))[-1]
@@ -324,7 +363,7 @@ def hypergeometric_problems(draw):
     sigma = draw(st.lists(small, min_size=1, max_size=3).map(Poly).filter(lambda p: not p.is_zero))
     tau = Affine(draw(affine), draw(affine))
     gamma = (draw(small), draw(small))
-    assume(gamma[1] or not tau.slope.is_zero)
+    assume(gamma[1] or tau.slope.coeff(1))
     r0 = draw(small.filter(lambda x: sigma.evaluate(x) != 0))
     return validate(tau, sigma, gamma, "E"), r0
 
@@ -400,18 +439,6 @@ class TestDeterminants:
             assert delta == RatFunc(Poly.const(prod(mu[: k + 1])), problem.sigma ** (k + 1))
 
 
-def _assert_same_roots(delta, got, expected):
-    """``got`` holds the roots that ``expected`` holds: the same exact roots,
-    and intervals narrower than TOL whose overlap holds one root of delta."""
-    assert len(got) == len(expected)
-    for (a, b), (c, d) in zip(got, expected):
-        assert (a == b) == (c == d)
-        if c == d:
-            assert a == c
-        else:
-            assert b - a < TOL and len(delta.real_roots(max(a, c), min(b, d))) == 1
-
-
 #: (catalog entry, r0, bracket): the five brackets of the golden files.
 GOLDEN_BRACKETS = [
     ("hermite", F(1), (F(-1, 2), F(21, 2))),
@@ -422,29 +449,16 @@ GOLDEN_BRACKETS = [
 ]
 
 
-def _check_levels(problem, r0, bracket, k_max):
-    """Run ``solve_iterative`` to k_max, check the roots it certifies at each
-    level against a fresh isolation of delta_k and return them."""
-    levels = []
-
-    def record(delta, *args):
-        levels.append(_level_roots(delta, *args))
-        if not delta.is_zero:
-            _assert_same_roots(delta, levels[-1], delta.real_roots(*bracket, TOL))
-        return levels[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aim_module, "_level_roots", record)
-        try:
-            solve_iterative(problem, r0, bracket, k_max=k_max)
-        except NoRootInBracket:
-            pass
-    return levels
+def _exact_roots(delta, bracket):
+    """The roots of delta in the open bracket by ``Poly.real_roots``, each one exact."""
+    roots = delta.real_roots(*bracket, TOL)
+    assert all(a == b for a, b in roots)
+    return [a for a, _ in roots]
 
 
 def _isolations(problem, r0, bracket, k_max):
     """The polynomials that ``solve_iterative`` hands to ``Poly.real_roots``,
-    and its estimates (none when it raises NoRootInBracket)."""
+    and its estimates (none when it raises)."""
     calls, estimates = [], []
     real_roots = Poly.real_roots
 
@@ -456,18 +470,20 @@ def _isolations(problem, r0, bracket, k_max):
         patch.setattr(Poly, "real_roots", spy)
         try:
             estimates = solve_iterative(problem, r0, bracket, k_max=k_max)
-        except NoRootInBracket:
+        except (NoRootInBracket, IncompleteSpectrum):
             pass
     return calls, estimates
 
 
 class TestLevelRoots:
+    """Within the caps the solver reads every mode off delta_0..delta_2 and
+    isolates nothing; what it returns are the roots of the deep levels."""
+
     @pytest.mark.parametrize(
         "name, r0, bracket, k_max",
         [(*case, 40) for case in GOLDEN_BRACKETS] + [("kratzer", None, (F(1, 150), F(1)), 80)],
     )
     def test_catalog_never_isolates(self, name, r0, bracket, k_max):
-        # every level from delta_0 on is certified by the quotient, never by isolation
         calls, estimates = _isolations(catalog_get(name), r0, bracket, k_max)
         assert calls == [] and estimates and all(e.converged for e in estimates)
 
@@ -477,60 +493,96 @@ class TestLevelRoots:
         problem, r0 = case
         assert _isolations(problem, r0, (F(-10), F(10)), 8)[0] == []
 
+    def test_reads_three_levels_and_no_closed_form(self, monkeypatch):
+        # c and e come from delta_0..delta_2 alone: no deeper level, no root
+        # isolation, and none of the closed-form route that verify compares with
+        drawn = []
+
+        def spy(*args):
+            for delta in determinants(*args):
+                drawn.append(delta)
+                yield delta
+
+        def forbidden(*args):
+            raise AssertionError("the solver reached the closed-form route")
+
+        monkeypatch.setattr(aim_module, "determinants", spy)
+        for name in ("eigenvalue", "gamma_n"):
+            monkeypatch.setattr(hypergeometric_module, name, forbidden)
+        monkeypatch.setattr(Poly, "real_roots", forbidden)
+        for name, r0, bracket in [*GOLDEN_BRACKETS, ("kratzer", None, (F(1, 150), F(1)))]:
+            drawn.clear()
+            assert solve_iterative(catalog_get(name), r0, bracket)
+            assert len(drawn) == 3
+
     @pytest.mark.parametrize("name, r0, bracket", GOLDEN_BRACKETS)
     def test_every_level_matches_full_isolation(self, name, r0, bracket):
-        problem = catalog_get(name)
-        k = solve_iterative(problem, r0, bracket).k
-        levels = _check_levels(problem, r0, bracket, k)
-        assert len(levels) == k + 1
-        # each level keeps every root of the level before, all exact
-        for before, after in zip(levels, levels[1:]):
-            assert all(a == b for a, b in after) and set(before) <= set(after)
+        # up to the deepest mode K returned, the modes n <= k are the roots of delta_k
+        estimates = solve_iterative(catalog_get(name), r0, bracket)
+        K = max(e.n for e in estimates)
+        for k, delta in zip(range(K + 1), determinants(catalog_get(name), r0)):
+            assert sorted(e.value for e in estimates if e.n <= k) == _exact_roots(delta, bracket)
+
+    def test_deepest_level_of_a_wide_bracket(self):
+        # kratzer's bracket 1/150:1 holds the 74 modes n <= 73: delta_73 has no other root there
+        problem, bracket = catalog_get("kratzer"), (F(1, 150), F(1))
+        estimates = solve_iterative(problem, None, bracket)
+        assert sorted(e.n for e in estimates) == list(range(74))
+        delta = [d for _, d in zip(range(74), determinants(problem, F(1)))][-1]
+        assert [e.value for e in estimates] == _exact_roots(delta, bracket)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hypergeometric_problems(),
+        st.tuples(small, small, st.integers(1, 20)).filter(lambda t: t[0] != t[1]),
+    )
+    def test_matches_the_closed_form_enumeration(self, case, draw):
+        # the enumeration of eigenvalue() is this test's oracle, never the solver's:
+        # every mode n < 1000 in the bracket, or a raise that the oracle confirms
+        problem, r0 = case
+        lo, hi = sorted(x * draw[2] for x in draw[:2])
+        expected, vanishing = [], None
+        for n in range(1000):
+            try:
+                value = eigenvalue(problem, n)
+            except DegenerateParameterMap:  # mu_n is constant in E: zero or never zero
+                at0 = gamma_n(problem.tau.const, problem.sigma, n) - problem.gamma.const
+                if vanishing is None and at0 == 0:
+                    vanishing = n
+                continue
+            if lo < value < hi:
+                expected.append((value, n))
+        try:
+            estimates = solve_iterative(problem, r0, (lo, hi))
+        except NoRootInBracket as exc:
+            if vanishing is None:
+                assert str(exc) == f"no mode in ({lo}, {hi})" and not expected
+            else:
+                assert str(exc) == f"delta_{max(vanishing, 1)} vanishes for every trial value"
+            return
+        except IncompleteSpectrum as exc:
+            assert vanishing is None and "infinitely many" in str(exc)
+            assert all(lo < eigenvalue(problem, n) < hi for n in (10**6, 10**6 + 1, 10**9))
+            return
+        assert vanishing is None
+        assert [(e.value, e.n) for e in estimates] == sorted(expected)
+        assert all(e.converged for e in estimates)
 
     @settings(max_examples=10, deadline=None)
     @given(affine_problems())
     def test_every_level_matches_on_random_problems(self, case):
-        _check_levels(*case, (F(-10), F(10)), 6)
-
-    def test_root_shared_by_quotient_and_carried_roots_appears_once(self):
-        last = Poly.linear_root(F(1, 3)) * Poly.linear_root(2)
-        delta = last * Poly([-1, 3])  # the quotient 3E - 1 vanishes at 1/3 again
-        roots = _level_roots(delta, last, [(F(1, 3), F(1, 3)), (F(2), F(2))], F(0), F(5))
-        assert roots == [(F(1, 3), F(1, 3)), (2, 2)]
-
-    def test_quotient_root_outside_the_bracket_is_left_out(self):
-        last = Poly.linear_root(1)
-        delta = last * Poly.linear_root(7)
-        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5)) == [(1, 1)]
-
-    def test_root_where_delta_does_not_vanish_is_left_out(self):
-        # delta_{k-1} does not divide delta_k: the level is isolated in full
-        last = Poly.linear_root(2) * Poly.linear_root(3)
-        delta = Poly.linear_root(1) * Poly.linear_root(3)
-        roots = _level_roots(delta, last, [(F(2), F(2)), (F(3), F(3))], F(0), F(5))
-        assert roots == [(1, 1), (3, 3)]
-
-    def test_double_root(self):
-        # the quotient (E - 3/2)^2 is not linear: the level is isolated in full
-        last = Poly.linear_root(1)
-        delta = last * Poly.linear_root(F(3, 2)) ** 2
-        assert _level_roots(delta, last, [(F(1), F(1))], F(0), F(5)) == [(1, 1), (F(3, 2), F(3, 2))]
-
-    def test_irrational_cofactor_root_is_a_narrow_interval(self):
-        last = Poly.linear_root(F(1, 3))
-        delta = last * Poly([-2, 0, 1])  # (E - 1/3)(E^2 - 2)
-        (one_third, _), (a, b) = _level_roots(delta, last, [(F(1, 3), F(1, 3))], F(0), F(5))
-        assert one_third == F(1, 3)
-        assert a * a < 2 < b * b and b - a < TOL
-
-    def test_carried_irrational_interval_falls_back(self):
-        # the quotient's root x lies inside the interval carried for sqrt(2),
-        # which therefore isolates no root of delta
-        last = Poly([-2, 0, 1])
-        carried = last.real_roots(F(0), F(5), TOL)
-        ((a, b),) = carried
-        x = (a + b) / 2
-        delta = last * Poly.linear_root(x)
-        roots = _level_roots(delta, last, carried, F(0), F(5))
-        assert roots == delta.real_roots(F(0), F(5), TOL)
-        assert (x, x) in roots and (a, b) not in roots
+        # input outside the caps, isolated at each level k_max: the roots of delta_k_max,
+        # converged iff exact and a root of delta_(k_max - 1)
+        problem, r0 = case
+        deltas = [d for _, d in zip(range(7), determinants(problem, r0))]
+        for k_max in range(2, 7):
+            try:
+                estimates = solve_iterative(problem, r0, (F(-10), F(10)), k_max=k_max)
+            except NoRootInBracket:
+                assert deltas[k_max].is_zero or not deltas[k_max].real_roots(F(-10), F(10))
+                continue
+            roots = deltas[k_max].real_roots(F(-10), F(10), TOL)
+            assert [e.value for e in estimates] == [a if a == b else (a + b) / 2 for a, b in roots]
+            assert [e.converged for e in estimates] == [
+                a == b and deltas[k_max - 1].evaluate(a) == 0 for a, b in roots
+            ]

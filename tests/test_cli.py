@@ -18,7 +18,6 @@ from aimnu.errors import InconsistentGamma
 from aimnu.catalog import CATALOG, catalog_get
 from aimnu.cli import (
     MAX_EIGENFUNCTION_N,
-    MAX_KMAX,
     MAX_SAMPLES,
     MAX_SOLVE_N,
     _load_problem,
@@ -196,9 +195,9 @@ class TestAim:
         assert any(abs(v - 1) < 1e-7 for v in values)
 
     def test_no_root_exits_1(self, runner):
-        result = runner.invoke(main, ["aim", "morse", "--bracket", "10:11", "--kmax", "6"])
+        result = runner.invoke(main, ["aim", "morse", "--bracket", "10:11"])
         assert result.exit_code == 1
-        assert "no root of delta_6 in (10, 11)" in result.output
+        assert result.output == "error: no mode in (10, 11)\n"
 
     def test_r0_is_no_option(self, runner):
         # r0 scales delta_k by sigma(r0)^-(k+1) and moves no root, and every
@@ -209,22 +208,16 @@ class TestAim:
             assert "No such option" in result.output
 
     def test_kratzer_json_certificate(self, runner):
+        # every row is certified: an exact root of delta_k for each k >= n, with n the mode index
         result = invoke(runner, ["aim", "kratzer", "--bracket", "1/50:1", "--format", "json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
-        assert [row["value"] for row in doc["rows"]] == [f"1/{2 * n}" for n in range(24, 0, -1)]
-        assert all(row["converged"] and row["k_used"] == 24 for row in doc["rows"])
-        assert set(doc["rows"][0]) == {"n", "value", "k_used", "converged"}
-        assert doc["certificate"] == {"k": 24, "counts": [24, 24]}
-
-    def test_uncertified_roots_exit_1(self, runner):
-        result = runner.invoke(
-            main, ["aim", "hermite", "--bracket=-1/2:21/2", "--kmax", "5", "--format", "csv"]
-        )
-        assert result.exit_code == 1
-        assert "5,5,5,false" in result.output.splitlines()
-        assert "roots uncertified at kmax = 5" in result.output
-        assert "n=5 (5)" in result.output
+        assert set(doc) == {"name", "rows"}
+        assert [(row["n"], row["value"]) for row in doc["rows"]] == [
+            (n, f"1/{2 * (n + 1)}") for n in range(23, -1, -1)
+        ]
+        assert all(row["converged"] for row in doc["rows"])
+        assert set(doc["rows"][0]) == {"n", "value", "converged"}
 
     def test_problem_file_without_evaluation_point(self, runner, tmp_path):
         doc = {"tau": {"r1": "-2"}, "sigma": ["1"], "gamma": {"const": "0", "param": "2"}}
@@ -248,6 +241,19 @@ class TestAim:
         result = runner.invoke(main, ["aim", str(path), "--bracket=-10:10"])
         assert result.exit_code == 1
         assert "error: delta_1 vanishes for every trial value" in result.output
+
+    def test_vanishing_mode_exits_1(self, runner, tmp_path):
+        # sigma = 1, tau = (E - 2) r, gamma = 6 - 3E: mu_3 = 0, so delta_k = 0 from k = 3 on
+        doc = {
+            "tau": {"r1": {"const": "-2", "param": "1"}}, "sigma": ["1"],
+            "gamma": {"const": "6", "param": "-3"}, "parameter": "E",
+        }
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(doc))
+        for bracket in ("0:5", "100:200"):
+            result = runner.invoke(main, ["aim", str(path), "--bracket", bracket])
+            assert result.exit_code == 1
+            assert result.output == "error: delta_3 vanishes for every trial value\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "eigenfunction", "nu"])
@@ -327,6 +333,20 @@ def test_cubic_sigma_exits_2(runner, tmp_path, command, extra):
     assert result.output == "error: deg(sigma) = 3 > 2\n"
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("solve", []), ("aim", ["--bracket=-10:10"]), ("eigenfunction", [])]
+)
+def test_parameter_only_in_tau_constant_term_exits_2(runner, tmp_path, command, extra):
+    # the parameter quantizes only through tau' and gamma, and here enters neither
+    path = tmp_path / "constant-term.json"
+    tau = {"r0": {"const": "0", "param": "1"}, "r1": "-2"}
+    doc = {"tau": tau, "sigma": ["1"], "gamma": {"const": "3"}}
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(path), *extra])
+    assert result.exit_code == 2
+    assert result.output == "error: no parameter dependence to quantize\n"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
     | st.sampled_from(["0", "1", "-2", "1/2", "3/0", "1.5", "r0", "const"]),
@@ -335,7 +355,7 @@ _JSON = st.recursive(
 )
 _COMMANDS = [
     ["solve", "--n", "2"],
-    ["aim", "--bracket=-3:3", "--kmax", "6"],
+    ["aim", "--bracket=-3:3"],
     ["eigenfunction", "--n", "2"],
     ["eigenfunction", "--n", "2", "--method", "rodrigues"],
     ["eigenfunction", "--n", "2", "--method", "explicit"],
@@ -535,12 +555,14 @@ class TestBoundedInputs:
         assert sorted((c["k"], c["pi"]) for c in candidates) == [("0", []), ("0", ["0", "2"])]
 
     def test_kratzer_with_a_30_digit_coefficient(self):
-        # every E_n = A/(2(n+1)) lies far above the bracket, so aim runs to kmax
+        # E_n = A/(2(n+1)) lies in the bracket for A/2 < n + 1 < 25 A: the low modes
+        # lie far above it, and the bracket holds about 8 * 10^30 modes, far above the cap
         a = "1000000000000000000000000000000/3"
         args = ["kratzer", "--param", f"A={a}"]
         result, seconds = run_process(["aim", *args, "--bracket", "1/50:1"])
         assert result.returncode == 1
-        assert "error: no root of delta_40 in (1/50, 1)" in result.stderr
+        count = 25 * 10**30 // 3 - 10**30 // 6  # the integers n + 1 in (A/2, 25 A)
+        assert result.stderr == f"error: the bracket (1/50, 1) holds {count} modes, over 20000\n"
         assert seconds < 5
         result, seconds = run_process(["solve", *args, "--n", "1", "--format", "csv"])
         assert result.returncode == 0
@@ -591,8 +613,8 @@ class TestBoundedInputs:
         "args, code",
         [
             (["solve", "hermite", "--n", str(MAX_SOLVE_N)], 0),
-            # the bracket holds more modes than kmax levels certify
-            (["aim", "morse", "--bracket=-1000000:1000000", "--kmax", str(MAX_KMAX)], 1),
+            # E_n = n: the bracket holds modes 0 .. MAX_SOLVE_N - 1, as many as aim returns
+            (["aim", "hermite", f"--bracket=-1/2:{2 * MAX_SOLVE_N - 1}/2"], 0),
             (
                 ["eigenfunction", "hulthen", "--n", str(MAX_EIGENFUNCTION_N),
                  "--method", "rodrigues", "--samples", f"1/3:3/7:{MAX_SAMPLES}"],
@@ -620,7 +642,6 @@ class TestBoundedInputs:
         "args, bound",
         [
             (["solve", "hermite", "--n", str(MAX_SOLVE_N + 1)], MAX_SOLVE_N),
-            (["aim", "kratzer", "--bracket", "0:1", "--kmax", str(MAX_KMAX + 1)], MAX_KMAX),
             (["eigenfunction", "legendre", "--n", str(MAX_EIGENFUNCTION_N + 1)], MAX_EIGENFUNCTION_N),
             # each sample is one exact evaluation whose cost grows with the bound's digits
             (
@@ -630,7 +651,7 @@ class TestBoundedInputs:
             ),
             (["solve", "kratzer", "--param", f"A=1{'0' * MAX_DIGITS}"], MAX_DIGITS),
         ],
-        ids=["solve-n", "aim-kmax", "eigenfunction-n", "grid-bound-digits", "param-digits"],
+        ids=["solve-n", "eigenfunction-n", "grid-bound-digits", "param-digits"],
     )
     def test_above_the_bound_exits_2(self, args, bound):
         result, seconds = run_process(args)
@@ -638,6 +659,30 @@ class TestBoundedInputs:
         assert str(bound) in result.stderr
         assert "Traceback" not in result.stderr
         assert seconds < 5
+
+    def test_aim_above_the_mode_cap_exits_1(self):
+        # one mode more than the cap: a computation on valid input, refused before any row
+        result, seconds = run_process(["aim", "hermite", f"--bracket=-1/2:{2 * MAX_SOLVE_N + 1}/2"])
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: the bracket (-1/2, {2 * MAX_SOLVE_N + 1}/2) holds {MAX_SOLVE_N + 1} modes, "
+            f"over {MAX_SOLVE_N}\n"
+        )
+        assert seconds < 5
+
+    def test_31_digit_kratzer(self):
+        # A = P/7, Lambda = P/(P + 2): the bracket -1000:1000 holds the accumulation point
+        # 0 of E_n, and P/280:P/70 holds 15 modes; neither runs a level past delta_2
+        p = 1234567890123456789012345678901
+        args = ["aim", "kratzer", "--param", f"A={p}/7", "--param", f"Lambda={p}/{p + 2}"]
+        result, seconds = run_process([*args, "--bracket=-1000:1000"])
+        assert result.returncode == 1
+        assert result.stderr == "error: the bracket (-1000, 1000) holds infinitely many modes\n"
+        assert seconds < 0.5
+        result, seconds = run_process([*args, f"--bracket={p}/280:{p}/70", "--format", "csv"])
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 16 and result.stdout.count(",true") == 15
+        assert seconds < 0.5
 
 
 class TestReadme:
@@ -669,7 +714,7 @@ class TestReadme:
         # the README's python block, with its plain int parameter alpha = 1
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         exec(re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1), {})
-        assert capsys.readouterr().out.splitlines() == ["2", "0 1 True", "1 2 True", "2 (2, 2)"]
+        assert capsys.readouterr().out.splitlines() == ["2", "1 1 True", "0 2 True"]
 
 
 class TestVerify:

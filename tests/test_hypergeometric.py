@@ -64,6 +64,11 @@ class TestValidate:
         with pytest.raises(NotHypergeometricType):
             validate(R, Poly.const(1), (1, 0))
 
+    def test_rejects_a_parameter_only_in_tau_constant_term(self):
+        # tau = p - 2r: the parameter enters neither tau' nor gamma, so no mode quantizes it
+        with pytest.raises(NotHypergeometricType, match="no parameter dependence to quantize"):
+            validate(Affine(Poly([0, -2]), Poly.const(1)), Poly.const(1), (3, 0))
+
 
 class TestGammaN:
     def test_n_zero_is_zero(self):

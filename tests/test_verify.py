@@ -7,6 +7,7 @@ mutants must fail every one of its rows.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,16 @@ def _shift_gamma_n(monkeypatch):
 def _drop_a_root(monkeypatch):
     original = aim.solve_iterative
     monkeypatch.setattr(aim, "solve_iterative", lambda *args, **kwargs: original(*args, **kwargs)[1:])
+
+
+def _determinants_at_shifted_e(monkeypatch):
+    # delta_k(E + 1/100) at every level keeps the factors c(k) + E e(k) and moves
+    # every root by -1/100, still inside each bracket
+    original = aim.determinants
+    shift = Fraction(1, 100)
+    monkeypatch.setattr(
+        aim, "determinants", lambda *args: (delta.compose_linear(shift) for delta in original(*args))
+    )
 
 
 def _shift_delta(monkeypatch):
@@ -89,6 +100,7 @@ MUTANTS = [
     ("gamma", _shift_gamma_n, [0]),
     ("morse", _shift_eigenvalue, [0, 1]),
     ("morse", _drop_a_root, [1]),
+    ("morse", _determinants_at_shifted_e, [1]),
     ("hulthen", _shift_eigenvalue, [0]),
     ("hulthen", _hulthen_series_times_r, [1, 2]),
     ("hulthen", _recursion_times_r, [2]),
@@ -101,6 +113,7 @@ MUTANTS = [
     ("delta", _shift_delta, [0, 1]),
     ("aim", _drop_a_root, [0, 1, 2, 3]),
     ("aim", _shift_eigenvalue, [0, 1, 2, 3]),
+    ("aim", _determinants_at_shifted_e, [0, 1, 2, 3]),
 ]
 
 
