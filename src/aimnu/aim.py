@@ -23,8 +23,8 @@ delta_{-1} = a_1 b_0 - a_0 b_1 = 1.  So each level quotient
 delta_k / delta_{k-1} is c(k) + E e(k), c quadratic and e linear in k,
 and the root -c(n)/e(n) of mode n is a root of every delta_k with k >= n
 (Ciftci, Hall & Saad, J. Phys. A 38 (2005) 1147).  ``solve_iterative``
-therefore reads every mode in a bracket off delta_0, delta_1 and delta_2;
-input of another form is isolated at one level.
+therefore reads every mode in a bracket off delta_0, delta_1 and delta_2,
+and refuses input outside the hypergeometric caps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import count, zip_longest
 
 from .algebra import Poly, RatFunc, _clear_denominators, _coerce_poly, _dot, _poly
-from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket, NotHypergeometricType
+from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
 from .hypergeometric import HypergeometricProblem, _check_caps
 
 __all__ = [
@@ -63,7 +63,11 @@ def iterate(problem: HypergeometricProblem, energy: Fraction, k: int) -> list[Ra
 
 @dataclass
 class EigenvalueEstimate:
-    """One root of delta_k(r0, E) = 0 inside the bracket, ``n`` its mode index if known."""
+    """The exact eigenvalue of mode ``n`` inside the bracket.
+
+    ``converged`` is always true; it stays, with ``n``, because the JSON
+    rows and the benchmark's spectrum check read both.
+    """
 
     n: int
     value: Fraction
@@ -142,7 +146,6 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
         yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), mD[0] ** (2 * level + 1))
 
 
-_TOL = Fraction(1, 10**8)  # an inexact root is reported on an interval narrower than this
 MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
 
 
@@ -187,43 +190,27 @@ def solve_iterative(
     problem: HypergeometricProblem,
     r0: Fraction | None = None,
     bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-    k_max: int = 40,
 ) -> list[EigenvalueEstimate]:
-    """Eigenvalues as the roots of delta_k(r0, E) in the open bracket, ascending.
+    """Every mode whose eigenvalue lies in the open bracket, ascending.
 
-    Within the hypergeometric caps, delta_0, delta_1 and delta_2, each
-    divided exactly by the level before, give the factors c(k) + E e(k),
-    k = 0, 1, 2, of c quadratic and e linear in k; the third e checks the
-    fit.  Every mode n >= 0 whose root -c(n)/e(n) lies in the bracket gives
-    an exact, converged estimate, ``n`` its mode index.  No mode, or a
+    delta_0, delta_1 and delta_2, each divided exactly by the level before,
+    give the factors c(k) + E e(k), k = 0, 1, 2, of c quadratic and e
+    linear in k; the third e checks the fit.  Every mode n >= 0 whose root
+    -c(n)/e(n) lies in the bracket gives an exact, converged estimate,
+    ``n`` its mode index.  A record outside the hypergeometric caps raises
+    NotHypergeometricType before any level is drawn.  No mode, or a
     delta_n that vanishes for every trial value, raises NoRootInBracket;
     infinitely many or more than MAX_MODES modes raise IncompleteSpectrum.
-    Other input is isolated at level k_max: a root is ``converged`` iff it
-    is exact and a root of delta_{k_max-1}; any other is the midpoint of an
-    interval narrower than ``_TOL`` = 10^-8, and ``n`` indexes the roots.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
-    root of sigma.  For hypergeometric input r0 only scales delta_k by
-    sigma(r0)^-(k+1) and moves no root; for any other input pass ``r0``.
+    root of sigma; r0 only scales delta_k by sigma(r0)^-(k+1) and moves no root.
     """
+    _check_caps(problem)
     if r0 is None:  # sigma != 0 has finitely many roots
         r0 = next(x for x in (Fraction(1, m) for m in count(1)) if problem.sigma.evaluate(x))
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    try:
-        _check_caps(problem)
-    except NotHypergeometricType:  # outside the caps: isolate level k_max
-        last, delta = [d for _, d in zip(range(k_max + 1), determinants(problem, r0))][-2:]
-        if delta.is_zero or not (roots := delta.real_roots(lo, hi, _TOL)):
-            raise NoRootInBracket(f"delta_{k_max} has no isolated root in ({lo}, {hi})") from None
-        return [
-            EigenvalueEstimate(n, a if a == b else (a + b) / 2, a == b and not last.evaluate(a))
-            for n, (a, b) in enumerate(roots)
-        ]
-
     levels = [Poly.const(1), *(d for _, d in zip(range(3), determinants(problem, r0)))]
     for k in (1, 2):  # delta_0 = 0 makes delta_1 = 0
         if levels[k + 1].is_zero:

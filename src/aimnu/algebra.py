@@ -49,10 +49,6 @@ NEG_INF = float("-inf")
 _FractionLike = Fraction | int
 
 
-def _as_fraction(x: _FractionLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class Poly:
     """Dense univariate polynomial over the rationals, immutable and hashable.
 
@@ -223,46 +219,6 @@ class Poly:
             acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
             acc[0] += c * v**k
         return _poly(acc, self._den * v ** max(len(self._nums) - 1, 0))
-
-    def real_roots(
-        self, lo: _FractionLike, hi: _FractionLike, width: Fraction | None = None
-    ) -> list[tuple[Fraction, Fraction]]:
-        """Every distinct real root in the open interval (lo, hi), ascending.
-
-        Each root comes as a pair (a, b): a == b is an exact rational root,
-        a < b an open interval that holds one irrational root, narrower than
-        ``width`` when given.  The roots of the squarefree part are isolated
-        by Descartes' rule of signs with bisection on primitive integer
-        coefficients (Collins & Akritas, SYMSAC 1976), then refined by
-        testing the simplest rational inside each interval (``_refine``).
-        """
-        if self.is_zero:
-            raise InvalidInput("real roots of the zero polynomial")
-        lo, hi = _as_fraction(lo), _as_fraction(hi)
-        if not lo < hi or (width is not None and width <= 0):
-            raise InvalidInput(f"empty interval ({lo}, {hi}) or width {width} <= 0")
-        if self.degree < 1:
-            return []
-        ints = _integer_coeffs(self // poly_gcd(self, self.derivative()))
-        found: list[tuple[Fraction, Fraction]] = []
-        isolated: list[tuple[Fraction, Fraction]] = []
-        # Descartes bisection on P(x) = p(lo + (hi - lo) x), x in (0, 1)
-        stack = [(lo, hi, _map_to_unit(ints, lo, hi - lo))]
-        while stack:
-            a, b, cs = stack.pop()
-            signs = [c > 0 for c in _shift_by_one(cs[::-1]) if c]
-            variations = sum(s != t for s, t in zip(signs, signs[1:]))
-            if variations == 1:
-                isolated.append((a, b))
-            elif variations > 1:
-                n, mid = len(cs) - 1, (a + b) / 2
-                left = _primitive([c << (n - i) for i, c in enumerate(cs)])  # 2^n P(x/2)
-                right = _shift_by_one(left)
-                if right[0] == 0:
-                    found.append((mid, mid))
-                stack += [(a, mid, left), (mid, b, right)]
-        found += [_refine(ints, lo_, hi_, width) for lo_, hi_ in isolated]
-        return sorted(found)
 
     # -- display ------------------------------------------------------
 
@@ -479,27 +435,6 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // content for v in ints] if content > 1 else ints
 
 
-def _shift_by_one(cs: list[int]) -> list[int]:
-    """Coefficients of P(x + 1), lowest degree first."""
-    cs = list(cs)
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += cs[j + 1]
-    return cs
-
-
-def _map_to_unit(ints: list[int], lo: Fraction, width: Fraction) -> list[int]:
-    """Primitive integer coefficients of p(lo + width x), in integer steps:
-    with lo = u/v and width = s/t, scale by v^n, shift by u, then scale the
-    coefficient of x^i by (v s)^i t^(n-i)."""
-    (u, v), (s, t), n = lo.as_integer_ratio(), width.as_integer_ratio(), len(ints) - 1
-    cs = [c * v ** (n - i) for i, c in enumerate(ints)]
-    for i in range(n):  # cs <- cs(x + u)
-        for j in range(n - 1, i - 1, -1):
-            cs[j] += u * cs[j + 1]
-    return _primitive([c * (v * s) ** i * t ** (n - i) for i, c in enumerate(cs)])
-
-
 def _horner(ints: list[int], u: int, v: int) -> int:
     """v^n p(u/v) for the integer polynomial p of degree n, v > 0, by homogeneous Horner."""
     acc, vp = 0, 1
@@ -507,56 +442,6 @@ def _horner(ints: list[int], u: int, v: int) -> int:
         acc = acc * u + c * vp
         vp *= v
     return acc
-
-
-def _sign_at(ints: list[int], u: int, v: int) -> int:
-    """Sign of the integer polynomial at u/v, v > 0."""
-    acc = _horner(ints, u, v)
-    return (acc > 0) - (acc < 0)
-
-
-def _refine(
-    ints: list[int], a: Fraction, b: Fraction, width: Fraction | None
-) -> tuple[Fraction, Fraction]:
-    """The one simple root in (a, b) of a squarefree primitive polynomial.
-
-    A Stern-Brocot descent: the ends p0/q0 < root < p1/q1 stay adjacent, so
-    each probe is the simplest rational inside, and runs of moves to one
-    side gallop.  A rational root u/v has v | lc, so once the mediant's
-    denominator exceeds |lc| the root is certified irrational; this happens
-    by width 1/(2 lc^2) at the latest.
-    """
-    derivative = _derivative(ints)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    sign_a = _sign_at(ints, an, ad) or _sign_at(derivative, an, ad)
-
-    def side(p: int, q: int) -> int:  # -1: p/q below the root, 0: the root, 1: above
-        if p * bd >= bn * q:
-            return 1
-        if p * ad <= an * q:
-            return -1
-        s = _sign_at(ints, p, q)
-        return 0 if s == 0 else (-1 if s == sign_a else 1)
-
-    p0, q0, p1, q1 = math.floor(a), 1, 1, 0
-    while q0 + q1 <= abs(ints[-1]) or (width is not None and q0 * q1 * width <= 1):
-        s = side(p0 + p1, q0 + q1)
-        # the nodes base + t*step, t >= 1, run from the mediant to the far end
-        (bp, bq), (sp, sq) = ((p0, q0), (p1, q1)) if s < 0 else ((p1, q1), (p0, q0))
-        lo, hi, probe, r = 1, 1, 1, s
-        while r == s != 0:
-            lo, hi = hi, 2 * hi
-            probe, r = hi, side(bp + hi * sp, bq + hi * sq)
-        while r and hi - lo > 1:
-            probe = (lo + hi) // 2
-            r = side(bp + probe * sp, bq + probe * sq)
-            lo, hi = (probe, hi) if r == s else (lo, probe)
-        if not r:
-            root = Fraction(bp + probe * sp, bq + probe * sq)
-            return root, root
-        ends = [(bp + lo * sp, bq + lo * sq), (bp + hi * sp, bq + hi * sq)]
-        (p0, q0), (p1, q1) = ends if s < 0 else ends[::-1]
-    return max(a, Fraction(p0, q0)), min(b, Fraction(p1, q1))
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:

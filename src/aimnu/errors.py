@@ -37,7 +37,8 @@ class EvaluationPole(AimnuError, ArithmeticError):
 
 
 class NoRootInBracket(AimnuError, RuntimeError):
-    """The iterative solver found no root of delta_k inside the bracket."""
+    """The iterative solver found no mode inside the bracket, or a level
+    that vanishes for every trial value."""
 
 
 class IncompleteSpectrum(AimnuError, RuntimeError):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import prod
 
@@ -20,7 +21,6 @@ from aimnu.errors import (
 from aimnu.hypergeometric import HypergeometricProblem, eigenvalue, gamma_n, validate
 
 R = Poly.variable()
-TOL = F(1, 10**8)  # the width of an inexact root's interval, aim._TOL
 
 
 HERMITE = catalog_get("hermite")  # lambda0 = 2r, s0 = -2E
@@ -74,18 +74,12 @@ class TestSolveIterative:
     def test_hermite_bracket(self):
         problem = catalog_get("hermite")
         estimates = solve_iterative(problem, F(1), (F(-1, 2), F(3, 2)))
-        assert len(estimates) >= 2
-        assert all(e.converged for e in estimates)
-        for target in (F(0), F(1)):
-            assert any(abs(e.value - target) < 10 * TOL for e in estimates)
-        values = [e.value for e in estimates]
-        assert values == sorted(values)
-        assert [e.n for e in estimates] == list(range(len(estimates)))
+        assert [(e.n, e.value, e.converged) for e in estimates] == [(0, 0, True), (1, 1, True)]
 
     def test_morse_single_root(self):
         problem = catalog_get("morse")  # alpha=1, beta=5/2; eigenvalues 2, 1, 0, ...
         estimates = solve_iterative(problem, F(1), (F(3, 2), F(5, 2)))
-        assert any(e.converged and abs(e.value - 2) < 10 * TOL for e in estimates)
+        assert [(e.n, e.value, e.converged) for e in estimates] == [(0, 2, True)]
 
     def test_no_root_in_bracket(self):
         problem = catalog_get("morse")
@@ -115,20 +109,17 @@ class TestSolveIterative:
         problem = catalog_get("hermite")
         with pytest.raises(ValueError):
             solve_iterative(problem, F(1), (F(1), F(0)))
-        with pytest.raises(ValueError):
-            solve_iterative(problem, F(1), (F(0), F(1)), k_max=1)
 
     def test_agrees_with_closed_form(self):
         problem = catalog_get("kratzer")
         estimates = solve_iterative(problem, F(1), (F(1, 5), F(1)))
         closed = {eigenvalue(problem, n) for n in range(4)}
-        targets = [v for v in closed if F(1, 5) < v < F(1)]
+        targets = sorted(v for v in closed if F(1, 5) < v < F(1))
         assert targets
-        for v in targets:
-            assert any(e.converged and abs(e.value - v) < 10 * TOL for e in estimates)
+        assert [e.value for e in estimates] == targets and all(e.converged for e in estimates)
 
 
-def _solve_watching_r0(monkeypatch, problem, bracket, **kwargs):
+def _solve_watching_r0(monkeypatch, problem, bracket):
     """``solve_iterative`` without r0, and the points it passes to ``determinants``."""
     seen = []
 
@@ -137,7 +128,7 @@ def _solve_watching_r0(monkeypatch, problem, bracket, **kwargs):
         return determinants(record, point)
 
     monkeypatch.setattr(aim_module, "determinants", spy)
-    return solve_iterative(problem, None, bracket, **kwargs), seen
+    return solve_iterative(problem, None, bracket), seen
 
 
 class TestDerivedEvaluationPoint:
@@ -170,12 +161,6 @@ class TestDerivedEvaluationPoint:
         assert all(e.converged for e in estimates)
         assert [e.value for e in estimates] == [eigenvalue(problem, n) for n in range(4)]
 
-    def test_point_avoids_the_roots_of_a_cubic_sigma(self, monkeypatch):
-        # a record outside the caps: sigma = (r - 1)(2r - 1)(3r - 1)
-        sigma = Poly([-1, 1]) * Poly([-1, 2]) * Poly([-1, 3])
-        problem = HypergeometricProblem(Affine(R, Poly()), sigma, Affine(F(0), F(1)))
-        assert _solve_watching_r0(monkeypatch, problem, (F(-10), F(10)), k_max=4)[1] == [F(1, 4)]
-
     def test_zero_denominator_is_a_pole(self):
         # the candidates the derived point skips are zeros of sigma; passed as r0 each is a pole
         problem = validate(Poly([0, 4]), Poly([1, -3, 2]), (0, -1), "E")
@@ -187,8 +172,8 @@ class TestDerivedEvaluationPoint:
             HypergeometricProblem(Affine(R, Poly()), Poly(), Affine(Poly(), R))
 
 
-def _solve(name, r0, bracket, **kwargs):
-    return solve_iterative(catalog_get(name), r0, bracket, **kwargs)
+def _solve(name, r0, bracket):
+    return solve_iterative(catalog_get(name), r0, bracket)
 
 
 class TestCertifiedBrackets:
@@ -209,16 +194,6 @@ class TestCertifiedBrackets:
         assert all(type(e.value) is F for e in estimates)
         assert all(e.converged for e in estimates)
         assert all(expected_eigenvalue(name, None, e.n) == e.value for e in estimates)
-
-    def test_k_max_too_small(self):
-        # the Hermite record with gamma stored as two Polys, which the caps refuse,
-        # is isolated at level k_max: 5 is a root of delta_5 but not of delta_4,
-        # and 6..10 are no roots of delta_5
-        gamma = Affine(Poly(), Poly.const(2))
-        problem = HypergeometricProblem(Affine(Poly([0, -2]), Poly()), Poly.const(1), gamma)
-        estimates = solve_iterative(problem, F(1), (F(-1, 2), F(21, 2)), k_max=5)
-        assert [e.value for e in estimates] == [0, 1, 2, 3, 4, 5]
-        assert [e.converged for e in estimates] == [True] * 5 + [False]
 
     @pytest.mark.parametrize(
         "problem, bracket, expected",
@@ -278,30 +253,6 @@ class TestCertifiedBrackets:
     def test_as_many_modes_as_the_cap(self):
         estimates = solve_iterative(catalog_get("hermite"), None, (F(-1, 2), F(2 * MAX_MODES - 1, 2)))
         assert [(e.n, e.value) for e in estimates] == [(n, n) for n in range(MAX_MODES)]
-
-    def test_zero_delta_0_is_not_divided_by(self):
-        # s0 = (r - 1)(E + 1) vanishes at r0 = 1, so delta_0 = 0 but delta_4 is
-        # not: the record is outside the caps, and level 4 is isolated in full
-        one = Poly.const(1)
-        problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([-1, 1]), Poly([-1, 1])), one))
-        assert next(determinants(problem, F(1))).is_zero
-        estimates = solve_iterative(problem, F(1), (F(-10), F(10)), k_max=4)
-        assert [e.value for e in estimates] == [-5, -1, F(7, 5)]
-        assert [e.converged for e in estimates] == [False, True, False]
-        assert [e.n for e in estimates] == [0, 1, 2]
-
-    def test_irrational_roots_reported_as_midpoints(self):
-        # y'' = 2r y' + (r^2 - E) y is not exactly solvable: delta_3(0, E)
-        # has the irrational roots 2 -+ sqrt(2) in the bracket
-        one = Poly.const(1)
-        problem = _record((Affine(Poly([0, 2]), Poly()), one), (Affine(Poly([0, 0, 1]), -one), one))
-        estimates = solve_iterative(problem, F(0), (F(-10), F(10)), k_max=3)
-        assert len(estimates) == 2
-        for e in estimates:
-            assert not e.converged
-            below = _deltas_at(problem, e.value - TOL, 3, F(0))[-1]
-            above = _deltas_at(problem, e.value + TOL, 3, F(0))[-1]
-            assert below * above < 0
 
 
 def _deltas_at(problem, energy, k_max, r0=F(1)):
@@ -368,6 +319,26 @@ def hypergeometric_problems(draw):
     return validate(tau, sigma, gamma, "E"), r0
 
 
+def _mu(problem, count):
+    """[mu_0, ..., mu_{count-1}] as Polys in E, mu_n(E) = gamma(E) - gamma_n(tau(E))
+    built from gamma_n, never from AIM data; gamma_n is affine in tau, so its
+    values at tau_c and tau_c + tau_s fix it."""
+    tau, sigma, gamma = problem.tau, problem.sigma, problem.gamma
+    mu = []
+    for n in range(count):
+        at0, at1 = gamma_n(tau.const, sigma, n), gamma_n(tau.const + tau.slope, sigma, n)
+        mu.append(Poly([gamma.const - at0, gamma.slope - (at1 - at0)]))
+    return mu
+
+
+def _check_product_formula(problem, r0, mu):
+    """delta_k(r0) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E) for every k < len(mu)."""
+    scale, product = 1 / problem.sigma.evaluate(r0), Poly.const(1)
+    for k, delta in zip(range(len(mu)), determinants(problem, r0)):
+        product = product * mu[k] * scale
+        assert delta == product
+
+
 class TestDeterminants:
     @pytest.mark.parametrize(
         "name, r0",
@@ -413,19 +384,9 @@ class TestDeterminants:
 
     @pytest.mark.parametrize("name", list(CATALOG))
     def test_catalog_levels_are_the_product_formula(self, name):
-        # delta_k(r0) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E) for k <= 12, with
-        # mu_n(E) = gamma(E) - gamma_n(tau(E)) built from gamma_n, never from AIM data;
-        # gamma_n is affine in tau, so its values at tau_c and tau_c + tau_s fix it
         problem = catalog_get(name)
-        tau, sigma, gamma = problem.tau, problem.sigma, problem.gamma
-        mu = []
-        for n in range(13):
-            at0, at1 = gamma_n(tau.const, sigma, n), gamma_n(tau.const + tau.slope, sigma, n)
-            mu.append(Poly([gamma.const - at0, gamma.slope - (at1 - at0)]))
         for r0 in (F(2, 5), F(-7, 3)):  # roots of no catalog sigma
-            deltas = [d for _, d in zip(range(13), determinants(problem, r0))]
-            for k, delta in enumerate(deltas):
-                assert delta == prod(mu[: k + 1], start=Poly.const(1)) * sigma.evaluate(r0) ** -(k + 1)
+            _check_product_formula(problem, r0, _mu(problem, 13))
 
     @settings(max_examples=100, deadline=None)
     @given(hypergeometric_problems(), st.sampled_from([F(0), F(2, 3), F(-5, 2)]))
@@ -439,6 +400,33 @@ class TestDeterminants:
             assert delta == RatFunc(Poly.const(prod(mu[: k + 1])), problem.sigma ** (k + 1))
 
 
+def _check_deep_levels(problem, r0, bracket):
+    """``solve_iterative`` on the bracket, checked against the product formula
+    on every level up to its deepest mode K: the pairs (n, E_n) it returns are
+    the roots of mu_n, n <= K, that lie inside the bracket."""
+    estimates = solve_iterative(problem, r0, bracket)
+    mu = _mu(problem, max(e.n for e in estimates) + 1)
+    _check_product_formula(problem, r0, mu)
+    roots = [(n, -m.coeff(0) / m.coeff(1)) for n, m in enumerate(mu) if m.degree == 1]
+    inside = [(n, x) for n, x in roots if bracket[0] < x < bracket[1]]
+    assert sorted((e.n, e.value) for e in estimates) == inside
+    assert all(e.converged for e in estimates)
+    return estimates
+
+
+def _watch_levels(monkeypatch):
+    """The list of levels that ``determinants`` yields to the solver from now on."""
+    drawn = []
+
+    def spy(*args):
+        for delta in determinants(*args):
+            drawn.append(delta)
+            yield delta
+
+    monkeypatch.setattr(aim_module, "determinants", spy)
+    return drawn
+
+
 #: (catalog entry, r0, bracket): the five brackets of the golden files.
 GOLDEN_BRACKETS = [
     ("hermite", F(1), (F(-1, 2), F(21, 2))),
@@ -449,67 +437,64 @@ GOLDEN_BRACKETS = [
 ]
 
 
-def _exact_roots(delta, bracket):
-    """The roots of delta in the open bracket by ``Poly.real_roots``, each one exact."""
-    roots = delta.real_roots(*bracket, TOL)
-    assert all(a == b for a, b in roots)
-    return [a for a, _ in roots]
-
-
-def _isolations(problem, r0, bracket, k_max):
-    """The polynomials that ``solve_iterative`` hands to ``Poly.real_roots``,
-    and its estimates (none when it raises)."""
-    calls, estimates = [], []
-    real_roots = Poly.real_roots
-
-    def spy(self, *args):
-        calls.append(self)
-        return real_roots(self, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Poly, "real_roots", spy)
-        try:
-            estimates = solve_iterative(problem, r0, bracket, k_max=k_max)
-        except (NoRootInBracket, IncompleteSpectrum):
-            pass
-    return calls, estimates
-
-
 class TestLevelRoots:
-    """Within the caps the solver reads every mode off delta_0..delta_2 and
-    isolates nothing; what it returns are the roots of the deep levels."""
+    """The solver reads every mode off delta_0..delta_2; what it returns are
+    the roots of the deep levels, which the product formula gives."""
 
     @pytest.mark.parametrize(
-        "name, r0, bracket, k_max",
-        [(*case, 40) for case in GOLDEN_BRACKETS] + [("kratzer", None, (F(1, 150), F(1)), 80)],
+        "problem, message",
+        [
+            # sigma = (r - 1)(2r - 1)(3r - 1)
+            (
+                HypergeometricProblem(
+                    Affine(R, Poly()), Poly([-1, 1]) * Poly([-1, 2]) * Poly([-1, 3]), Affine(F(0), F(1))
+                ),
+                "deg(sigma) = 3 > 2",
+            ),
+            (
+                HypergeometricProblem(Affine(R * R, Poly()), Poly.const(1), Affine(F(0), F(1))),
+                "deg(tau) = 2 > 1",
+            ),
+            # a Heun-class equation: sigma = r^3 - 4r^2 + 3r, tau = 2r^2 - 3r + 1, gamma = -(6r + E)
+            (
+                HypergeometricProblem(
+                    Affine(Poly([1, -3, 2]), Poly()),
+                    Poly([0, 3, -4, 1]),
+                    Affine(Poly([0, -6]), Poly.const(-1)),
+                    "E",
+                ),
+                "deg(tau) = 2 > 1",
+            ),
+            # the Hermite record with gamma stored as two Polys
+            (
+                HypergeometricProblem(
+                    Affine(Poly([0, -2]), Poly()), Poly.const(1), Affine(Poly(), Poly.const(2))
+                ),
+                "gamma depends on r",
+            ),
+        ],
+        ids=["cubic-sigma", "quadratic-tau", "heun", "hermite-gamma-polys"],
     )
-    def test_catalog_never_isolates(self, name, r0, bracket, k_max):
-        calls, estimates = _isolations(catalog_get(name), r0, bracket, k_max)
-        assert calls == [] and estimates and all(e.converged for e in estimates)
-
-    @settings(max_examples=40, deadline=None)
-    @given(hypergeometric_problems())
-    def test_hypergeometric_input_never_isolates(self, case):
-        problem, r0 = case
-        assert _isolations(problem, r0, (F(-10), F(10)), 8)[0] == []
+    def test_input_outside_the_caps_is_refused(self, monkeypatch, problem, message):
+        drawn = _watch_levels(monkeypatch)
+        with pytest.raises(NotHypergeometricType) as caps:
+            hypergeometric_module._check_caps(problem)
+        assert str(caps.value) == message
+        for r0 in (None, F(2, 5)):
+            with pytest.raises(NotHypergeometricType, match=f"^{re.escape(message)}$"):
+                solve_iterative(problem, r0, (F(-50), F(50)))
+        assert drawn == []
 
     def test_reads_three_levels_and_no_closed_form(self, monkeypatch):
-        # c and e come from delta_0..delta_2 alone: no deeper level, no root
-        # isolation, and none of the closed-form route that verify compares with
-        drawn = []
-
-        def spy(*args):
-            for delta in determinants(*args):
-                drawn.append(delta)
-                yield delta
+        # c and e come from delta_0..delta_2 alone: no deeper level, and none
+        # of the closed-form route that verify compares with
+        drawn = _watch_levels(monkeypatch)
 
         def forbidden(*args):
             raise AssertionError("the solver reached the closed-form route")
 
-        monkeypatch.setattr(aim_module, "determinants", spy)
         for name in ("eigenvalue", "gamma_n"):
             monkeypatch.setattr(hypergeometric_module, name, forbidden)
-        monkeypatch.setattr(Poly, "real_roots", forbidden)
         for name, r0, bracket in [*GOLDEN_BRACKETS, ("kratzer", None, (F(1, 150), F(1)))]:
             drawn.clear()
             assert solve_iterative(catalog_get(name), r0, bracket)
@@ -517,19 +502,14 @@ class TestLevelRoots:
 
     @pytest.mark.parametrize("name, r0, bracket", GOLDEN_BRACKETS)
     def test_every_level_matches_full_isolation(self, name, r0, bracket):
-        # up to the deepest mode K returned, the modes n <= k are the roots of delta_k
-        estimates = solve_iterative(catalog_get(name), r0, bracket)
-        K = max(e.n for e in estimates)
-        for k, delta in zip(range(K + 1), determinants(catalog_get(name), r0)):
-            assert sorted(e.value for e in estimates if e.n <= k) == _exact_roots(delta, bracket)
+        # up to the deepest mode K returned, delta_k is the product formula and
+        # the modes n <= K are exactly the roots of mu_0..mu_K in the bracket
+        _check_deep_levels(catalog_get(name), r0, bracket)
 
     def test_deepest_level_of_a_wide_bracket(self):
-        # kratzer's bracket 1/150:1 holds the 74 modes n <= 73: delta_73 has no other root there
-        problem, bracket = catalog_get("kratzer"), (F(1, 150), F(1))
-        estimates = solve_iterative(problem, None, bracket)
+        # kratzer's bracket 1/150:1 holds the 74 modes n <= 73
+        estimates = _check_deep_levels(catalog_get("kratzer"), F(1), (F(1, 150), F(1)))
         assert sorted(e.n for e in estimates) == list(range(74))
-        delta = [d for _, d in zip(range(74), determinants(problem, F(1)))][-1]
-        assert [e.value for e in estimates] == _exact_roots(delta, bracket)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -567,22 +547,3 @@ class TestLevelRoots:
         assert vanishing is None
         assert [(e.value, e.n) for e in estimates] == sorted(expected)
         assert all(e.converged for e in estimates)
-
-    @settings(max_examples=10, deadline=None)
-    @given(affine_problems())
-    def test_every_level_matches_on_random_problems(self, case):
-        # input outside the caps, isolated at each level k_max: the roots of delta_k_max,
-        # converged iff exact and a root of delta_(k_max - 1)
-        problem, r0 = case
-        deltas = [d for _, d in zip(range(7), determinants(problem, r0))]
-        for k_max in range(2, 7):
-            try:
-                estimates = solve_iterative(problem, r0, (F(-10), F(10)), k_max=k_max)
-            except NoRootInBracket:
-                assert deltas[k_max].is_zero or not deltas[k_max].real_roots(F(-10), F(10))
-                continue
-            roots = deltas[k_max].real_roots(F(-10), F(10), TOL)
-            assert [e.value for e in estimates] == [a if a == b else (a + b) / 2 for a, b in roots]
-            assert [e.converged for e in estimates] == [
-                a == b and deltas[k_max - 1].evaluate(a) == 0 for a, b in roots
-            ]

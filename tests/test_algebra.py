@@ -218,32 +218,7 @@ class TestIntegerKernel:
         assert _stored(Poly()) == ((), 1)
 
 
-class TestRealRoots:
-    P = (R - F(1, 3)) * (R * R - 2) * (R + 5) ** 2  # roots -5 (double), -+sqrt 2, 1/3
-
-    def test_exact_and_irrational_roots(self):
-        width = F(1, 10**6)
-        found = self.P.real_roots(-10, 10, width)
-        assert [a for a, b in found if a == b] == [F(-5), F(1, 3)]
-        irrational = [(a, b) for a, b in found if a != b]
-        assert len(found) == 4 and len(irrational) == 2
-        for (a, b), sign in zip(irrational, (-1, 1)):
-            assert b - a < width
-            assert a * sign > 0 and (a * a - 2) * (b * b - 2) < 0
-
-    def test_open_interval_excludes_endpoints(self):
-        (a, b), = self.P.real_roots(-5, F(1, 3))  # -sqrt 2 only
-        assert a != b and (a * a - 2) * (b * b - 2) < 0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidInput):
-            Poly().real_roots(0, 1)
-        with pytest.raises(InvalidInput):
-            self.P.real_roots(1, 1)
-        with pytest.raises(InvalidInput):
-            self.P.real_roots(0, 1, F(0))
-        assert Poly.const(3).real_roots(0, 1) == []
-
+class TestRationalRoots:
     def test_rational_roots_of_a_30_digit_constant(self):
         c = 10**30 + 57
         assert rational_roots(R * R + c) == ([], R * R + c)

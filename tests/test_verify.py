@@ -33,10 +33,12 @@ def _drop_a_root(monkeypatch):
 
 
 def _determinants_at_shifted_e(monkeypatch):
-    # delta_k(E + 1/100) at every level keeps the factors c(k) + E e(k) and moves
-    # every root by -1/100, still inside each bracket
+    # delta_k(E + 1/2) at every level keeps the factors c(k) + E e(k) and moves
+    # every root by -1/2: kratzer's bracket (1/5, 1) then holds no mode, and its
+    # row fails on its own instead of raising out of the suite.  (A shift by 1
+    # maps Hermite's spectrum E_n = n onto itself, so its row would still pass.)
     original = aim.determinants
-    shift = Fraction(1, 100)
+    shift = Fraction(1, 2)
     monkeypatch.setattr(
         aim, "determinants", lambda *args: (delta.compose_linear(shift) for delta in original(*args))
     )
@@ -131,6 +133,18 @@ def test_pearson_mutant_names_the_residual(monkeypatch):
     # comparison is the one that fails
     _pearson_exp_plus_r(monkeypatch)
     assert {row.detail for row in verify.suite_eigenfunctions()} == {"Pearson residual nonzero"}
+
+
+def test_raising_solver_fails_its_row_alone(monkeypatch):
+    # at E + 1/2 kratzer's bracket (1/5, 1) holds no mode: that row names the
+    # error, and the suite's other rows are still checked one by one
+    _determinants_at_shifted_e(monkeypatch)
+    rows = verify.run_suites("aim")
+    names = ["morse", "hulthen", "kratzer", "hermite"]
+    assert [row.name for row in rows] == [f"iterative agrees with closed form: {n}" for n in names]
+    assert [row.detail.startswith("raised") for row in rows] == [False, False, True, False]
+    assert rows[2].detail == "raised NoRootInBracket: no mode in (1/5, 1)"
+    assert not any(row.ok for row in rows)
 
 
 def test_every_row_has_a_failing_mutant():
