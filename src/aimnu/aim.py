@@ -23,8 +23,8 @@ delta_{-1} = a_1 b_0 - a_0 b_1 = 1.  So each level quotient
 delta_k / delta_{k-1} is c(k) + E e(k), c quadratic and e linear in k,
 and the root -c(n)/e(n) of mode n is a root of every delta_k with k >= n
 (Ciftci, Hall & Saad, J. Phys. A 38 (2005) 1147).  ``solve_iterative``
-therefore reads every mode in a bracket off delta_0, delta_1 and delta_2,
-and refuses input outside the hypergeometric caps.
+therefore reads every mode in a bracket off delta_0, delta_1 and delta_2.
+The record holds the caps, so every input is of this kind.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import count, zip_longest
 
 from .algebra import Poly, RatFunc, _clear_denominators, _coerce_poly, _dot, _poly
 from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
-from .hypergeometric import HypergeometricProblem, _check_caps
+from .hypergeometric import HypergeometricProblem
 
 __all__ = [
     "EigenvalueEstimate",
@@ -197,15 +197,13 @@ def solve_iterative(
     give the factors c(k) + E e(k), k = 0, 1, 2, of c quadratic and e
     linear in k; the third e checks the fit.  Every mode n >= 0 whose root
     -c(n)/e(n) lies in the bracket gives an exact, converged estimate,
-    ``n`` its mode index.  A record outside the hypergeometric caps raises
-    NotHypergeometricType before any level is drawn.  No mode, or a
-    delta_n that vanishes for every trial value, raises NoRootInBracket;
-    infinitely many or more than MAX_MODES modes raise IncompleteSpectrum.
+    ``n`` its mode index.  No mode, or a delta_n that vanishes for every
+    trial value, raises NoRootInBracket; infinitely many or more than
+    MAX_MODES modes raise IncompleteSpectrum.
 
     Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
     root of sigma; r0 only scales delta_k by sigma(r0)^-(k+1) and moves no root.
     """
-    _check_caps(problem)
     if r0 is None:  # sigma != 0 has finitely many roots
         r0 = next(x for x in (Fraction(1, m) for m in count(1)) if problem.sigma.evaluate(x))
     lo, hi = bracket

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Affine, Poly
-from .errors import BadParameter, UnknownEntry
+from .errors import BadParameter, DegenerateParameterMap, UnknownEntry
 from .hypergeometric import HypergeometricProblem, validate
 from .rationals import format_rational
 
@@ -287,13 +287,19 @@ def catalog_get(name: str, params: Mapping | None = None) -> HypergeometricProbl
 
 
 def expected_eigenvalue(name: str, params: Mapping | None, n: int) -> Fraction:
-    """The entry's published spectrum formula, evaluated exactly."""
+    """The entry's published spectrum formula, evaluated exactly.
+
+    Raises DegenerateParameterMap at a pole of the formula, as
+    ``hypergeometric.eigenvalue`` does for that mode."""
     entry = CATALOG.get(name)
     if entry is None:
         raise UnknownEntry(name)
     if n < 0:
         raise BadParameter("n must be non-negative")
-    return entry.expected(_resolve_params(entry, params), n)
+    try:
+        return entry.expected(_resolve_params(entry, params), n)
+    except ZeroDivisionError:
+        raise DegenerateParameterMap(f"{name}: the spectrum formula has a pole at n = {n}") from None
 
 
 def catalog_list(substring: str | None = None) -> list[CatalogEntry]:

@@ -46,7 +46,7 @@ class IncompleteSpectrum(AimnuError, RuntimeError):
 
 
 class NotHypergeometricType(InputError, ValueError):
-    """The caps deg(tau) <= 1, deg(sigma) <= 2, gamma constant in r are violated."""
+    """deg(tau) > 1, deg(sigma) > 2, sigma = 0, or no parameter to quantize."""
 
 
 class DegenerateParameterMap(AimnuError, ValueError):

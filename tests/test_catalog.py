@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from aimnu.catalog import CATALOG, catalog_get, catalog_list, expected_eigenvalue
-from aimnu.errors import BadParameter, UnknownEntry
+from aimnu.errors import BadParameter, DegenerateParameterMap, UnknownEntry
 from aimnu.hypergeometric import eigenvalue
 
 ALL_NAMES = [
@@ -125,6 +125,16 @@ class TestSpectra:
     def test_unknown_entry(self):
         with pytest.raises(UnknownEntry):
             expected_eigenvalue("missing", None, 0)
+
+    @pytest.mark.parametrize("Lambda, n", [(-2, 1), (-3, 2), (-7, 6)])
+    def test_pole_of_the_formula_is_a_degenerate_map(self, Lambda, n):
+        # A/(2(n + Lambda + 1)) has no value at n = -Lambda - 1; once a bare ZeroDivisionError
+        params = {"Lambda": F(Lambda)}
+        message = f"^kratzer: the spectrum formula has a pole at n = {n}$"
+        with pytest.raises(DegenerateParameterMap, match=message):
+            expected_eigenvalue("kratzer", params, n)
+        with pytest.raises(DegenerateParameterMap):
+            eigenvalue(catalog_get("kratzer", params), n)
 
     def test_rational_parameters_give_rational_spectra(self):
         problem = catalog_get("hulthen", {"q": F(2, 3), "beta2": F(11, 7)})

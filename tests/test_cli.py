@@ -325,7 +325,7 @@ def test_malformed_input_exits_2(runner, tmp_path, command, doc, extra):
     "command, extra", [("solve", []), ("aim", ["--bracket", "0:1"]), ("eigenfunction", [])]
 )
 def test_cubic_sigma_exits_2(runner, tmp_path, command, extra):
-    # the record takes any degree, but problem files keep the hypergeometric caps
+    # the record refuses sigma of degree 3, and a problem file gets its message
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps({**HERMITE_FILE, "sigma": ["1", "0", "0", "1"]}))
     result = runner.invoke(main, [command, str(path), *extra])

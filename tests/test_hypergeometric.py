@@ -70,6 +70,55 @@ class TestValidate:
             validate(Affine(Poly([0, -2]), Poly.const(1)), Poly.const(1), (3, 0))
 
 
+class TestRecord:
+    """The record holds the caps: the constructor refuses what no route solves."""
+
+    @pytest.mark.parametrize(
+        "tau, sigma, gamma, error, message",
+        [
+            # sigma = (r - 1)(2r - 1)(3r - 1)
+            (
+                R,
+                Poly([-1, 1]) * Poly([-1, 2]) * Poly([-1, 3]),
+                Affine(F(0), F(1)),
+                NotHypergeometricType,
+                "deg(sigma) = 3 > 2",
+            ),
+            (R * R, Poly.const(1), Affine(F(0), F(1)), NotHypergeometricType, "deg(tau) = 2 > 1"),
+            # a Heun-class equation: sigma = r^3 - 4r^2 + 3r, tau = 2r^2 - 3r + 1, gamma = -(6r + E)
+            (
+                Poly([1, -3, 2]),
+                Poly([0, 3, -4, 1]),
+                Affine(Poly([0, -6]), Poly.const(-1)),
+                NotHypergeometricType,
+                "deg(tau) = 2 > 1",
+            ),
+            # the Hermite record with gamma stored as two Polys
+            (
+                Poly([0, -2]),
+                Poly.const(1),
+                Affine(Poly(), Poly.const(2)),
+                InvalidInput,
+                "gamma Affine(const=Poly([]), slope=Poly([Fraction(2, 1)]))"
+                " must be an Affine of two Fractions",
+            ),
+            (R, Poly(), Affine(F(0), F(1)), NotHypergeometricType, "sigma is identically zero"),
+            (
+                Poly([0, -2]),
+                Poly.const(1),
+                Affine(F(3), F(0)),
+                NotHypergeometricType,
+                "no parameter dependence to quantize",
+            ),
+        ],
+        ids=["cubic-sigma", "quadratic-tau", "heun", "hermite-gamma-polys", "zero-sigma", "parameter-free"],
+    )
+    def test_input_outside_the_caps_is_refused(self, tau, sigma, gamma, error, message):
+        with pytest.raises(error) as refused:
+            HypergeometricProblem(Affine(tau, Poly()), sigma, gamma)
+        assert str(refused.value) == message
+
+
 class TestGammaN:
     def test_n_zero_is_zero(self):
         assert gamma_n(Poly([5, -2]), Poly([1, 2, 3]), 0) == 0
@@ -122,20 +171,20 @@ class TestEigenvalue:
             eigenvalue(problem, 0)
 
     @pytest.mark.parametrize(
-        "tau, sigma, gamma",
+        "tau, sigma, gamma, error",
         [
-            (Poly([0, -2]), R**3 + 1, Affine(F(0), F(2))),
-            (Poly([0, -2]), Poly.const(1), Affine(R, Poly.const(2))),
-            (R * R, Poly.const(1), Affine(F(0), F(2))),
-            (Poly([0, -2]), Poly.const(1), Affine(F(1), F(0))),
+            (Poly([0, -2]), R**3 + 1, Affine(F(0), F(2)), NotHypergeometricType),
+            (Poly([0, -2]), Poly.const(1), Affine(R, Poly.const(2)), InvalidInput),
+            (R * R, Poly.const(1), Affine(F(0), F(2)), NotHypergeometricType),
+            (Poly([0, -2]), Poly.const(1), Affine(F(1), F(0)), NotHypergeometricType),
         ],
         ids=["cubic-sigma", "gamma-in-r", "quadratic-tau", "parameter-free"],
     )
-    def test_record_outside_the_caps(self, tau, sigma, gamma):
-        # a record built directly, not through validate, once gave a TypeError or a wrong number
-        problem = HypergeometricProblem(Affine(tau, Poly()), sigma, gamma)
-        with pytest.raises(NotHypergeometricType):
-            eigenvalue(problem, 2)
+    def test_record_outside_the_caps(self, tau, sigma, gamma, error):
+        # a record built directly once reached eigenvalue() and gave a TypeError
+        # or a wrong number; now no such record exists for it to meet
+        with pytest.raises(error):
+            eigenvalue(HypergeometricProblem(Affine(tau, Poly()), sigma, gamma), 2)
 
 
 def _two_point_eigenvalue(problem, n):
