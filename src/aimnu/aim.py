@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
 
-from .algebra import Poly, RatFunc, _clear_denominators, _coerce_poly, _dot, _poly
+from .algebra import Poly, RatFunc, _clear_denominators, _dot, _poly
 from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
 from .hypergeometric import HypergeometricProblem
 
@@ -75,40 +75,37 @@ class EigenvalueEstimate:
 
 
 def _numerators(problem: HypergeometricProblem, r0: Fraction):
-    """D, m, L and S of ``determinants``, in x = r - r0: D is sigma as
-    primitive integers, and L = -m D tau/sigma and S = -m D gamma/sigma are
-    lists in x of integer lists in E, m > 0 the least integer that makes
-    them integral."""
+    """D, L and S of ``determinants``, in x = r - r0: sigma, -tau and -gamma
+    over one denominator as integers with no common content, D a list and L
+    and S lists in x of integer lists in E, so lambda0 = L/D and s0 = S/D."""
     sigma, tau, gamma = problem.sigma, problem.tau, problem.gamma
     if not sigma.evaluate(r0):
         raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    # -lambda0 = L'/D' and -s0 = S'/D' over one cleared denominator, and m D = D'/g
-    polys = (sigma, tau.const, tau.slope, gamma.const, gamma.slope)
-    D, lc, ls, sc, ss = _clear_denominators(*(_coerce_poly(p).compose_linear(r0) for p in polys))
-    m = math.gcd(*D)
-    g = math.gcd(m, *lc, *ls, *sc, *ss)
+    shifted = (p.compose_linear(r0) for p in (sigma, tau.const, tau.slope))
+    D, lc, ls, sc, ss = _clear_denominators(*shifted, Poly.const(gamma.const), Poly.const(gamma.slope))
+    g = math.gcd(*D, *lc, *ls, *sc, *ss)
     L, S = (
         [[-c // g, -e // g] if e else [-c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
         for row in ((lc, ls), (sc, ss))
     )
-    return [d // m for d in D], m // g, L, S
+    return [d // g for d in D], L, S
 
 
 def determinants(problem: HypergeometricProblem, r0: Fraction):
     """Yield delta_k(r0, E) for k = 0, 1, ... as Polys in the trial parameter E.
 
-    The recursion stays on polynomials.  Write lambda0 = -tau/sigma = L/(m D),
-    s0 = -gamma/sigma = S/(m D) in x = r - r0 (``_numerators``; D is sigma
-    up to a constant), lambda_k = A_k/(m D)^(k+1) and s_k = B_k/(m D)^(k+1).
-    With A = A_{k-1} and B = B_{k-1}, lambda_{k-1}' = m (D A' - k D' A)/(m D)^(k+1)
-    and s_{k-1} = m D B/(m D)^(k+1), so the recursion reads
+    The recursion stays on polynomials.  Write lambda0 = -tau/sigma = L/D,
+    s0 = -gamma/sigma = S/D in x = r - r0 (``_numerators``; D is sigma up to
+    a constant), lambda_k = A_k/D^(k+1) and s_k = B_k/D^(k+1).  With
+    A = A_{k-1} and B = B_{k-1}, lambda_{k-1}' = (D A' - k D' A)/D^(k+1)
+    and s_{k-1} = D B/D^(k+1), so the recursion reads
 
-        A_k = m (D A' - k D' A + D B) + L A
-        B_k = m (D B' - k D' B) + S A
+        A_k = D A' - k D' A + D B + L A
+        B_k = D B' - k D' B + S A
 
     from A_{-1} = 1 and B_{-1} = 0, and
 
-        delta_k(r0) = (A_k(0) B_{k-1}(0) - A_{k-1}(0) B_k(0)) / (m D(0))^(2k+1).
+        delta_k(r0) = (A_k(0) B_{k-1}(0) - A_{k-1}(0) B_k(0)) / D(0)^(2k+1).
 
     The coefficients of A_k and B_k are integer lists in E.  That of x^i in
     D A' - k D' A is sum_u D[u] (i + 1 - (k + 1) u) A[i + 1 - u], so cell
@@ -120,8 +117,7 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
     runs the recursion on the Taylor series of lambda0 and s0 about r0
     instead, where cell (k, i) is a convolution of length i.)
     """
-    D, m, L, S = _numerators(problem, r0)
-    mD = [m * d for d in D]
+    D, L, S = _numerators(problem, r0)
     a: list[list[list[int]]] = []  # a[k][i], b[k][i]: the x^i coefficients of A_k, B_k
     b: list[list[list[int]]] = []
     for level in count():
@@ -133,7 +129,7 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
             i, A, B = level - k, a[k - 1], b[k - 1]
             lam = [(L[j], A[i - j]) for j in range(min(i + 1, len(L)))]
             s = [(S[j], A[i - j]) for j in range(min(i + 1, len(S)))]
-            for u, c in enumerate(mD[: i + 2]):
+            for u, c in enumerate(D[: i + 2]):
                 w = [c * (i + 1 - (k + 1) * u)]
                 lam.append((w, A[i + 1 - u]))
                 s.append((w, B[i + 1 - u]))
@@ -143,7 +139,7 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
             b[k].append(_dot(s))
         lam_prev, s_prev = (a[level - 1][0], b[level - 1][0]) if level else ([1], [])
         neg = [-y for y in b[level][0]]
-        yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), mD[0] ** (2 * level + 1))
+        yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), D[0] ** (2 * level + 1))
 
 
 MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
@@ -179,7 +175,7 @@ def _modes(c: list[int], e: list[int], lo: Fraction, hi: Fraction) -> list[int]:
     runs = [range(n, n + 1) for n in cuts if inside(n)]
     if inside(cuts[-1] + 1):
         raise IncompleteSpectrum(f"the bracket ({lo}, {hi}) holds infinitely many modes")
-    runs += [range(n + 1, m) for n, m in zip(cuts, cuts[1:]) if m > n + 1 and inside(n + 1)]
+    runs += [range(n + 1, nxt) for n, nxt in zip(cuts, cuts[1:]) if nxt > n + 1 and inside(n + 1)]
     size = sum(r.stop - r.start for r in runs)
     if size > MAX_MODES:
         raise IncompleteSpectrum(f"the bracket ({lo}, {hi}) holds {size} modes, over {MAX_MODES}")
@@ -205,7 +201,7 @@ def solve_iterative(
     root of sigma; r0 only scales delta_k by sigma(r0)^-(k+1) and moves no root.
     """
     if r0 is None:  # sigma != 0 has finitely many roots
-        r0 = next(x for x in (Fraction(1, m) for m in count(1)) if problem.sigma.evaluate(x))
+        r0 = next(x for x in (Fraction(1, j) for j in count(1)) if problem.sigma.evaluate(x))
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")

@@ -211,8 +211,6 @@ class Poly:
     def compose_linear(self, a: _FractionLike) -> "Poly":
         """p(a + r) as a polynomial in r, by homogeneous Horner on
         a + r = (u + v r)/v with a = u/v."""
-        if len(self._nums) < 2:  # a constant does not move
-            return self
         u, v = a.as_integer_ratio()
         acc: list[int] = []
         for k, c in enumerate(reversed(self._nums)):

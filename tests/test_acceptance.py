@@ -1,9 +1,12 @@
-"""End-to-end acceptance gate.
+"""End-to-end acceptance gate: the time bounds.
 
-One test per criterion; each prints a single pass/fail line (visible with
-``pytest -s`` or on failure) and asserts the underlying checks.  Most
-criteria reuse the library's self-verification suites so the gate and the
-shipped ``verify`` command can never drift apart.
+Criteria 1 and 3 bound the wall time of the ``table1`` and ``morse``
+verify suites, and criterion 9 checks that two whole ``aimnu verify``
+processes agree byte for byte within their time bound.  Each prints a
+single pass/fail line (visible with ``pytest -s`` or on failure).  That
+every verify row passes is pinned by
+``test_golden.py::test_verify_output_matches_golden``, and
+``test_verify.py`` shows that each row can fail.
 """
 
 import subprocess
@@ -19,54 +22,22 @@ def _report(num: int, label: str, ok: bool):
     assert ok, f"acceptance criterion {num} ({label}) failed"
 
 
-def _suite_ok(key: str) -> tuple[bool, str]:
-    results = SUITES[key]()
-    bad = [r for r in results if not r.ok]
-    return not bad, "; ".join(f"{r.name}: {r.detail}" for r in bad)
+def _suite_ok(key: str) -> bool:
+    return all(r.ok for r in SUITES[key]())
 
 
 def test_criterion_1_catalog_spectra():
     start = time.monotonic()
-    ok, _ = _suite_ok("table1")
+    ok = _suite_ok("table1")
     elapsed = time.monotonic() - start
     _report(1, "catalog spectra exact for n = 0..20", ok and elapsed < 1.0)
 
 
-def test_criterion_2_gamma_sequence():
-    ok, _ = _suite_ok("gamma")
-    _report(2, "low-order quantization constants, 100 random cases", ok)
-
-
 def test_criterion_3_morse():
     start = time.monotonic()
-    ok, _ = _suite_ok("morse")
+    ok = _suite_ok("morse")
     elapsed = time.monotonic() - start
     _report(3, "Morse closed form and iterative agreement", ok and elapsed < 5.0)
-
-
-def test_criterion_4_hulthen():
-    ok, _ = _suite_ok("hulthen")
-    _report(4, "Hulthen spectrum and terminating-series eigenfunctions", ok)
-
-
-def test_criterion_5_kratzer():
-    ok, _ = _suite_ok("kratzer")
-    _report(5, "Kratzer derived spectrum with exact residual check", ok)
-
-
-def test_criterion_6_eigenfunction_three_way():
-    ok, _ = _suite_ok("eigenfunctions")
-    _report(6, "three-way eigenfunction agreement and Pearson residuals", ok)
-
-
-def test_criterion_7_route_equivalence():
-    ok, _ = _suite_ok("nu")
-    _report(7, "iteration/reduction eigenparameter equivalence and round trips", ok)
-
-
-def test_criterion_8_delta_exactness():
-    ok, _ = _suite_ok("delta")
-    _report(8, "quantization determinant closed form and vanishing", ok)
 
 
 def test_criterion_9_cli_determinism():

@@ -240,6 +240,20 @@ class TestCertifiedBrackets:
         with pytest.raises(IncompleteSpectrum, match=message):
             solve_iterative(catalog_get(name), None, bracket)
 
+    @pytest.mark.parametrize(
+        "factor", [Poly([1, 1]), Poly.const(2)], ids=["quadratic-quotient", "uneven-slopes"]
+    )
+    def test_levels_that_fit_no_factors_fail_loudly(self, monkeypatch, factor):
+        # delta_2 times 1 + E leaves delta_2/delta_1 quadratic in E; times 2 it gives the
+        # slopes e(0), e(1), e(2) = 2, 2, 4, not linear in k
+        def mutant(*args):
+            for k, delta in enumerate(determinants(*args)):
+                yield delta * factor if k == 2 else delta
+
+        monkeypatch.setattr(aim_module, "determinants", mutant)
+        with pytest.raises(IncompleteSpectrum, match="^delta_0, delta_1 and delta_2 do not fit"):
+            solve_iterative(HERMITE, None, (F(-1, 2), F(21, 2)))
+
     def test_as_many_modes_as_the_cap(self):
         estimates = solve_iterative(catalog_get("hermite"), None, (F(-1, 2), F(2 * MAX_MODES - 1, 2)))
         assert [(e.n, e.value) for e in estimates] == [(n, n) for n in range(MAX_MODES)]
@@ -251,8 +265,8 @@ def _deltas_at(problem, energy, k_max, r0=F(1)):
 
 
 #: sigma = (r - 1)(r - 2), tau = -1 - 2r + E r and gamma = 1/8 - E: at the
-#: non-integer r0 = 3/2 sigma is -1/4 + x^2 in x = r - r0, so D = -1 + 4x^2
-#: and m = 2 carry their sign and fraction into L and S.
+#: non-integer r0 = 3/2 sigma is -1/4 + x^2 in x = r - r0, so D = -2 + 8x^2:
+#: D(0) < 0, and D has a content of 2 that only the whole triple (D, L, S) lacks.
 _NEGATIVE_DEN = HypergeometricProblem(
     Affine(Poly([-1, -2]), Poly([0, 1])), Poly([2, -3, 1]), Affine(F(1, 8), F(-1)), "E"
 )
@@ -307,15 +321,14 @@ class TestDeterminants:
             ("kratzer", F(1)),
             ("morse", F(1)),
             ("hulthen", F(1, 2)),
-            ("legendre", F(1, 3)),  # D(0) = -8, so (m D(0))^(2k+1) < 0
+            ("legendre", F(1, 3)),  # D(0) = -8, so D(0)^(2k+1) < 0
         ],
     )
     def test_matches_rational_function_recursion(self, name, r0):
         _check_against_oracle(catalog_get(name), r0, 6)
 
     def test_negative_denominator_at_non_integer_r0(self):
-        D, m, _, _ = aim_module._numerators(_NEGATIVE_DEN, F(3, 2))
-        assert D[0] < 0 and m == 2
+        assert aim_module._numerators(_NEGATIVE_DEN, F(3, 2))[0] == [-2, 0, 8]
         _check_against_oracle(_NEGATIVE_DEN, F(3, 2), 6)
 
     @settings(max_examples=10, deadline=None)

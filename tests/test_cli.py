@@ -105,6 +105,9 @@ class TestSolve:
         assert result.exit_code == 2
         result = runner.invoke(main, ["solve", "hermite", "--param", "x=1.5"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["solve", "morse", "--param", "alpha"])
+        assert result.exit_code == 2
+        assert result.output == "error: expected name=value, got 'alpha'\n"
 
     def test_problem_file(self, runner, tmp_path):
         doc = {
@@ -501,6 +504,11 @@ class TestEigenfunction:
         assert result.exit_code == 2
         assert "error: zero denominator in a grid bound" in result.output
 
+    def test_samples_without_a_count_exit_2(self, runner):
+        result = runner.invoke(main, ["eigenfunction", "legendre", "--samples", "0:1"])
+        assert result.exit_code == 2
+        assert result.output == "error: expected a:b:count, got '0:1'\n"
+
 
 class TestNu:
     def _write(self, tmp_path, doc):
@@ -683,6 +691,17 @@ class TestBoundedInputs:
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 16 and result.stdout.count(",true") == 15
         assert seconds < 0.5
+
+    def test_31_digit_morse(self):
+        # alpha = P/(P + 2) and beta = P/(P + 6), both just below 1: E_n = beta - (n + 1/2) alpha,
+        # so -1000:1000 holds the 1,001 modes n <= 1000; this call once ran past 120 s
+        p = 1234567890123456789012345678901
+        args = ["aim", "morse", "--param", f"alpha={p}/{p + 2}", "--param", f"beta={p}/{p + 6}"]
+        result, seconds = run_process([*args, "--bracket=-1000:1000", "--format", "csv"])
+        assert result.returncode == 0, result.stderr
+        rows = result.stdout.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(n) for n in range(1000, -1, -1)]
+        assert seconds < 5
 
 
 class TestReadme:
