@@ -37,17 +37,51 @@ EIGEN_CASES = [
     ("hulthen", ["hulthen", "--n", "6", "--method", "hypergeometric", "--param", "q=1/2"]),
 ]
 
+#: (file stem, `aimnu eigenfunction --samples` arguments), written in both
+#: FORMATS; every run exits 0.  "hulthen-samples" has a 31-digit grid bound,
+#: and the grid of "legendre-samples" runs from a = 1 down to b = -1.
+SAMPLE_CASES = [
+    (
+        "hulthen-samples",
+        ["hulthen", "--n", "100", "--method", "rodrigues", "--samples",
+         "0.1234567890123456789012345678901:1:200"],
+    ),
+    ("legendre-samples", ["legendre", "--n", "11", "--samples", "1:-1:21"]),
+]
+
 #: (file stem, `aimnu nu` problem file), run with ``--n 2``; every run exits 0.
 #: "readme" is the README's example, "two-roots" has sigma = (3r - 2)(r + 1),
 #: the first phi of "exp-pole" prints ``r^2 * exp((2)/(r))``, "linear" has
 #: sigma = r and a phi ``r^1/2 * exp(1/2*r)``, and the phi of "irrational",
 #: whose sigma = r^2 - 2 has no rational root, prints ``unsupported``.
+#: "big" and "big-irreducible" are built from pi = 3 - r and k = 5 with
+#: c = 1234567890123456: sigma = (r + c)(r + c + 2), whose phi has two poles,
+#: and the irreducible sigma = r^2 + 7r + c, whose phi prints ``unsupported``.
+#: "fractional-k" has sigma = (2r - 1)(r + 3) and the two roots k = -535/196
+#: and k = 3/4.
 NU_CASES = [
     ("readme", {"tauTilde": ["0"], "sigma": ["1"], "sigmaTilde": ["5", "0", "-1"]}),
     ("two-roots", {"tauTilde": ["0", "-2"], "sigma": ["-2", "1", "3"], "sigmaTilde": ["-15/4", "6", "-3"]}),
     ("exp-pole", {"tauTilde": ["2", "0"], "sigma": ["0", "0", "1"], "sigmaTilde": ["0", "0", "-2"]}),
     ("linear", {"tauTilde": ["0"], "sigma": ["0", "1"], "sigmaTilde": ["1/4", "3", "-1/4"]}),
     ("irrational", {"tauTilde": ["-2"], "sigma": ["-2", "0", "1"], "sigmaTilde": ["-5", "2"]}),
+    (
+        "big",
+        {
+            "tauTilde": ["0"],
+            "sigma": ["1524157875323884196006701630848", "2469135780246914", "1"],
+            "sigmaTilde": ["7620789376619428387440848894973", "9876543120987668", "2"],
+        },
+    ),
+    (
+        "big-irreducible",
+        {
+            "tauTilde": ["0"],
+            "sigma": ["1234567890123456", "7", "1"],
+            "sigmaTilde": ["6172839450617292", "40", "2"],
+        },
+    ),
+    ("fractional-k", {"tauTilde": ["1/2"], "sigma": ["-3", "5", "2"], "sigmaTilde": ["5/4", "21/4", "-7/2"]}),
 ]
 NU_FORMATS = {"table": "txt", "json": "json"}
 
@@ -69,6 +103,14 @@ def test_eigenfunction_output_matches_golden(stem, args):
     result = _run("eigenfunction", args, "json")
     assert result.exit_code == 0
     assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem, args", SAMPLE_CASES, ids=[stem for stem, _ in SAMPLE_CASES])
+def test_sampled_eigenfunction_output_matches_golden(stem, args, fmt):
+    result = _run("eigenfunction", args, fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.{fmt}").read_bytes()
 
 
 def _run_nu(doc, fmt, tmp_dir):
@@ -101,6 +143,10 @@ if __name__ == "__main__":
     for stem, args in EIGEN_CASES:
         path = DATA / f"eigenfunction-{stem}.json"
         path.write_bytes(_run("eigenfunction", args, "json").stdout_bytes)
+    for stem, args in SAMPLE_CASES:
+        for fmt in FORMATS:
+            path = DATA / f"eigenfunction-{stem}.{fmt}"
+            path.write_bytes(_run("eigenfunction", args, fmt).stdout_bytes)
     with tempfile.TemporaryDirectory() as tmp_dir:
         for stem, doc in NU_CASES:
             for fmt, ext in NU_FORMATS.items():
