@@ -9,23 +9,25 @@ once a linear pi(r) and a constant k are chosen so that the radicand
 is the square of a polynomial.  The module enumerates all rational (k, pi)
 candidates, forms the reduced tau = tauTilde + 2*pi, the eigenparameter
 lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma.
+
+The search runs on the integer coefficients of the problem over one common
+denominator: the discriminant of the radicand in r is an integer quadratic
+in k, whose rational roots take one isqrt, and each root's perfect-square
+test takes one more.  phi is left out (None, printed ``unsupported``)
+exactly when sigma is a quadratic with no rational root and pi != 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative, rational_roots
-from .errors import (
-    AmbiguousBranch,
-    InvalidInput,
-    NoRationalReduction,
-    NotHypergeometricType,
-    UnsupportedDenominator,
-)
+from .algebra import _clear_denominators, _derivative, _dot, _poly
+from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
-from .rationals import rational_sqrt
+from .rationals import _isqrt_exact
 
 __all__ = [
     "NuProblem",
@@ -70,60 +72,58 @@ class NuReduction:
         return self.tau.coeff(1)
 
 
-def _square_root_of_quadratic(u: Poly) -> Poly | None:
-    """Exact polynomial square root of a degree <= 2 polynomial u = a r^2 +
-    b r + c whose discriminant b^2 - 4ac is zero, or None.  That premise
-    makes u = (s r + b/(2s))^2 with s^2 = a when a != 0, and b = 0 when
-    a = 0, so only the rational square root of a or of c can fail."""
-    a, b, c = u.coeff(2), u.coeff(1), u.coeff(0)
-    if a:
-        s = rational_sqrt(a)
-        return None if s is None else Poly((b / (2 * s), s))
-    t = rational_sqrt(c)
-    return None if t is None else Poly.const(t)
-
-
 def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     """All rational (k, pi) pairs making the radicand a perfect square.
 
-    Solves discriminant(u(r; k)) = 0 for k, keeps the rational roots whose
-    radicand admits a rational polynomial square root, and emits both sign
-    branches of pi.  Raises NoRationalReduction when no candidate exists.
+    Runs on integers.  With m the lcm of the denominators, T = m tauTilde,
+    S = m sigma, Q = m^2 sigmaTilde, H = S' - T and U = H^2 - 4Q, the radicand
+    is 4 m^2 u(r; k) = U + K S with K = 4 m k.  Its discriminant in r is
+    A K^2 + 2 B K + C, whose rational roots take one isqrt.  A root K = p/q
+    gives a square exactly when V = q U + p S is q W^2, one more isqrt, and
+    then pi = (H +- W)/(2m).  Candidates come k ascending, +W before -W.
+    phi is None when sigma is a quadratic with no rational root and pi != 0,
+    the case ``build_phi`` refuses.  Raises NoRationalReduction when no
+    candidate exists.
     """
-    half = (problem.sigma.derivative() - problem.tau_tilde) * Fraction(1, 2)
-    u0 = half * half - problem.sigma_tilde
-    sigma = problem.sigma
+    T, S, Q, (m,) = _clear_denominators(
+        problem.tau_tilde, problem.sigma, problem.sigma_tilde, Poly.const(1)
+    )
+    dS = _derivative(S)
+    H = _dot(((dS, [1]), (T, [-1])))
+    U = _dot(((H, H), (Q, [-4 * m])))
+    (S0, S1, S2), (U0, U1, U2) = ((*P, 0, 0, 0)[:3] for P in (S, U))
+    A, B, C = S1 * S1 - 4 * S0 * S2, U1 * S1 - 2 * U2 * S0 - 2 * U0 * S2, U1 * U1 - 4 * U0 * U2
+    if not (A or B or C):
+        if U:
+            raise NoRationalReduction(
+                "one-parameter family of perfect squares; no discrete rational k"
+            )
+        roots = [Fraction(0)]  # the radicand vanishes identically at k = 0
+    elif A:
+        d = _isqrt_exact(B * B - A * C)
+        roots = [] if d is None else sorted({Fraction(-B - d, A), Fraction(-B + d, A)})
+    else:
+        roots = [Fraction(-C, 2 * B)] if B else []
 
-    # discriminant in k of u(r; k), whose coefficients are affine in k
-    a, b, c = (Poly((u0.coeff(i), sigma.coeff(i))) for i in (2, 1, 0))
-    disc = b * b - 4 * a * c
-    if disc.is_zero:
-        if u0.is_zero:
-            # radicand vanishes identically at k = 0
-            return [_make_reduction(problem, Fraction(0), half)]
-        raise NoRationalReduction(
-            "one-parameter family of perfect squares; no discrete rational k"
-        )
-
+    irreducible = rational_roots(problem.sigma)[1].degree > 0
     candidates: list[NuReduction] = []
-    for k, _ in rational_roots(disc)[0]:
-        w = _square_root_of_quadratic(u0 + sigma * k)
-        if w is not None:
-            for signed in (w,) if w.is_zero else (w, -w):
-                candidates.append(_make_reduction(problem, k, half + signed))
+    for K in roots:
+        p, q = K.numerator, K.denominator
+        V0, V1, V2 = (q * u + p * s for u, s in ((U0, S0), (U1, S1), (U2, S2)))
+        R = _isqrt_exact(q * (V2 or V0))
+        if R is None:
+            continue
+        W, w = ([V1, 2 * V2], 2 * R) if V2 else ([R], q)  # the square root of V/q is W/w
+        k = Fraction(p, 4 * m * q)
+        for sign in (1, -1) if R else (1,):
+            pi = _poly([w * h + sign * x for h, x in zip_longest(H, W, fillvalue=0)], 2 * m * w)
+            # tauTilde + 2 pi = (S' +- W/w)/m, as T + H = S'
+            tau = _poly([w * ds + sign * x for ds, x in zip_longest(dS, W, fillvalue=0)], m * w)
+            phi = None if irreducible and not pi.is_zero else build_phi(pi, problem.sigma)
+            candidates.append(NuReduction(k, pi, k + pi.coeff(1), tau, phi))
     if not candidates:
         raise NoRationalReduction("no rational k gives a perfect-square radicand")
     return candidates
-
-
-def _make_reduction(problem: NuProblem, k: Fraction, pi: Poly) -> NuReduction:
-    lambda_bar = k + pi.coeff(1)
-    tau = problem.tau_tilde + 2 * pi
-    try:
-        phi = build_phi(pi, problem.sigma)
-    except UnsupportedDenominator:
-        phi = None
-    return NuReduction(k=k, pi=pi, lambda_bar=lambda_bar, tau=tau, phi=phi)
 
 
 def build_phi(pi: Poly, sigma: Poly) -> WeightExpr:

@@ -60,6 +60,42 @@ class TestFindK:
         with pytest.raises(NoRationalReduction):
             nu_find_k(problem)
 
+    def test_square_sigma_gives_a_linear_discriminant(self):
+        # sigma = r^2 makes the K^2 coefficient A vanish: u = (k - 2) r^2 + 1
+        problem = NuProblem(Poly(), R * R, 3 * R * R - 1)
+        candidates = nu_find_k(problem)
+        assert [(c.k, c.pi) for c in candidates] == [(2, R + 1), (2, R - 1)]
+        assert all(c.phi == build_phi(c.pi, R * R) for c in candidates)
+
+    def test_no_real_k(self):
+        # u = r^2 + k r - 1 has discriminant k^2 + 4 > 0 for every k
+        problem = NuProblem(Poly.const(1), R, 1 - R * R)
+        with pytest.raises(NoRationalReduction, match="no rational k"):
+            nu_find_k(problem)
+
+    def test_constant_radicand(self):
+        # u = (k - 3) r^2 + 7 - k: the square root is 2 at k = 3 and 2r at k = 7
+        problem = NuProblem(2 * R, R * R - 1, 3 * R * R - 7)
+        candidates = nu_find_k(problem)
+        expected = [(3, Poly.const(2)), (3, Poly.const(-2)), (7, 2 * R), (7, -2 * R)]
+        assert [(c.k, c.pi) for c in candidates] == expected
+
+    def test_zero_pi_over_irreducible_sigma(self):
+        # u = (k - 2)(r^2 + 1) vanishes at k = 2 with pi = 0: phi is the trivial weight
+        sigma = R * R + 1
+        (candidate,) = nu_find_k(NuProblem(2 * R, sigma, 2 * sigma))
+        assert candidate.k == 2 and candidate.pi.is_zero
+        assert candidate.phi == build_phi(Poly(), sigma)
+        assert candidate.phi.log_derivative().is_zero
+
+    def test_pi_sharing_a_root_of_sigma(self):
+        # pi = 2r cancels the root 0 of sigma = r^2 - r: phi = (r - 1)^2 alone
+        candidates = nu_find_k(NuProblem(Poly(), R * R - R, R * R - 3 * R))
+        by_pi = {c.pi: c for c in candidates}
+        assert by_pi[2 * R].k == 1
+        assert by_pi[2 * R].phi.factors == ((1, 2),)
+        assert by_pi[-R].phi.factors == ((1, -1),)
+
     def test_round_trip_construction(self):
         sigma = Poly([0, 1, -1])
         pi = Poly([1, -2])

@@ -20,7 +20,13 @@ from aimnu.algebra import (
     rational_roots,
 )
 from aimnu.eigenfunctions import polynomial_solution, rodrigues
-from aimnu.errors import DegenerateSpectrum, InconsistentGamma, UnsupportedDenominator
+from aimnu.errors import (
+    DegenerateSpectrum,
+    InconsistentGamma,
+    NoRationalReduction,
+    UnsupportedDenominator,
+)
+from aimnu.nu import NuProblem, build_phi, nu_find_k
 
 sympy = pytest.importorskip("sympy")
 
@@ -266,3 +272,92 @@ def test_rodrigues_is_the_scaled_recursion(tau, sigma, n):
             rodrigues(tau, sigma, n)
         return
     assert rodrigues(tau, sigma, n) == monic * scale
+
+
+@st.composite
+def nu_problems(draw):
+    """(tauTilde, sigma, sigmaTilde) with sigma constant, linear, split, a
+    square (the k^2 term of the discriminant vanishes) or r^2 + c with c up to
+    30 digits.  sigmaTilde comes from a reduction (pi, k), from u(r; 0) = d
+    sigma (the discriminant vanishes identically when sigma is a constant or a
+    square), or at random."""
+    a, b, c = draw(rationals.filter(bool)), draw(rationals), draw(rationals)
+    squares = st.integers(0, 10**15).map(lambda m: -m * m)
+    shapes = {
+        "constant": Poly.const(a),
+        "linear": a * Poly.linear_root(b),
+        "two roots": a * Poly.linear_root(b) * Poly.linear_root(c),
+        "square": a * Poly.linear_root(b) ** 2,
+        "r^2 + c": Poly((draw(st.one_of(st.integers(-(10**30), 10**30), squares)), 0, 1)),
+    }
+    sigma = shapes[draw(st.sampled_from(list(shapes)))]
+    tau_tilde = Poly(draw(st.lists(rationals, max_size=2)))
+    half = (sigma.derivative() - tau_tilde) * F(1, 2)
+    kind = draw(st.sampled_from(["reduction", "multiple of sigma", "random"]))
+    if kind == "reduction":
+        pi, k = Poly(draw(st.lists(rationals, max_size=2))), draw(rationals)
+        sigma_tilde = half * half + k * sigma - (pi - half) * (pi - half)
+    elif kind == "multiple of sigma":
+        sigma_tilde = half * half - draw(rationals) * sigma
+    else:
+        sigma_tilde = Poly(draw(st.lists(rationals, max_size=3)))
+    return NuProblem(tau_tilde, sigma, sigma_tilde)
+
+
+def _from_sympy(p) -> Poly:
+    return Poly([_to_fraction(c) for c in reversed(sympy.Poly(p, X).all_coeffs())])
+
+
+def _nu_oracle(problem: NuProblem) -> set[tuple[F, Poly]]:
+    """Every rational (k, pi) by sympy: the discriminant of u(r; k) in r, its
+    rational roots in k, and a square-free decomposition of each radicand.
+    The dummy e keeps u a quadratic in r when its r^2 coefficient vanishes
+    identically, so the discriminant is b^2 - 4ac as ``nu_find_k`` reads it."""
+    k, e = sympy.symbols("k e")
+    tau_tilde, sigma, sigma_tilde = (
+        _to_sympy(p).as_expr() for p in (problem.tau_tilde, problem.sigma, problem.sigma_tilde)
+    )
+    half = (sigma.diff(X) - tau_tilde) / 2
+    u = sympy.expand(half**2 - sigma_tilde + k * sigma)
+    disc = sympy.expand(sympy.discriminant(u + e * X**2, X).subs(e, 0))
+    if disc == 0:
+        if sympy.expand(u.subs(k, 0)) == 0:
+            return {(F(0), _from_sympy(half))}
+        return set()
+    found = set()
+    for root in sympy.roots(sympy.Poly(disc, k), filter="Q"):
+        radicand = sympy.Poly(u.subs(k, root), X)
+        coeff, factors = radicand.sqf_list()
+        scale = sympy.sqrt(coeff)
+        if radicand.is_zero:
+            w = sympy.Integer(0)
+        elif scale.is_Rational and all(m % 2 == 0 for _, m in factors):
+            w = scale * prod((f.as_expr() ** (m // 2) for f, m in factors), start=sympy.Integer(1))
+        else:
+            continue
+        found |= {(_to_fraction(root), _from_sympy(half + w)), (_to_fraction(root), _from_sympy(half - w))}
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu_problems())
+@example(NuProblem(Poly(), Poly((0, 0, 1)), Poly((0, 0, 1))))  # u vanishes identically at k = 0
+@example(NuProblem(Poly(), Poly((0, 0, 1)), Poly((0, 0, 5))))  # a one-parameter family
+@example(NuProblem(Poly(), Poly((0, 0, 1)), Poly((-1, 0, 3))))  # A = 0: k = 2
+@example(NuProblem(Poly(), Poly((10**30 - 1, 0, 1)), Poly((2 * 10**30 - 2, 0, 2))))  # r^2 + c
+@example(NuProblem(Poly(), Poly((-(10**30), 0, 1)), Poly((0, 2, 1))))  # roots -+10^15
+def test_nu_find_k_matches_sympy(problem):
+    """The same (k, pi) as the oracle, and phi is build_phi(pi, sigma) when
+    sigma splits over Q or pi = 0, else None."""
+    expected = _nu_oracle(problem)
+    try:
+        candidates = nu_find_k(problem)
+    except NoRationalReduction:
+        assert not expected
+        return
+    found = [(c.k, c.pi) for c in candidates]
+    assert len(found) == len(expected) and set(found) == expected
+    sigma = _to_sympy(problem.sigma)
+    splits = sum(sympy.roots(sigma, filter="Q").values()) == sigma.degree()
+    for c in candidates:
+        assert c.phi == (build_phi(c.pi, problem.sigma) if splits or c.pi.is_zero else None)
