@@ -326,15 +326,11 @@ def _nu_oracle(problem: NuProblem) -> set[tuple[F, Poly]]:
         return set()
     found = set()
     for root in sympy.roots(sympy.Poly(disc, k), filter="Q"):
-        radicand = sympy.Poly(u.subs(k, root), X)
-        coeff, factors = radicand.sqf_list()
+        coeff, factors = sympy.Poly(u.subs(k, root), X).sqf_list()  # (0, []) for zero
         scale = sympy.sqrt(coeff)
-        if radicand.is_zero:
-            w = sympy.Integer(0)
-        elif scale.is_Rational and all(m % 2 == 0 for _, m in factors):
-            w = scale * prod((f.as_expr() ** (m // 2) for f, m in factors), start=sympy.Integer(1))
-        else:
+        if not (scale.is_Rational and all(m % 2 == 0 for _, m in factors)):
             continue
+        w = scale * prod((f.as_expr() ** (m // 2) for f, m in factors), start=sympy.Integer(1))
         found |= {(_to_fraction(root), _from_sympy(half + w)), (_to_fraction(root), _from_sympy(half - w))}
     return found
 
