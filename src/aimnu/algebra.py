@@ -267,7 +267,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     A primitive remainder sequence on integers (Brown, J. ACM 18 (1971) 478)."""
     if a.is_zero and b.is_zero:
         raise InvalidInput("gcd of two zero polynomials")
-    x, y = _integer_coeffs(a), _integer_coeffs(b)
+    x, y = _primitive(list(a._nums)), _primitive(list(b._nums))
     while y:
         while len(x) >= len(y):  # x <- lc(y) x - x[-1] r^top y, whose top term cancels
             f, top = x[-1], len(x) - len(y)
@@ -292,7 +292,7 @@ class RatFunc:
         if num.is_zero:
             num, den = Poly(), Poly.const(1)
         else:
-            g = poly_gcd(num, den)
+            g = poly_gcd(num, den) if den.degree else den  # a constant den: the gcd is 1
             if g.degree > 0:
                 num, den = num // g, den // g
             lead = den.leading
@@ -421,11 +421,6 @@ def _dot(pairs) -> list[int]:
 def _derivative(ints) -> list[int]:
     """The derivative of an integer coefficient list, lowest power first."""
     return [i * v for i, v in enumerate(ints)][1:]
-
-
-def _integer_coeffs(p: Poly) -> list[int]:
-    """Primitive integer coefficients of p: its numerators without their content."""
-    return _primitive(list(p._nums))
 
 
 def _primitive(ints: list[int]) -> list[int]:

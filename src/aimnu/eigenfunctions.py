@@ -9,8 +9,12 @@ Three generators for the degree-n solution of sigma y'' + tau y' + g_n y = 0:
                              the polynomial form that Pearson's equation
                              gives it, so rho itself is never built.
 
-They must agree up to a nonzero scalar; the verification suite enforces
-this three-way agreement.  A fourth, potential-specific route evaluates the
+All three run on integer lists, tau = T/m and sigma = S/m cleared once, and
+build one Poly at the end.  As deg S <= 2, each Rodrigues step updates a
+coefficient from three old ones, and each explicit form, homogeneous of
+degree n in (tau, sigma), is a sum of products of T and S over m^n.  They
+must agree up to a nonzero scalar; the verification suite enforces this
+three-way agreement.  A fourth, potential-specific route evaluates the
 terminating hypergeometric closed form of the deformed Hulthen
 eigenfunctions term by term, from the exact ratio of consecutive terms (no
 gamma-function numerics).
@@ -18,19 +22,16 @@ gamma-function numerics).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from operator import mul
 
 from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative
-from .algebra import _clear_denominators, _derivative, _dot, _poly
-from .errors import (
-    DegenerateSpectrum,
-    InconsistentGamma,
-    OutOfRange,
-    PochhammerPole,
-)
+from .algebra import _derivative, _dot, _poly
+from .errors import DegenerateSpectrum, InconsistentGamma, NotHypergeometricType
+from .errors import OutOfRange, PochhammerPole
 from .hypergeometric import gamma_n
 
 __all__ = [
@@ -62,6 +63,14 @@ def ode_residual(tau: Poly, sigma: Poly, gamma: Fraction, y: Poly) -> Poly:
     return sigma * y.derivative().derivative() + tau * y.derivative() + y * gamma
 
 
+def _cleared(tau: Poly, sigma: Poly) -> tuple[list[int], list[int], int]:
+    """T, S and the lcm m of the denominators, tau = T/m and sigma = S/m."""
+    t, s, m = tau._nums, sigma._nums, math.lcm(tau._den, sigma._den)
+    if len(t) > 2 or len(s) > 3:
+        raise NotHypergeometricType(f"deg(tau) = {tau.degree}, deg(sigma) = {sigma.degree}")
+    return [v * (m // tau._den) for v in t], [v * (m // sigma._den) for v in s], m
+
+
 def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
     """Monic degree-n polynomial solution by a backward three-term recurrence.
 
@@ -87,7 +96,7 @@ def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     g = gamma_n(tau, sigma, n)
-    T, S, (m,) = _clear_denominators(tau, sigma, Poly.const(1))  # the constant 1 clears to m
+    T, S, m = _cleared(tau, sigma)
     (t0, t1), (s0, s1, s2) = (T + [0, 0])[:2], (S + [0, 0, 0])[:3]
     pivots = [-(n - j) * (t1 + (n + j - 1) * s2) for j in range(n + 1)]  # P_n = 0
     M = [0] * n + [1, 0]  # M_0 .. M_n, and M_(n+1) = 0
@@ -105,32 +114,27 @@ def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
 
 
 def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
-    """Explicit closed forms of the first four polynomial solutions.
+    """Explicit closed forms of the first four polynomial solutions.  Every term
+    of y_n is homogeneous of degree n in (tau, sigma), so with tau = T/m and
+    sigma = S/m the form is the same sum in T and S over m^n.
 
     Raises InconsistentGamma when the form drops below degree n, as it does
     when gamma_j = gamma_n for some j < n.
     """
     if n < 0 or n > 3:
         raise OutOfRange("explicit closed forms exist for n <= 3 only")
-    sp = sigma.derivative()
-    spp = sp.derivative()
-    tp = tau.derivative()
-    if n == 0:
-        result = Poly.const(1)
-    elif n == 1:
-        result = tau
-    elif n == 2:
-        result = tau * tau + tau * sp + tp * sigma + sigma * spp
-    else:
-        result = (
-            tau * tau * tau
-            + 3 * tau * tau * sp
-            + 2 * tau * sp * sp
-            + 3 * tau * tp * sigma
-            + 4 * tp * sigma * sp
-            + 5 * tau * sigma * spp
-            + 6 * sigma * sp * spp
-        )
+    T, S, m = _cleared(tau, sigma)
+    t1, s2, S1 = (T + [0, 0])[1], (S + [0, 0, 0])[2], _derivative(S)
+    if n < 2:  # 1 and tau
+        nums = T if n else [1]
+    elif n == 2:  # tau^2 + tau sigma' + tau' sigma + sigma sigma''
+        nums = _dot([(T, T), (T, S1), ([t1], S), (S, [2 * s2])])
+    else:  # tau^3 + 3 tau^2 sigma' + 2 tau sigma'^2 + 3 tau tau' sigma
+        #      + 4 tau' sigma sigma' + 5 tau sigma sigma'' + 6 sigma sigma' sigma''
+        tt, ts, ss1 = _dot([(T, T)]), _dot([(T, S)]), _dot([(S, S1)])
+        pairs = [(tt, T), (tt, [3 * v for v in S1]), (_dot([(T, S1)]), [2 * v for v in S1])]
+        nums = _dot(pairs + [([3 * t1], ts), ([4 * t1], ss1), ([10 * s2], ts), ([12 * s2], ss1)])
+    result = _poly(nums, m**n)
     if result.degree != n:
         raise InconsistentGamma(f"explicit form degree {result.degree} != {n}")
     return result
@@ -152,17 +156,19 @@ def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
     Functions of Mathematical Physics, 1988).
 
     It runs on integers: with tau = T/m and sigma = S/m cleared, Q_k = m^k P_k
-    obeys the same step in S and T, Q_(k+1) = S Q_k' + ((n-k-1) S' + T) Q_k
-    from Q_0 = [1], so the result is Q_n / m^n.
+    obeys the same step in S and T, with L0 + L1 r = (n-k-1) S' + T, from
+    Q_0 = [1], so the result is Q_n / m^n; as deg S <= 2, coefficient-wise
+
+        Q_(k+1)[i] = S0 (i+1) Q_k[i+1] + (S1 i + L0) Q_k[i] + (S2 (i-1) + L1) Q_k[i-1].
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    T, S, (m,) = _clear_denominators(tau, sigma, Poly.const(1))  # the constant 1 clears to m
-    S1 = _derivative(S)
-    Q = [1]
-    for k in range(n):
-        step = [(n - k - 1) * a + b for a, b in zip_longest(S1, T, fillvalue=0)]
-        Q = _dot([(S, _derivative(Q)), (step, Q)])
+    T, S, m = _cleared(tau, sigma)
+    (t0, t1), (s0, s1, s2), Q = (T + [0, 0])[:2], (S + [0, 0, 0])[:3], [1]
+    for j in range(n - 1, -1, -1):  # j = n-k-1 at step k
+        l0, l1 = j * s1 + t0, 2 * j * s2 + t1
+        Q = [s0 * (i + 1) * a + (s1 * i + l0) * b + (s2 * (i - 1) + l1) * c
+             for i, (a, b, c) in enumerate(zip(Q[1:] + [0, 0], Q + [0], [0] + Q))]
     result = _poly(Q, m**n)
     if result.degree != n:
         raise InconsistentGamma(f"Rodrigues output degree {result.degree} != {n}")
@@ -180,13 +186,11 @@ def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    two_e = 2 * Fraction(epsilon_n)
+    two_e, term = 2 * Fraction(epsilon_n), Fraction((-1) ** n)
     for m in range(1, n + 1):
         if two_e + m == 0:
             raise PochhammerPole(f"2*epsilon_n + {m} = 0")
-    term = Fraction((-1) ** n)
-    for i in range(1, n + 1):
-        term *= two_e + i  # the prefactor (-1)^n (2e+1)_n
+        term *= two_e + m  # the prefactor (-1)^n (2e+1)_n
     coeffs = [term]
     for m in range(n):
         term *= (m - n) * (two_e + n + 2 + m) * q / ((two_e + 1 + m) * (m + 1))

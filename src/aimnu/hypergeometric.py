@@ -86,11 +86,17 @@ def validate(
     return HypergeometricProblem(tau, sigma, Affine(Fraction(const), Fraction(slope)), parameter)
 
 
+def _numerator(p: Poly, power: int) -> int:
+    """The stored integer numerator of p's r^power coefficient, over p's denominator."""
+    return p._nums[power] if power < len(p._nums) else 0
+
+
 def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
-    """Quantization constant -n (tau' + (n-1) sigma''/2) for numeric tau."""
+    """Quantization constant -n (tau' + (n-1) sigma''/2) for numeric tau, as one Fraction."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return -n * (tau.coeff(1) + (n - 1) * sigma.coeff(2))
+    dt, ds = tau._den, sigma._den
+    return Fraction(-n * (_numerator(tau, 1) * ds + (n - 1) * _numerator(sigma, 2) * dt), dt * ds)
 
 
 def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
@@ -100,14 +106,19 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     is affine in p, with constant gamma_n(tau.const) - gamma.const and
     slope -n tau.slope' - gamma.slope (sigma does not depend on p); its
     root is the exact n-th spectrum value.  Raises DegenerateParameterMap
-    when the slope vanishes.
+    when the slope vanishes.  Both run on the stored integer numerators over
+    their denominators, so the root is one Fraction of two integers.
     """
-    tau, gamma = problem.tau, problem.gamma
-    at0 = gamma_n(tau.const, problem.sigma, n) - gamma.const
-    slope = -n * tau.slope.coeff(1) - gamma.slope
+    tc, ts, sigma = problem.tau.const, problem.tau.slope, problem.sigma
+    c, e = problem.gamma.const, problem.gamma.slope
+    da, db, ds = tc._den, ts._den, sigma._den
+    # minus the gap's slope times db e_den, then minus its constant times da ds c_den
+    slope = n * _numerator(ts, 1) * e.denominator + e.numerator * db
     if slope == 0:
         raise DegenerateParameterMap(f"parameter coefficient vanishes at n = {n}")
-    return -at0 / slope
+    at0 = n * (_numerator(tc, 1) * ds + (n - 1) * _numerator(sigma, 2) * da) * c.denominator
+    at0 += c.numerator * da * ds
+    return Fraction(-at0 * db * e.denominator, slope * da * ds * c.denominator)
 
 
 def to_aim_form(problem: HypergeometricProblem) -> HypergeometricProblem:

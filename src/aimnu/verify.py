@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import aim, catalog, eigenfunctions, hypergeometric, nu
-from .algebra import Poly, RatFunc
+from .algebra import Poly, RatFunc, _clear_denominators, _derivative, _dot
 from .errors import AimnuError, NoRationalReduction
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -246,33 +246,23 @@ def suite_eigenfunctions() -> list[CheckResult]:
 def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -> bool:
     """The NU reduction psi = phi y with phi'/phi = pi/sigma, multiplied through.
 
-    Checks, for y in 1, r, r^2 and in exact polynomial arithmetic,
+    The original equation times sigma^2/phi equals the reduced one times sigma,
 
         sigma^2 y'' + sigma (2 pi + tauTilde) y'
             + (sigma pi' - pi sigma' + pi^2 + tauTilde pi + sigmaTilde) y
         == sigma (sigma y'' + tau y' + lambdaBar y),
 
-    the original equation times sigma^2/phi on the left and the reduced
-    hypergeometric-type equation on the right.
+    for every y exactly when it holds for y = 1, r and r^2, and those three
+    are the two NU conditions: y = 1 reads sigma pi' - pi sigma' + pi^2
+    + tauTilde pi + sigmaTilde == lambdaBar sigma, y = r then adds
+    tau == tauTilde + 2 pi (as sigma != 0), and y = r^2 follows from the two.
+    Both are checked on integers, times m^2 and m for m the lcm of all denominators.
     """
-    sigma, tau_tilde, pi = problem.sigma, problem.tau_tilde, reduction.pi
-    potential = (
-        sigma * pi.derivative()
-        - pi * sigma.derivative()
-        + pi * pi
-        + tau_tilde * pi
-        + problem.sigma_tilde
-    )
-    sigma_sq, drift = sigma * sigma, sigma * (2 * pi + tau_tilde)
-    r = Poly.variable()
-    for y in (Poly.const(1), r, r * r):
-        original = sigma_sq * y.derivative().derivative() + drift * y.derivative() + potential * y
-        reduced = sigma * eigenfunctions.ode_residual(
-            reduction.tau, sigma, reduction.lambda_bar, y
-        )
-        if original != reduced:
-            return False
-    return True
+    polys = (problem.tau_tilde, problem.sigma, reduction.pi, problem.sigma_tilde, reduction.tau)
+    lam, one = Poly.const(reduction.lambda_bar), Poly.const(1)  # the constant 1 clears to m
+    Tt, S, P, St, T, L, (m,) = _clear_denominators(*polys, lam, one)
+    potential = _dot([(S, _derivative(P)), (P, P), (Tt, P), ([m], St)])  # _dot strips: == compares polys
+    return potential == _dot([(P, _derivative(S)), (L, S)]) and T == _dot([([1], Tt), ([2], P)])
 
 
 def suite_nu() -> list[CheckResult]:

@@ -51,7 +51,7 @@ def test_criterion_9_cli_determinism():
         and second.returncode == 0
         and first.stdout == second.stdout
         and b"FAIL" not in first.stdout
-        and elapsed < 20.0  # two full runs; each must stay under 10 s
+        and elapsed < 5.0  # two full runs of about 0.2-0.3 s each on a shared 2-core host
     )
     # spot-check byte determinism of the data-emitting formats too
     for args in (

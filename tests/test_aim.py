@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aimnu.aim as aim_module
@@ -338,12 +338,16 @@ class TestDeterminants:
 
     @settings(max_examples=40, deadline=None)
     @given(hypergeometric_problems())
+    @example((validate(Affine(Poly(), R), Poly.const(1), (0, -1), "E"), F(0)))  # delta_1 = 0
     def test_each_level_divides_the_next(self, case):
         # delta_k = (mu_k / sigma(r0)) delta_{k-1}, mu_k affine in E with root E_k
         problem, r0 = case
         deltas = [d for _, d in zip(range(8), determinants(problem, r0))]
         assume(not deltas[0].is_zero)
         for k, (last, delta) in enumerate(zip(deltas, deltas[1:]), start=1):
+            if last.is_zero:  # mu_(k-1) = 0 identically, as mu_1 in the example
+                assert delta.is_zero
+                continue
             quo, rem = divmod(delta, last)
             assert rem.is_zero and quo.degree <= 1
             if quo.degree == 1:

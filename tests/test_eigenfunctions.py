@@ -1,12 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aimnu import eigenfunctions
 from aimnu.algebra import Poly, RatFunc, WeightExpr
-from aimnu.catalog import catalog_get
+from aimnu.catalog import CATALOG, catalog_get
 from aimnu.eigenfunctions import (
     hulthen_eigenfunction,
     ode_residual,
@@ -15,8 +15,14 @@ from aimnu.eigenfunctions import (
     rodrigues,
     y_low_order,
 )
-from aimnu.errors import DegenerateSpectrum, InconsistentGamma, OutOfRange, PochhammerPole
-from aimnu.hypergeometric import gamma_n
+from aimnu.errors import (
+    DegenerateSpectrum,
+    InconsistentGamma,
+    NotHypergeometricType,
+    OutOfRange,
+    PochhammerPole,
+)
+from aimnu.hypergeometric import eigenvalue, gamma_n
 
 R = Poly.variable()
 
@@ -172,6 +178,67 @@ class TestRodrigues:
         assert y.degree == n
         assert ode_residual(tau, sigma, gamma_n(tau, sigma, n), y).is_zero
         assert y.leading == leading
+
+
+@pytest.mark.parametrize("n", [*range(13), 50, 100])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_generators_agree(name, n):
+    # at the n-th spectrum value: Rodrigues is a multiple of the monic
+    # recursion output, and both solve the entry's own equation
+    problem = catalog_get(name)
+    value = eigenvalue(problem, n)
+    tau, sigma, gamma = problem.tau.substitute(value), problem.sigma, problem.gamma.substitute(value)
+    solved, rod = polynomial_solution(tau, sigma, n).poly, rodrigues(tau, sigma, n)
+    assert solved.degree == n and _proportional(rod, solved)
+    assert ode_residual(tau, sigma, gamma, solved).is_zero
+    assert ode_residual(tau, sigma, gamma, rod).is_zero
+
+
+@pytest.mark.parametrize("generator", [polynomial_solution, rodrigues, y_low_order])
+def test_generators_refuse_degrees_above_the_caps(generator):
+    # the integer steps read tau' and sigma'' as constants; deg tau <= 1 and
+    # deg sigma <= 2 are the caps every record holds
+    for tau, sigma in ((R * R, Poly.const(1)), (R, R**3)):
+        with pytest.raises(NotHypergeometricType):
+            generator(tau, sigma, 2)
+
+
+def _y_low_order_oracle(tau, sigma, n):
+    """The explicit forms in Poly arithmetic over Fractions, as printed."""
+    sp, tp = sigma.derivative(), tau.derivative()
+    spp = sp.derivative()
+    return [
+        Poly.const(1),
+        tau,
+        tau * tau + tau * sp + tp * sigma + sigma * spp,
+        tau * tau * tau
+        + 3 * tau * tau * sp
+        + 2 * tau * sp * sp
+        + 3 * tau * tp * sigma
+        + 4 * tp * sigma * sp
+        + 5 * tau * sigma * spp
+        + 6 * sigma * sp * spp,
+    ][n]
+
+
+_WIDE = st.one_of(_FRACTIONS, st.fractions(max_denominator=10**12))
+
+
+@given(
+    tau=st.lists(_WIDE, min_size=0, max_size=2).map(Poly),
+    sigma=st.lists(_WIDE, min_size=1, max_size=3).map(Poly).filter(lambda p: not p.is_zero),
+    n=st.integers(0, 3),
+)
+@example(tau=Poly([F(1, 6), F(-5, 4)]), sigma=Poly([F(2, 3), F(1, 10), F(-7, 15)]), n=3)
+@example(tau=-R, sigma=R * R, n=2)  # gamma_0 = gamma_2: the form drops to degree 1
+@settings(max_examples=200, deadline=None)
+def test_y_low_order_matches_poly_arithmetic(tau, sigma, n):
+    expected = _y_low_order_oracle(tau, sigma, n)
+    if expected.degree != n:
+        with pytest.raises(InconsistentGamma):
+            y_low_order(tau, sigma, n)
+    else:
+        assert y_low_order(tau, sigma, n) == expected
 
 
 class TestHulthenEigenfunction:

@@ -112,6 +112,12 @@ class TestReductionIdentity:
     PROBLEMS = (
         NuProblem(Poly(), Poly.const(1), Poly([F(5), 0, -1])),  # oscillator at E = 5/2
         NuProblem(-R, Poly([0, 1, -1]), Poly([0, 4, -5])),  # four candidates
+        # denominators: sigma = (2r - 1)(r + 3)/3, k = 2/7 and -6968/3675
+        NuProblem(
+            Poly([F(-1, 6), F(-2, 5)]),
+            Poly([-1, F(5, 3), F(2, 3)]),
+            Poly([F(3, 14), F(593, 1260), F(-389, 420)]),
+        ),
     )
 
     def test_every_candidate_satisfies_it(self):

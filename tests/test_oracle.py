@@ -5,7 +5,7 @@ sympy is a test-only dependency; without it this module is skipped.
 """
 
 from fractions import Fraction as F
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -272,6 +272,42 @@ def test_rodrigues_is_the_scaled_recursion(tau, sigma, n):
             rodrigues(tau, sigma, n)
         return
     assert rodrigues(tau, sigma, n) == monic * scale
+
+
+def _sympy_rodrigues(tau: Poly, sigma: Poly, n: int):
+    """(1/rho) d^n/dr^n [sigma^n rho] in sympy's field of rational functions,
+    by the Leibniz rule: the sum of C(n, k) (sigma^n)^(n-k) rho^(k)/rho, where
+    rho^(k)/rho = g_k has g_0 = 1 and g_(k+1) = g_k' + g_k (tau - sigma')/sigma
+    from rho'/rho = (tau - sigma')/sigma."""
+    field, x = sympy.polys.fields.field("x", sympy.QQ)
+    t, s = (field(_to_sympy(p).as_expr()) for p in (tau, sigma))  # field symbol x is X
+    log_derivative, g, power = (t - s.diff(x)) / s, field.one, s**n
+    weights, powers = [], []
+    for k in range(n + 1):
+        weights.append(g)
+        powers.append(power)
+        g, power = g.diff(x) + g * log_derivative, power.diff(x)
+    return sum((comb(n, k) * powers[n - k] * weights[k] for k in range(n + 1)), field.zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(small, min_size=2, max_size=2).map(Poly),
+    st.lists(small, min_size=1, max_size=3).map(Poly).filter(lambda p: not p.is_zero),
+    st.integers(0, 6),
+)
+@example(Poly([0, -2]), Poly.const(1), 6)  # Hermite
+@example(Poly([F(1, 3), F(-5, 2)]), Poly([F(2, 3), F(1, 3), F(-1, 2)]), 6)  # denominators
+@example(Poly([0, -1]), Poly([0, 0, 1]), 2)  # tau' + (n-1+k) sigma''/2 = 0 at k = 0: the degree drops
+def test_rodrigues_matches_sympy_differentiation(tau, sigma, n):
+    quotient = _sympy_rodrigues(tau, sigma, n)
+    assert quotient.denom.is_ground  # the Rodrigues quotient is a polynomial
+    expected = _from_sympy(quotient.as_expr())
+    if expected.degree != n:
+        with pytest.raises(InconsistentGamma):
+            rodrigues(tau, sigma, n)
+    else:
+        assert rodrigues(tau, sigma, n) == expected
 
 
 @st.composite
