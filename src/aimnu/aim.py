@@ -32,9 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import count, islice, repeat, zip_longest
+from operator import attrgetter
 
-from .algebra import Poly, RatFunc, _clear_denominators, _dot, _poly
+from .algebra import Poly, RatFunc, _dot, _poly, _shifted
 from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
 from .hypergeometric import HypergeometricProblem
 
@@ -75,14 +76,20 @@ class EigenvalueEstimate:
 
 
 def _numerators(problem: HypergeometricProblem, r0: Fraction):
-    """D, L and S of ``determinants``, in x = r - r0: sigma, -tau and -gamma
-    over one denominator as integers with no common content, D a list and L
-    and S lists in x of integer lists in E, so lambda0 = L/D and s0 = S/D."""
+    """D, L and S of ``determinants``, in x = r - r0: sigma, -tau and -gamma, shifted
+    on their integer numerators, over one denominator as integers with no common
+    content, D a list and L and S lists in x of integer lists in E: lambda0 = L/D, s0 = S/D."""
     sigma, tau, gamma = problem.sigma, problem.tau, problem.gamma
-    if not sigma.evaluate(r0):
+    (u, v), (gc, gs) = r0.as_integer_ratio(), (gamma.const, gamma.slope)
+    top = max(len(sigma._nums), len(tau.const._nums), len(tau.slope._nums)) - 1  # all over m v^top
+    m = math.lcm(sigma._den, tau.const._den, tau.slope._den, gc.denominator, gs.denominator)
+    D, lc, ls = (
+        [c * (m // p._den * v ** (top + 1 - len(p._nums))) for c in _shifted(p._nums, u, v)]
+        for p in (sigma, tau.const, tau.slope)
+    )
+    if not D[0]:
         raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    shifted = (p.compose_linear(r0) for p in (sigma, tau.const, tau.slope))
-    D, lc, ls, sc, ss = _clear_denominators(*shifted, Poly.const(gamma.const), Poly.const(gamma.slope))
+    sc, ss = ([w.numerator * m // w.denominator * v**top] if w else [] for w in (gc, gs))
     g = math.gcd(*D, *lc, *ls, *sc, *ss)
     L, S = (
         [[-c // g, -e // g] if e else [-c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
@@ -130,9 +137,12 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
             lam = [(L[j], A[i - j]) for j in range(min(i + 1, len(L)))]
             s = [(S[j], A[i - j]) for j in range(min(i + 1, len(S)))]
             for u, c in enumerate(D[: i + 2]):
+                if not c:  # a zero row adds nothing
+                    continue
                 w = [c * (i + 1 - (k + 1) * u)]
-                lam.append((w, A[i + 1 - u]))
-                s.append((w, B[i + 1 - u]))
+                if w[0]:
+                    lam.append((w, A[i + 1 - u]))
+                    s.append((w, B[i + 1 - u]))
                 if u <= i:
                     lam.append(([c], B[i - u]))
             a[k].append(_dot(lam))
@@ -143,6 +153,8 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
 
 
 MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
+_ONE = _poly([1])  # delta_(-1)
+_NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
 
 
 def _floors(p: list[int]) -> list[int]:
@@ -182,6 +194,29 @@ def _modes(c: list[int], e: list[int], lo: Fraction, hi: Fraction) -> list[int]:
     return [n for r in runs for n in r]
 
 
+def _fit(levels: list[Poly]) -> tuple[list[int], list[int]]:
+    """Integer lists c, e in n with delta_k / delta_(k-1) = (c(k) + E e(k)) / m, k <= 2,
+    for one m > 0, from the nonzero [delta_0, delta_1, delta_2] and delta_(-1) = 1,
+    divided on their integer numerators; IncompleteSpectrum if they fit no such factors."""
+    fits, a = [], _ONE
+    for b in levels:
+        x, y, n = a._nums, b._nums, len(a._nums) - 1
+        if len(y) - n not in (1, 2):  # deg b - deg a is neither 0 nor 1
+            raise IncompleteSpectrum(_NO_FIT)
+        t, top = x[-1], y[n + 1] if len(y) - n == 2 else 0  # t^2 y = (q0 + q1 E) x, t the top of x
+        q0, q1, tt = t * y[n] - top * (x[n - 1] if n else 0), t * top, t * t
+        if [q0 * p + q1 * r for p, r in zip((*x, 0), (0, *x))] != [tt * c for c in (*y, 0)][: n + 2]:
+            raise IncompleteSpectrum(_NO_FIT)  # a remainder
+        fits.append((q0 * a._den, q1 * a._den, tt * b._den))  # b/a = (q0 + q1 E) a._den / (tt b._den)
+        a = b
+    m = math.lcm(*(den for _, _, den in fits))
+    (c0, e0), (c1, e1), (c2, e2) = ((q0 * (m // den), q1 * (m // den)) for q0, q1, den in fits)
+    if e2 - e1 != e1 - e0:
+        raise IncompleteSpectrum(_NO_FIT)
+    d = c2 - 2 * c1 + c0  # 2 c(n) = 2 c0 + 2 (c1 - c0) n + d n (n - 1)
+    return [2 * c0, 2 * (c1 - c0) - d, d], [2 * e0, 2 * (e1 - e0), 0]
+
+
 def solve_iterative(
     problem: HypergeometricProblem,
     r0: Fraction | None = None,
@@ -189,11 +224,12 @@ def solve_iterative(
 ) -> list[EigenvalueEstimate]:
     """Every mode whose eigenvalue lies in the open bracket, ascending.
 
-    delta_0, delta_1 and delta_2, each divided exactly by the level before,
-    give the factors c(k) + E e(k), k = 0, 1, 2, of c quadratic and e
-    linear in k; the third e checks the fit.  Every mode n >= 0 whose root
-    -c(n)/e(n) lies in the bracket gives an exact, converged estimate,
-    ``n`` its mode index.  No mode, or a delta_n that vanishes for every
+    delta_0, delta_1 and delta_2, each divided exactly by the level before
+    on their integer numerators, give the factors c(k) + E e(k), k = 0, 1, 2,
+    over one lcm (``_fit``), of c quadratic and e linear in k; the third e
+    checks the fit.  Every mode n >= 0 whose root -c(n)/e(n) lies in the
+    bracket gives an exact, converged estimate, ``n`` its mode index, and
+    one Fraction.  No mode, or a delta_n that vanishes for every
     trial value, raises NoRootInBracket; infinitely many or more than
     MAX_MODES modes raise IncompleteSpectrum.
 
@@ -205,18 +241,13 @@ def solve_iterative(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("empty bracket")
-    levels = [Poly.const(1), *(d for _, d in zip(range(3), determinants(problem, r0)))]
+    levels = list(islice(determinants(problem, r0), 3))
     for k in (1, 2):  # delta_0 = 0 makes delta_1 = 0
-        if levels[k + 1].is_zero:
+        if levels[k].is_zero:
             raise NoRootInBracket(f"delta_{k} vanishes for every trial value")
-    fits = [divmod(b, a) for a, b in zip(levels, levels[1:])]
-    (c0, e0), (c1, e1), (c2, e2) = ([*q, 0][:2] for q in _clear_denominators(*(q for q, _ in fits)))
-    if any(q.degree > 1 or not r.is_zero for q, r in fits) or e2 - e1 != e1 - e0:
-        raise IncompleteSpectrum("delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)")
-    d = c2 - 2 * c1 + c0  # 2 c(n) = 2 c0 + 2 (c1 - c0) n + d n (n - 1)
-    c, e = [2 * c0, 2 * (c1 - c0) - d, d], [2 * e0, 2 * (e1 - e0), 0]
-    modes = _modes(c, e, lo, hi)
+    c, e = _fit(levels)
+    modes = sorted(_modes(c, e, lo, hi))  # a stable sort on the values then keeps n ascending
     if not modes:
         raise NoRootInBracket(f"no mode in ({lo}, {hi})")
-    values = sorted((Fraction(-((d * n + c[1]) * n + c[0]), e[0] + e[1] * n), n) for n in modes)
-    return [EigenvalueEstimate(n, value, True) for value, n in values]
+    values = (Fraction(-((c[2] * n + c[1]) * n + c[0]), e[0] + e[1] * n) for n in modes)
+    return sorted(map(EigenvalueEstimate, modes, values, repeat(True)), key=attrgetter("value"))

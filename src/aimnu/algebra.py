@@ -209,14 +209,9 @@ class Poly:
         return Fraction(_horner(self._nums, u, v), self._den * v ** max(len(self._nums) - 1, 0))
 
     def compose_linear(self, a: _FractionLike) -> "Poly":
-        """p(a + r) as a polynomial in r, by homogeneous Horner on
-        a + r = (u + v r)/v with a = u/v."""
+        """p(a + r) as a polynomial in r."""
         u, v = a.as_integer_ratio()
-        acc: list[int] = []
-        for k, c in enumerate(reversed(self._nums)):
-            acc = [x * u + y * v for x, y in zip(acc + [0], [0] + acc)]
-            acc[0] += c * v**k
-        return _poly(acc, self._den * v ** max(len(self._nums) - 1, 0))
+        return _poly(_shifted(self._nums, u, v), self._den * v ** max(len(self._nums) - 1, 0))
 
     # -- display ------------------------------------------------------
 
@@ -435,6 +430,17 @@ def _horner(ints: list[int], u: int, v: int) -> int:
         acc = acc * u + c * vp
         vp *= v
     return acc
+
+
+def _shifted(ints, u: int, v: int) -> list[int]:
+    """v^n p(u/v + x) as an integer list in x, for the integer polynomial p of
+    degree n, v > 0: P(y) = v^n p(y/v) Taylor-shifted in place to P(y + u), then y = v x."""
+    n = len(ints) - 1
+    d = [c * v ** (n - j) for j, c in enumerate(ints)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            d[j] += u * d[j + 1]
+    return [c * v**i for i, c in enumerate(d)]
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import click
 
@@ -269,9 +270,10 @@ def _grid_bound(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _decimal12(x: Fraction) -> str:
+def _decimal12(num: int, den: int) -> str:
+    """num/den at 12 significant digits; int true division rounds correctly."""
     try:
-        return f"{x.numerator / x.denominator:.12g}"
+        return f"{num / den:.12g}"
     except OverflowError:
         raise BadParameter("a sample value is beyond the float range; narrow --samples") from None
 
@@ -292,10 +294,21 @@ def _sample_grid(spec: str) -> list[tuple[str, Fraction]]:
     if not 2 <= count <= MAX_SAMPLES:
         raise BadParameter(f"sample count must be between 2 and {MAX_SAMPLES}")
     grid = [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
-    labels = [_decimal12(x) for x in grid]
+    labels = [_decimal12(*x.as_integer_ratio()) for x in grid]
     if len(set(labels)) < count:  # the grid is monotone, so equal labels are neighbours
         raise BadParameter("sample points print alike at 12 significant digits; widen --samples")
     return list(zip(labels, grid))
+
+
+def _sample_rows(poly: Poly, grid: list[tuple[str, Fraction]]) -> list[list[str]]:
+    """[label, y] rows on the grid x_j = a + h j: q(j) = p(a + h j), p shifted to a and
+    coefficient i scaled by h^i, on integers over one denominator, Horner in j."""
+    (_, a), (_, x1) = grid[:2]
+    (r, s), shifted = (x1 - a).as_integer_ratio(), poly.compose_linear(a)
+    n = max(len(shifted._nums) - 1, 0)
+    q, den = [c * r**i * s ** (n - i) for i, c in enumerate(shifted._nums)], shifted._den * s**n
+    values = (reduce(lambda acc, c: acc * j + c, reversed(q), 0) for j in range(len(grid)))
+    return [[label, _decimal12(y, den)] for (label, _), y in zip(grid, values)]
 
 
 @main.command("eigenfunction")
@@ -335,7 +348,7 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
         "coefficients": coeffs,
     }
     if grid is not None:
-        rows = [[label, _decimal12(poly.evaluate(x))] for label, x in grid]
+        rows = _sample_rows(poly, grid)
         envelope["samples"] = rows
         header = ["r", "y"]
     else:

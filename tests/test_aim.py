@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import aimnu.aim as aim_module
 import aimnu.hypergeometric as hypergeometric_module
 from aimnu.aim import MAX_MODES, determinants, iterate, solve_iterative
-from aimnu.algebra import Affine, Poly, RatFunc
+from aimnu.algebra import Affine, Poly, RatFunc, _clear_denominators
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
 from aimnu.errors import (
     DegenerateParameterMap,
@@ -474,3 +474,120 @@ class TestLevelRoots:
         assert vanishing is None
         assert [(e.value, e.n) for e in estimates] == sorted(expected)
         assert all(e.converged for e in estimates)
+
+
+_NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
+
+
+def _divmod_fit(levels):
+    """(c, e) by Poly division of each level by the one before and cleared
+    quotients, the route the integer fit replaced: this class's oracle.  None
+    where the levels fit no factors c(k) + E e(k)."""
+    fits = [divmod(b, a) for a, b in zip([Poly.const(1), *levels], levels)]
+    if any(q.degree > 1 or not r.is_zero for q, r in fits):
+        return None
+    (c0, e0), (c1, e1), (c2, e2) = ([*q, 0][:2] for q in _clear_denominators(*(q for q, _ in fits)))
+    if e2 - e1 != e1 - e0:
+        return None
+    d = c2 - 2 * c1 + c0
+    return [2 * c0, 2 * (c1 - c0) - d, d], [2 * e0, 2 * (e1 - e0), 0]
+
+
+def _primitive(fit):
+    """(c, e) divided by their content: two fits that differ by a positive scale agree."""
+    if fit is None:
+        return None
+    g = gcd(*fit[0], *fit[1])
+    return [x // g for x in fit[0]], [x // g for x in fit[1]]
+
+
+def _integer_fit(levels):
+    try:
+        return aim_module._fit(levels)
+    except IncompleteSpectrum as exc:
+        assert str(exc) == _NO_FIT
+        return None
+
+
+def _divmod_rows(problem, r0, bracket):
+    """The rows (value, n) of ``solve_iterative`` by the oracle fit and a sort on
+    (value, n), or the (type, message) of the error it raises."""
+    levels = [d for _, d in zip(range(3), determinants(problem, r0))]
+    for k in (1, 2):
+        if levels[k].is_zero:
+            return NoRootInBracket, f"delta_{k} vanishes for every trial value"
+    fit = _divmod_fit(levels)
+    if fit is None:
+        return IncompleteSpectrum, _NO_FIT
+    (c, e), (lo, hi) = fit, bracket
+    try:
+        modes = aim_module._modes(c, e, lo, hi)
+    except (NoRootInBracket, IncompleteSpectrum) as exc:
+        return type(exc), str(exc)
+    if not modes:
+        return NoRootInBracket, f"no mode in ({lo}, {hi})"
+    return sorted((F(-((c[2] * n + c[1]) * n + c[0]), e[0] + e[1] * n), n) for n in modes)
+
+
+def _rows(problem, r0, bracket):
+    try:
+        return [(e.value, e.n) for e in solve_iterative(problem, r0, bracket)]
+    except (NoRootInBracket, IncompleteSpectrum) as exc:
+        return type(exc), str(exc)
+
+
+#: sigma = 1 - r^2, tau = 6r, gamma = E: E_n = n(n - 7), so E_n = E_(7-n).
+_DEGENERATE = validate(Poly([0, 6]), Poly([1, 0, -1]), (0, 1), "E")
+
+
+class TestIntegerFit:
+    """``_fit`` divides the levels on their integer numerators; the Poly
+    division it replaced is the oracle, for the fit and for the rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hypergeometric_problems(),
+        st.tuples(small, small, st.integers(1, 20)).filter(lambda t: t[0] != t[1]),
+    )
+    # gamma = 3 free of E, tau = (E - 2) r: delta_0 and its quotient have degree 0 in E
+    @example(
+        (validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (3, 0), "E"), F(1)),
+        (F(-1), F(1), 5),
+    )
+    @example((_NEGATIVE_DEN, F(3, 2)), (F(-5), F(5), 20))  # D(0) < 0
+    @example((catalog_get("kratzer"), F(1)), (F(1, 5), F(1), 1))  # descending in n
+    def test_matches_the_division_route(self, case, draw):
+        problem, r0 = case
+        bracket = tuple(sorted(x * draw[2] for x in draw[:2]))
+        levels = [d for _, d in zip(range(3), determinants(problem, r0))]
+        if not any(d.is_zero for d in levels):
+            assert _primitive(_integer_fit(levels)) == _primitive(_divmod_fit(levels))
+        assert _rows(problem, r0, bracket) == _divmod_rows(problem, r0, bracket)
+
+    def test_ties_before_a_run_keep_ascending_n(self):
+        # E_6 = E_1 = -6: _modes gives the cut-point single 6 before the run 1..2
+        levels = [d for _, d in zip(range(3), determinants(_DEGENERATE, F(1, 2)))]
+        assert aim_module._modes(*aim_module._fit(levels), F(-12), F(-5)) == [6, 1, 2, 5]
+        rows = [(-10, 2), (-10, 5), (-6, 1), (-6, 6)]
+        case = (_DEGENERATE, F(1, 2), (F(-12), F(-5)))
+        assert _rows(*case) == rows == _divmod_rows(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hypergeometric_problems(),
+        st.integers(0, 2),
+        st.sampled_from(["times", "plus", "replace"]),
+        st.lists(small, min_size=1, max_size=4).map(Poly),
+    )
+    @example((HERMITE, F(1)), 2, "times", Poly([1, 1]))  # a quotient quadratic in E
+    @example((HERMITE, F(1)), 2, "plus", Poly([1]))  # a remainder
+    @example((HERMITE, F(1)), 2, "replace", Poly([1]))  # delta_2 of lower degree than delta_1
+    @example((HERMITE, F(1)), 2, "times", Poly([2]))  # e(0), e(1), e(2) not linear in k
+    def test_levels_off_the_formula(self, case, k, kind, f):
+        # a level times, plus or replaced by a polynomial in E: both routes
+        # refuse the same levels and fit the others alike
+        problem, r0 = case
+        levels = [d for _, d in zip(range(3), determinants(problem, r0))]
+        levels[k] = {"times": levels[k] * f, "plus": levels[k] + f, "replace": f}[kind]
+        assume(not any(d.is_zero for d in levels))
+        assert _primitive(_integer_fit(levels)) == _primitive(_divmod_fit(levels))
