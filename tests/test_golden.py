@@ -1,4 +1,4 @@
-"""`aimnu aim`, `aimnu eigenfunction`, `aimnu nu` and `aimnu verify` output,
+"""`aimnu solve`, `aimnu aim`, `aimnu eigenfunction`, `aimnu nu` and `aimnu verify` output,
 byte for byte, against files written by an earlier build.
 
 Any change to these outputs must be deliberate: rewrite the files with
@@ -85,9 +85,45 @@ NU_CASES = [
 ]
 NU_FORMATS = {"table": "txt", "json": "json"}
 
+#: (file stem, `aimnu solve` arguments), written in both FORMATS; every run
+#: exits 0.  "kratzer-big" has the 31-digit parameters of the CI brackets.
+_P = 1234567890123456789012345678901
+SOLVE_CASES = [
+    ("kratzer-big", ["kratzer", "--n", "200", "--param", f"A={_P}/7",
+                     "--param", f"Lambda={_P}/1234567890123456789012345678903"]),
+]
+
+#: A problem file with a distinct denominator in every field: tau =
+#: 1/3 + 2E/5 + (-7/4 + E/6) r, sigma = 1/2 + 3r/7 - 5r^2/9 and gamma =
+#: 2/11 - 3E/13.  Its spectrum changes sign between n = 1 and n = 2, and
+#: the bracket (-30, 50) holds the modes n <= 10 out of order.
+DENOMINATORS = {
+    "name": "denominators",
+    "tau": {"r0": {"const": "1/3", "param": "2/5"}, "r1": {"const": "-7/4", "param": "1/6"}},
+    "sigma": ["1/2", "3/7", "-5/9"],
+    "gamma": {"const": "2/11", "param": "-3/13"},
+    "parameter": "E",
+}
+
+#: (file stem, command, arguments after the DENOMINATORS file, formats); every run exits 0.
+FILE_CASES = [
+    ("solve-denominators", "solve", ["--n", "30"], FORMATS),
+    ("aim-denominators", "aim", ["--bracket=-30:50"], FORMATS),
+    *(
+        (f"eigenfunction-denominators-{method}", "eigenfunction", ["--n", "3", "--method", method], ("json",))
+        for method in ("recursion", "rodrigues", "explicit")
+    ),
+]
+
 
 def _run(command, args, fmt):
     return CliRunner().invoke(main, [command, *args, "--format", fmt])
+
+
+def _run_file(command, doc, args, fmt, tmp_dir):
+    path = Path(tmp_dir) / "problem.json"
+    path.write_text(json.dumps(doc))
+    return _run(command, [str(path), *args], fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -114,9 +150,7 @@ def test_sampled_eigenfunction_output_matches_golden(stem, args, fmt):
 
 
 def _run_nu(doc, fmt, tmp_dir):
-    path = Path(tmp_dir) / "problem.json"
-    path.write_text(json.dumps(doc))
-    return _run("nu", [str(path), "--n", "2"], fmt)
+    return _run_file("nu", doc, ["--n", "2"], fmt, tmp_dir)
 
 
 @pytest.mark.parametrize("fmt", NU_FORMATS)
@@ -125,6 +159,25 @@ def test_nu_output_matches_golden(stem, doc, fmt, tmp_path):
     result = _run_nu(doc, fmt, tmp_path)
     assert result.exit_code == 0
     assert result.stdout_bytes == (DATA / f"nu-{stem}.{NU_FORMATS[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem, args", SOLVE_CASES, ids=[stem for stem, _ in SOLVE_CASES])
+def test_solve_output_matches_golden(stem, args, fmt):
+    result = _run("solve", args, fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"solve-{stem}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stem, command, args, fmt",
+    [(stem, command, args, fmt) for stem, command, args, fmts in FILE_CASES for fmt in fmts],
+    ids=[f"{stem}-{fmt}" for stem, _, _, fmts in FILE_CASES for fmt in fmts],
+)
+def test_problem_file_output_matches_golden(stem, command, args, fmt, tmp_path):
+    result = _run_file(command, DENOMINATORS, args, fmt, tmp_path)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"{stem}.{fmt}").read_bytes()
 
 
 def test_verify_output_matches_golden():
@@ -147,8 +200,15 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             path = DATA / f"eigenfunction-{stem}.{fmt}"
             path.write_bytes(_run("eigenfunction", args, fmt).stdout_bytes)
+    for stem, args in SOLVE_CASES:
+        for fmt in FORMATS:
+            (DATA / f"solve-{stem}.{fmt}").write_bytes(_run("solve", args, fmt).stdout_bytes)
     with tempfile.TemporaryDirectory() as tmp_dir:
         for stem, doc in NU_CASES:
             for fmt, ext in NU_FORMATS.items():
                 (DATA / f"nu-{stem}.{ext}").write_bytes(_run_nu(doc, fmt, tmp_dir).stdout_bytes)
+        for stem, command, args, fmts in FILE_CASES:
+            for fmt in fmts:
+                result = _run_file(command, DENOMINATORS, args, fmt, tmp_dir)
+                (DATA / f"{stem}.{fmt}").write_bytes(result.stdout_bytes)
     (DATA / "verify.txt").write_bytes(CliRunner().invoke(main, ["verify"]).stdout_bytes)
