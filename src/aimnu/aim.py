@@ -10,9 +10,9 @@ and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
 ..., the levels that follow from lambda_{-1} = 1 and s_{-1} = 0.
 ``iterate`` runs the recursion on rational functions of r at one numeric
-trial value; it serves as the oracle.  ``determinants`` runs it on integer
-numerators in r - r0 with the trial value E symbolic, so each level gives
-delta_k(r0, E) as one exact polynomial in E.
+trial value; it serves as the oracle.  ``determinants`` runs it on the
+integer numerators of ``algebra.cleared``, shifted to r - r0, with the trial
+value E symbolic, so each level gives delta_k(r0, E) as one exact polynomial in E.
 
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1}, with
 mu_k = gamma + k tau' + k(k-1) sigma''/2 affine in E.  Proof: the equation
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import count, islice, repeat, zip_longest
 from operator import attrgetter
 
-from .algebra import Poly, RatFunc, _dot, _poly, _shifted
+from .algebra import Poly, RatFunc, _dot, _poly, _shifted, cleared
 from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
 from .hypergeometric import HypergeometricProblem
 
@@ -76,20 +76,16 @@ class EigenvalueEstimate:
 
 
 def _numerators(problem: HypergeometricProblem, r0: Fraction):
-    """D, L and S of ``determinants``, in x = r - r0: sigma, -tau and -gamma, shifted
-    on their integer numerators, over one denominator as integers with no common
-    content, D a list and L and S lists in x of integer lists in E: lambda0 = L/D, s0 = S/D."""
-    sigma, tau, gamma = problem.sigma, problem.tau, problem.gamma
-    (u, v), (gc, gs) = r0.as_integer_ratio(), (gamma.const, gamma.slope)
-    top = max(len(sigma._nums), len(tau.const._nums), len(tau.slope._nums)) - 1  # all over m v^top
-    m = math.lcm(sigma._den, tau.const._den, tau.slope._den, gc.denominator, gs.denominator)
-    D, lc, ls = (
-        [c * (m // p._den * v ** (top + 1 - len(p._nums))) for c in _shifted(p._nums, u, v)]
-        for p in (sigma, tau.const, tau.slope)
-    )
+    """D, L and S of ``determinants``, in x = r - r0: sigma, -tau and -gamma, cleared and
+    shifted to r0 on integers, over one denominator as integers with no common content,
+    D a list and L and S lists in x of integer lists in E: lambda0 = L/D, s0 = S/D."""
+    tau, gamma, (u, v) = problem.tau, problem.gamma, r0.as_integer_ratio()
+    (*polys, gc, gs), _ = cleared(problem.sigma, tau.const, tau.slope, gamma.const, gamma.slope)
+    top = max(map(len, polys)) - 1  # every row over m v^top
+    D, lc, ls = ([c * v ** (top + 1 - len(P)) for c in _shifted(P, u, v)] for P in polys)
+    sc, ss = ([c * v**top for c in G] for G in (gc, gs))
     if not D[0]:
         raise EvaluationPole(f"denominator pole at r0 = {r0}")
-    sc, ss = ([w.numerator * m // w.denominator * v**top] if w else [] for w in (gc, gs))
     g = math.gcd(*D, *lc, *ls, *sc, *ss)
     L, S = (
         [[-c // g, -e // g] if e else [-c // g] if c else [] for c, e in zip_longest(*row, fillvalue=0)]
@@ -153,7 +149,6 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
 
 
 MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
-_ONE = _poly([1])  # delta_(-1)
 _NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
 
 
@@ -196,19 +191,18 @@ def _modes(c: list[int], e: list[int], lo: Fraction, hi: Fraction) -> list[int]:
 
 def _fit(levels: list[Poly]) -> tuple[list[int], list[int]]:
     """Integer lists c, e in n with delta_k / delta_(k-1) = (c(k) + E e(k)) / m, k <= 2,
-    for one m > 0, from the nonzero [delta_0, delta_1, delta_2] and delta_(-1) = 1,
-    divided on their integer numerators; IncompleteSpectrum if they fit no such factors."""
-    fits, a = [], _ONE
-    for b in levels:
-        x, y, n = a._nums, b._nums, len(a._nums) - 1
-        if len(y) - n not in (1, 2):  # deg b - deg a is neither 0 nor 1
+    for one m > 0, from the nonzero [delta_0, delta_1, delta_2] and delta_(-1) = 1, cleared
+    together and divided; IncompleteSpectrum if they fit no such factors."""
+    fits, (ints, _) = [], cleared(1, *levels)  # delta_(-1) = 1
+    for x, y in zip(ints, ints[1:]):  # delta_k / delta_(k-1) = y/x
+        n = len(x) - 1
+        if len(y) - n not in (1, 2):  # deg y - deg x is neither 0 nor 1
             raise IncompleteSpectrum(_NO_FIT)
         t, top = x[-1], y[n + 1] if len(y) - n == 2 else 0  # t^2 y = (q0 + q1 E) x, t the top of x
         q0, q1, tt = t * y[n] - top * (x[n - 1] if n else 0), t * top, t * t
         if [q0 * p + q1 * r for p, r in zip((*x, 0), (0, *x))] != [tt * c for c in (*y, 0)][: n + 2]:
             raise IncompleteSpectrum(_NO_FIT)  # a remainder
-        fits.append((q0 * a._den, q1 * a._den, tt * b._den))  # b/a = (q0 + q1 E) a._den / (tt b._den)
-        a = b
+        fits.append((q0, q1, tt))  # y/x = (q0 + q1 E) / tt
     m = math.lcm(*(den for _, _, den in fits))
     (c0, e0), (c1, e1), (c2, e2) = ((q0 * (m // den), q1 * (m // den)) for q0, q1, den in fits)
     if e2 - e1 != e1 - e0:
@@ -224,8 +218,8 @@ def solve_iterative(
 ) -> list[EigenvalueEstimate]:
     """Every mode whose eigenvalue lies in the open bracket, ascending.
 
-    delta_0, delta_1 and delta_2, each divided exactly by the level before
-    on their integer numerators, give the factors c(k) + E e(k), k = 0, 1, 2,
+    delta_0, delta_1 and delta_2, cleared by ``algebra.cleared`` and each
+    divided exactly by the level before, give the factors c(k) + E e(k), k = 0, 1, 2,
     over one lcm (``_fit``), of c quadratic and e linear in k; the third e
     checks the fit.  Every mode n >= 0 whose root -c(n)/e(n) lies in the
     bracket gives an exact, converged estimate, ``n`` its mode index, and

@@ -9,8 +9,9 @@ prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)), one factor per distinct simple
 pole in root order; ``WeightExpr`` stores its fields as given.
 
 A Poly is stored as integer numerators over one denominator, and all of
-its arithmetic runs on those integers.  Everything is exact: no
-floating-point value is accepted or produced.
+its arithmetic runs on those integers; other modules read them only through
+``cleared`` and ``Poly.coeff_pair``.  Everything is exact: no floating-point
+value is accepted or produced.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Affine",
     "PartialFractionForm",
     "WeightExpr",
+    "cleared",
     "poly_gcd",
     "partial_fractions",
     "rational_roots",
@@ -126,6 +128,10 @@ class Poly:
         if 0 <= power < len(self._nums):
             return Fraction(self._nums[power], self._den)
         return Fraction(0)
+
+    def coeff_pair(self, power: int) -> tuple[int, int]:
+        """The r^power coefficient, power >= 0, as (numerator, the Poly's one denominator)."""
+        return (self._nums[power] if power < len(self._nums) else 0), self._den
 
     # -- arithmetic ---------------------------------------------------
 
@@ -392,10 +398,13 @@ class Affine:
 # ----------------------------------------------------------------------
 
 
-def _clear_denominators(*polys: Poly) -> list[list[int]]:
-    """The integer coefficients of each Poly over the lcm of their denominators."""
-    m = math.lcm(*(p._den for p in polys))
-    return [[v * (m // p._den) for v in p._nums] for p in polys]
+def cleared(*items: Poly | _FractionLike) -> tuple[list[list[int]], int]:
+    """(lists, m): each item's integer coefficients, lowest power first, over m > 0, the
+    lcm of the denominators.  A Fraction or int counts as a constant; zero clears to []."""
+    pairs = [(p._nums, p._den) if isinstance(p, Poly) else ((p.numerator,) if p else (), p.denominator)
+             for p in items]
+    m = math.lcm(*[den for _, den in pairs])
+    return [[v * (m // den) for v in nums] for nums, den in pairs], m
 
 
 def _dot(pairs) -> list[int]:

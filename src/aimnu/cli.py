@@ -27,7 +27,7 @@ from . import eigenfunctions as eig_mod
 from . import hypergeometric as hg
 from . import nu as nu_mod
 from . import verify as verify_mod
-from .algebra import Affine, Poly
+from .algebra import Affine, Poly, cleared
 from .errors import AimnuError, BadParameter, InputError
 from .rationals import MAX_DIGITS, format_rational, parse_rational
 
@@ -304,9 +304,9 @@ def _sample_rows(poly: Poly, grid: list[tuple[str, Fraction]]) -> list[list[str]
     """[label, y] rows on the grid x_j = a + h j: q(j) = p(a + h j), p shifted to a and
     coefficient i scaled by h^i, on integers over one denominator, Horner in j."""
     (_, a), (_, x1) = grid[:2]
-    (r, s), shifted = (x1 - a).as_integer_ratio(), poly.compose_linear(a)
-    n = max(len(shifted._nums) - 1, 0)
-    q, den = [c * r**i * s ** (n - i) for i, c in enumerate(shifted._nums)], shifted._den * s**n
+    (r, s), ((nums,), m) = (x1 - a).as_integer_ratio(), cleared(poly.compose_linear(a))
+    n = max(len(nums) - 1, 0)
+    q, den = [c * r**i * s ** (n - i) for i, c in enumerate(nums)], m * s**n
     values = (reduce(lambda acc, c: acc * j + c, reversed(q), 0) for j in range(len(grid)))
     return [[label, _decimal12(y, den)] for (label, _), y in zip(grid, values)]
 

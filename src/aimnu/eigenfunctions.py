@@ -9,26 +9,25 @@ Three generators for the degree-n solution of sigma y'' + tau y' + g_n y = 0:
                              the polynomial form that Pearson's equation
                              gives it, so rho itself is never built.
 
-All three run on integer lists, tau = T/m and sigma = S/m cleared once, and
-build one Poly at the end.  As deg S <= 2, each Rodrigues step updates a
-coefficient from three old ones, and each explicit form, homogeneous of
-degree n in (tau, sigma), is a sum of products of T and S over m^n.  They
-must agree up to a nonzero scalar; the verification suite enforces this
-three-way agreement.  A fourth, potential-specific route evaluates the
-terminating hypergeometric closed form of the deformed Hulthen
+All three run on integer lists, tau = T/m and sigma = S/m from one
+``algebra.cleared``, and build one Poly at the end.  As deg S <= 2, each
+Rodrigues step updates a coefficient from three old ones, and each explicit
+form, homogeneous of degree n in (tau, sigma), is a sum of products of T and
+S over m^n.  They must agree up to a nonzero scalar; the verification suite
+enforces this three-way agreement.  A fourth, potential-specific route
+evaluates the terminating hypergeometric closed form of the deformed Hulthen
 eigenfunctions term by term, from the exact ratio of consecutive terms (no
 gamma-function numerics).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative
+from .algebra import Poly, RatFunc, WeightExpr, cleared, integrate_log_derivative
 from .algebra import _derivative, _dot, _poly
 from .errors import DegenerateSpectrum, InconsistentGamma, NotHypergeometricType
 from .errors import OutOfRange, PochhammerPole
@@ -64,11 +63,11 @@ def ode_residual(tau: Poly, sigma: Poly, gamma: Fraction, y: Poly) -> Poly:
 
 
 def _cleared(tau: Poly, sigma: Poly) -> tuple[list[int], list[int], int]:
-    """T, S and the lcm m of the denominators, tau = T/m and sigma = S/m."""
-    t, s, m = tau._nums, sigma._nums, math.lcm(tau._den, sigma._den)
-    if len(t) > 2 or len(s) > 3:
+    """T, S and m of ``algebra.cleared``, tau = T/m and sigma = S/m, within the caps."""
+    (T, S), m = cleared(tau, sigma)
+    if len(T) > 2 or len(S) > 3:
         raise NotHypergeometricType(f"deg(tau) = {tau.degree}, deg(sigma) = {sigma.degree}")
-    return [v * (m // tau._den) for v in t], [v * (m // sigma._den) for v in s], m
+    return T, S, m
 
 
 def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:

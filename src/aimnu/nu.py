@@ -11,10 +11,11 @@ candidates, forms the reduced tau = tauTilde + 2*pi, the eigenparameter
 lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma.
 
 The search runs on the integer coefficients of the problem over one common
-denominator: the discriminant of the radicand in r is an integer quadratic
-in k, whose rational roots take one isqrt, and each root's perfect-square
-test takes one more.  phi is left out (None, printed ``unsupported``)
-exactly when sigma is a quadratic with no rational root and pi != 0.
+denominator (``algebra.cleared``): the discriminant of the radicand in r is
+an integer quadratic in k, whose rational roots take one isqrt, and each
+root's perfect-square test takes one more.  phi is left out (None, printed
+``unsupported``) exactly when sigma is a quadratic with no rational root and
+pi != 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import Poly, RatFunc, WeightExpr, integrate_log_derivative, rational_roots
-from .algebra import _clear_denominators, _derivative, _dot, _poly
+from .algebra import Poly, RatFunc, WeightExpr, cleared, integrate_log_derivative, rational_roots
+from .algebra import _derivative, _dot, _poly
 from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
 from .rationals import _isqrt_exact
@@ -75,8 +76,8 @@ class NuReduction:
 def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     """All rational (k, pi) pairs making the radicand a perfect square.
 
-    Runs on integers.  With m the lcm of the denominators, T = m tauTilde,
-    S = m sigma, Q = m^2 sigmaTilde, H = S' - T and U = H^2 - 4Q, the radicand
+    Runs on integers.  With T = m tauTilde, S = m sigma and Q = m sigmaTilde
+    from ``algebra.cleared``, H = S' - T and U = H^2 - 4mQ, the radicand
     is 4 m^2 u(r; k) = U + K S with K = 4 m k.  Its discriminant in r is
     A K^2 + 2 B K + C, whose rational roots take one isqrt.  A root K = p/q
     gives a square exactly when V = q U + p S is q W^2, one more isqrt, and
@@ -85,9 +86,7 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     the case ``build_phi`` refuses.  Raises NoRationalReduction when no
     candidate exists.
     """
-    T, S, Q, (m,) = _clear_denominators(
-        problem.tau_tilde, problem.sigma, problem.sigma_tilde, Poly.const(1)
-    )
+    (T, S, Q), m = cleared(problem.tau_tilde, problem.sigma, problem.sigma_tilde)
     dS = _derivative(S)
     H = _dot(((dS, [1]), (T, [-1])))
     U = _dot(((H, H), (Q, [-4 * m])))

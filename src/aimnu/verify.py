@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import aim, catalog, eigenfunctions, hypergeometric, nu
-from .algebra import Poly, RatFunc, _clear_denominators, _derivative, _dot
+from .algebra import Poly, RatFunc, _derivative, _dot, cleared
 from .errors import AimnuError, NoRationalReduction
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -259,8 +259,7 @@ def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -
     Both are checked on integers, times m^2 and m for m the lcm of all denominators.
     """
     polys = (problem.tau_tilde, problem.sigma, reduction.pi, problem.sigma_tilde, reduction.tau)
-    lam, one = Poly.const(reduction.lambda_bar), Poly.const(1)  # the constant 1 clears to m
-    Tt, S, P, St, T, L, (m,) = _clear_denominators(*polys, lam, one)
+    (Tt, S, P, St, T, L), m = cleared(*polys, reduction.lambda_bar)
     potential = _dot([(S, _derivative(P)), (P, P), (Tt, P), ([m], St)])  # _dot strips: == compares polys
     return potential == _dot([(P, _derivative(S)), (L, S)]) and T == _dot([([1], Tt), ([2], P)])
 

@@ -3,15 +3,15 @@ from fractions import Fraction as F
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimnu.algebra import (
     NEG_INF,
-    PartialFractionForm,
     Poly,
     RatFunc,
     WeightExpr,
+    cleared,
     integrate_log_derivative,
     partial_fractions,
     poly_gcd,
@@ -173,6 +173,16 @@ class TestIntegerKernel:
         if ra:
             assert p.leading == ra[-1]
         assert [p.coeff(i) for i in range(-1, 9)] == [0] + list(ra) + [0] * (9 - len(ra))
+        assert [F(*p.coeff_pair(i)) for i in range(9)] == list(ra) + [0] * (9 - len(ra))
+
+    @given(st.lists(st.one_of(coefficients.map(Poly), coefficient), max_size=5))
+    @example([Poly(), F(0), 0, F(-1, 6), R * F(1, 4)])  # ([[], [], [], [-2], [0, 3]], 12)
+    @settings(max_examples=100, deadline=None)
+    def test_cleared(self, items):
+        lists, m = cleared(*items)
+        fractions = [p.coeffs if isinstance(p, Poly) else _trim([p]) for p in items]
+        assert m == math.lcm(*(c.denominator for cs in fractions for c in cs))
+        assert [tuple(F(v, m) for v in ints) for ints in lists] == fractions
 
     @given(a=coefficients, b=coefficients)
     @settings(max_examples=100, deadline=None)
