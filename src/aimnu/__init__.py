@@ -9,12 +9,10 @@ exactly solvable potentials.
 from .algebra import (
     NEG_INF,
     Affine,
-    PartialFractionForm,
     Poly,
     RatFunc,
     WeightExpr,
     integrate_log_derivative,
-    partial_fractions,
     poly_gcd,
 )
 from .aim import (
@@ -40,7 +38,7 @@ from .hypergeometric import (
     validate,
 )
 from .nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
-from .rationals import format_rational, parse_rational, rational_sqrt
+from .rationals import format_rational, parse_rational
 
 __version__ = "0.1.0"
 
@@ -49,10 +47,8 @@ __all__ = [
     "Poly",
     "RatFunc",
     "Affine",
-    "PartialFractionForm",
     "WeightExpr",
     "poly_gcd",
-    "partial_fractions",
     "integrate_log_derivative",
     "EigenvalueEstimate",
     "iterate",
@@ -80,5 +76,4 @@ __all__ = [
     "expected_eigenvalue",
     "parse_rational",
     "format_rational",
-    "rational_sqrt",
 ]

@@ -4,14 +4,17 @@ Provides immutable polynomials, normalized rational functions, and the
 weights w with w'/w = p/sigma, deg p <= 1 and deg sigma <= 2: the Pearson
 weights and the Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special
 Functions of Mathematical Physics, 1988, ch. 1).  sigma has at most two
-rational poles, found by the quadratic formula, so each weight is
-prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)), one factor per distinct simple
-pole in root order; ``WeightExpr`` stores its fields as given.
+rational poles, so each weight is prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),
+one factor per distinct simple pole in root order; ``WeightExpr`` stores
+its fields as given.
 
 A Poly is stored as integer numerators over one denominator, and all of
 its arithmetic runs on those integers; other modules read them only through
-``cleared`` and ``Poly.coeff_pair``.  Everything is exact: no floating-point
-value is accepted or produced.
+``cleared`` and ``Poly.coeff_pair``.  The module also owns exact roots: the
+rational roots of an integer quadratic, by one exact isqrt of its
+discriminant, serve ``rational_roots`` here and the k search of the
+Nikiforov--Uvarov reduction.  Everything is exact: no floating-point value
+is accepted or produced.
 """
 
 from __future__ import annotations
@@ -28,18 +31,15 @@ from .errors import (
     InvalidInput,
     UnsupportedDenominator,
 )
-from .rationals import rational_sqrt
 
 __all__ = [
     "NEG_INF",
     "Poly",
     "RatFunc",
     "Affine",
-    "PartialFractionForm",
     "WeightExpr",
     "cleared",
     "poly_gcd",
-    "partial_fractions",
     "rational_roots",
     "integrate_log_derivative",
 ]
@@ -452,37 +452,44 @@ def _shifted(ints, u: int, v: int) -> list[int]:
     return [c * v**i for i, c in enumerate(d)]
 
 
+def _isqrt_exact(n: int) -> int | None:
+    """The integer square root of n if n is a perfect square, else None."""
+    if n < 0:
+        return None
+    root = math.isqrt(n)
+    return root if root * root == n else None
+
+
+def _quadratic_roots(c: int, b: int, a: int) -> list[tuple[Fraction, int]]:
+    """The rational roots of c + b x + a x^2, integers not all zero, ascending with
+    their multiplicities: (-b -+ s)/(2a) when s = sqrt(b^2 - 4ac) is an integer."""
+    if not a:
+        return [(Fraction(-c, b), 1)] if b else []
+    s = _isqrt_exact(b * b - 4 * a * c)
+    if s is None:
+        return []
+    if not s:
+        return [(Fraction(-b, 2 * a), 2)]
+    return sorted([(Fraction(-b - s, 2 * a), 1), (Fraction(-b + s, 2 * a), 1)])
+
+
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """The rational roots of p, nonzero of degree <= 2, ascending with their
     multiplicities, and the cofactor: p = prod (r - c)^m * residual exactly.
 
-    For a r^2 + b r + c they are (-b -+ s)/(2a), s = sqrt(b^2 - 4ac) if it
-    is rational, else p is its own residual; for b r + c, -c/b and residual b.
+    The roots are those of p's integer numerators; with any, the residual is
+    p's leading coefficient, else p itself.
     """
     if p.is_zero or p.degree > 2:
         raise InvalidInput(f"rational_roots takes a nonzero polynomial of degree <= 2, not {p}")
-    c, b, a = p.coeff(0), p.coeff(1), p.coeff(2)
-    if not a:
-        return ([(-c / b, 1)], Poly.const(b)) if b else ([], p)
-    s = rational_sqrt(b * b - 4 * a * c)
-    if s is None:
-        return [], p
-    if s == 0:
-        return [(-b / (2 * a), 2)], Poly.const(a)
-    return sorted([((-b - s) / (2 * a), 1), ((-b + s) / (2 * a), 1)]), Poly.const(a)
+    roots = _quadratic_roots(*(*p._nums, 0, 0)[:3])
+    return (roots, Poly.const(p.leading)) if roots else ([], p)
 
 
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """Exact decomposition poly_part + sum coeff / (r - root)^order, with the
-    (root, order, coeff) terms sorted by root, then order."""
-
-    poly_part: Poly
-    terms: tuple[tuple[Fraction, int, Fraction], ...]
-
-
-def partial_fractions(f: RatFunc) -> PartialFractionForm:
-    """Decompose f, of denominator degree <= 2, over its rational poles.
+def partial_fractions(f: RatFunc) -> tuple[Poly, tuple[tuple[Fraction, int, Fraction], ...]]:
+    """Decompose f, of denominator degree <= 2, over its rational poles: the pair
+    (poly_part, terms), f = poly_part + sum coeff / (r - root)^order, with the
+    (root, order, coeff) terms sorted by root, then order.
 
     With poly_part, rem = divmod(num, den), a simple root a has rem(a)/den'(a);
     a double root, den = c (r - a)^2, has rem'/c at order 1 and rem(a)/c at
@@ -501,7 +508,7 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
             terms.append((root, 1, rem.evaluate(root) / den.derivative().evaluate(root)))
         else:
             terms += [(root, 1, rem.coeff(1) / den.leading), (root, 2, rem.evaluate(root) / den.leading)]
-    return PartialFractionForm(poly_part, tuple(sorted(t for t in terms if t[2])))
+    return poly_part, tuple(sorted(t for t in terms if t[2]))
 
 
 # ----------------------------------------------------------------------
@@ -548,12 +555,12 @@ def integrate_log_derivative(f: RatFunc) -> WeightExpr:
     c/(r - a) becomes the factor (r - a)^c, a pole c/(r - a)^2 the exponent
     -c/(r - a), and a polynomial part b + m r the exponent b r + m r^2/2.
     """
-    pf = partial_fractions(f)
-    if pf.poly_part.degree > 1:
-        raise InvalidInput(f"polynomial part {pf.poly_part} of degree above 1")
-    exp_arg = RatFunc(Poly((0, pf.poly_part.coeff(0), pf.poly_part.coeff(1) / 2)))
+    poly_part, terms = partial_fractions(f)
+    if poly_part.degree > 1:
+        raise InvalidInput(f"polynomial part {poly_part} of degree above 1")
+    exp_arg = RatFunc(Poly((0, poly_part.coeff(0), poly_part.coeff(1) / 2)))
     factors: list[tuple[Fraction, Fraction]] = []
-    for root, order, coeff in pf.terms:
+    for root, order, coeff in terms:
         if order == 1:
             factors.append((root, coeff))
         else:

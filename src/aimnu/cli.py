@@ -278,8 +278,8 @@ def _decimal12(num: int, den: int) -> str:
         raise BadParameter("a sample value is beyond the float range; narrow --samples") from None
 
 
-def _sample_grid(spec: str) -> list[tuple[str, Fraction]]:
-    """The points of an a:b:count grid, each with the label it prints as;
+def _sample_grid(spec: str) -> tuple[Fraction, Fraction, list[str]]:
+    """An a:b:count grid x_j = a + h j as (a, h, labels), label j what x_j prints as;
     points that would print alike are rejected before any is evaluated."""
     parts = spec.split(":")
     if len(parts) != 3:
@@ -293,22 +293,23 @@ def _sample_grid(spec: str) -> list[tuple[str, Fraction]]:
         raise BadParameter(str(exc)) from None
     if not 2 <= count <= MAX_SAMPLES:
         raise BadParameter(f"sample count must be between 2 and {MAX_SAMPLES}")
-    grid = [a + (b - a) * Fraction(i, count - 1) for i in range(count)]
-    labels = [_decimal12(*x.as_integer_ratio()) for x in grid]
+    h = (b - a) / (count - 1)
+    (u, v), (r, s) = a.as_integer_ratio(), h.as_integer_ratio()
+    labels = [_decimal12(u * s + r * v * j, v * s) for j in range(count)]
     if len(set(labels)) < count:  # the grid is monotone, so equal labels are neighbours
         raise BadParameter("sample points print alike at 12 significant digits; widen --samples")
-    return list(zip(labels, grid))
+    return a, h, labels
 
 
-def _sample_rows(poly: Poly, grid: list[tuple[str, Fraction]]) -> list[list[str]]:
+def _sample_rows(poly: Poly, grid: tuple[Fraction, Fraction, list[str]]) -> list[list[str]]:
     """[label, y] rows on the grid x_j = a + h j: q(j) = p(a + h j), p shifted to a and
     coefficient i scaled by h^i, on integers over one denominator, Horner in j."""
-    (_, a), (_, x1) = grid[:2]
-    (r, s), ((nums,), m) = (x1 - a).as_integer_ratio(), cleared(poly.compose_linear(a))
+    a, h, labels = grid
+    (r, s), ((nums,), m) = h.as_integer_ratio(), cleared(poly.compose_linear(a))
     n = max(len(nums) - 1, 0)
     q, den = [c * r**i * s ** (n - i) for i, c in enumerate(nums)], m * s**n
-    values = (reduce(lambda acc, c: acc * j + c, reversed(q), 0) for j in range(len(grid)))
-    return [[label, _decimal12(y, den)] for (label, _), y in zip(grid, values)]
+    values = (reduce(lambda acc, c: acc * j + c, reversed(q), 0) for j in range(len(labels)))
+    return [[label, _decimal12(y, den)] for label, y in zip(labels, values)]
 
 
 @main.command("eigenfunction")

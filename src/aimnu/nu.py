@@ -12,10 +12,11 @@ lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma.
 
 The search runs on the integer coefficients of the problem over one common
 denominator (``algebra.cleared``): the discriminant of the radicand in r is
-an integer quadratic in k, whose rational roots take one isqrt, and each
-root's perfect-square test takes one more.  phi is left out (None, printed
-``unsupported``) exactly when sigma is a quadratic with no rational root and
-pi != 0.
+an integer quadratic in k.  Its rational roots take one isqrt of its
+discriminant, in the integer root routine behind ``algebra.rational_roots``,
+and each root's perfect-square test takes one more, ``algebra._isqrt_exact``.
+phi is left out (None, printed ``unsupported``) exactly when sigma is a
+quadratic with no rational root and pi != 0.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .algebra import Poly, RatFunc, WeightExpr, cleared, integrate_log_derivative, rational_roots
-from .algebra import _derivative, _dot, _poly
+from .algebra import _derivative, _dot, _isqrt_exact, _poly, _quadratic_roots
 from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
-from .rationals import _isqrt_exact
 
 __all__ = [
     "NuProblem",
@@ -79,12 +79,12 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     Runs on integers.  With T = m tauTilde, S = m sigma and Q = m sigmaTilde
     from ``algebra.cleared``, H = S' - T and U = H^2 - 4mQ, the radicand
     is 4 m^2 u(r; k) = U + K S with K = 4 m k.  Its discriminant in r is
-    A K^2 + 2 B K + C, whose rational roots take one isqrt.  A root K = p/q
-    gives a square exactly when V = q U + p S is q W^2, one more isqrt, and
-    then pi = (H +- W)/(2m).  Candidates come k ascending, +W before -W.
-    phi is None when sigma is a quadratic with no rational root and pi != 0,
-    the case ``build_phi`` refuses.  Raises NoRationalReduction when no
-    candidate exists.
+    A K^2 + 2 B K + C, whose rational roots take one isqrt in ``algebra``'s
+    integer quadratic routine.  A root K = p/q gives a square exactly when
+    V = q U + p S is q W^2, one more isqrt, and then pi = (H +- W)/(2m).
+    Candidates come k ascending, +W before -W.  phi is None when sigma is a
+    quadratic with no rational root and pi != 0, the case ``build_phi``
+    refuses.  Raises NoRationalReduction when no candidate exists.
     """
     (T, S, Q), m = cleared(problem.tau_tilde, problem.sigma, problem.sigma_tilde)
     dS = _derivative(S)
@@ -98,11 +98,8 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
                 "one-parameter family of perfect squares; no discrete rational k"
             )
         roots = [Fraction(0)]  # the radicand vanishes identically at k = 0
-    elif A:
-        d = _isqrt_exact(B * B - A * C)
-        roots = [] if d is None else sorted({Fraction(-B - d, A), Fraction(-B + d, A)})
     else:
-        roots = [Fraction(-C, 2 * B)] if B else []
+        roots = [K for K, _ in _quadratic_roots(C, 2 * B, A)]
 
     irreducible = rational_roots(problem.sigma)[1].degree > 0
     candidates: list[NuReduction] = []

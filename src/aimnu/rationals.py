@@ -1,14 +1,12 @@
-"""Exact rational helpers: parsing, formatting, square roots.
+"""Rational text: parsing and formatting.
 
 Scalars are `fractions.Fraction`s, and polynomials hold integer numerators
-over one denominator (``algebra.Poly``).  These helpers add the canonical
-"p/q" string form used on the command line and in JSON files, and a
-perfect-square test needed by the Nikiforov--Uvarov reduction.
+over one denominator (``algebra.Poly``).  These helpers read and write the
+canonical "p/q" string form used on the command line and in JSON files.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -18,7 +16,6 @@ __all__ = [
     "MAX_DIGITS",
     "parse_rational",
     "format_rational",
-    "rational_sqrt",
 ]
 
 #: Most digits of a numerator or denominator read; the exact work grows with them.
@@ -62,24 +59,3 @@ def format_rational(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    root = math.isqrt(n)
-    return root if root * root == n else None
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None.
-
-    Returns the non-negative root when both numerator and denominator are
-    perfect squares; never approximates.
-    """
-    num = _isqrt_exact(value.numerator)
-    if num is None:
-        return None
-    den = _isqrt_exact(value.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)

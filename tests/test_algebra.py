@@ -24,7 +24,7 @@ from aimnu.errors import (
     InvalidRational,
     UnsupportedDenominator,
 )
-from aimnu.rationals import MAX_DIGITS, format_rational, parse_rational, rational_sqrt
+from aimnu.rationals import MAX_DIGITS, format_rational, parse_rational
 
 R = Poly.variable()
 
@@ -60,12 +60,6 @@ class TestRational:
             with pytest.raises(InvalidRational, match=f"more than {MAX_DIGITS} digits"):
                 parse_rational(bad)
         assert parse_rational("0" * 5000 + "7/-" + "0" * 40 + "2") == F(-7, 2)
-
-    def test_rational_sqrt(self):
-        assert rational_sqrt(F(9, 4)) == F(3, 2)
-        assert rational_sqrt(F(2)) is None
-        assert rational_sqrt(F(-1)) is None
-        assert rational_sqrt(F(0)) == 0
 
 
 class TestPoly:
@@ -237,6 +231,15 @@ class TestRationalRoots:
         assert rational_roots(3 * R - c) == ([(F(c, 3), 1)], Poly.const(3))
         assert rational_roots(Poly.const(c)) == ([], Poly.const(c))
 
+    def test_rational_roots_by_discriminant(self):
+        # a square over a leading coefficient 4 or over a denominator 4, a non-square,
+        # a negative and a zero discriminant (a double root)
+        assert rational_roots(4 * R * R - 9) == ([(F(-3, 2), 1), (F(3, 2), 1)], Poly.const(4))
+        assert rational_roots(R * R - F(9, 4)) == ([(F(-3, 2), 1), (F(3, 2), 1)], Poly.const(1))
+        assert rational_roots(R * R - 2) == ([], R * R - 2)
+        assert rational_roots(R * R + 1) == ([], R * R + 1)
+        assert rational_roots(-(R - F(2, 3)) ** 2) == ([(F(2, 3), 2)], Poly.const(-1))
+
     def test_rational_roots_rejects_zero_and_degree_three(self):
         for p in (R**3, (R - 1) * (R * R - 4), Poly()):
             with pytest.raises(InvalidInput):
@@ -266,19 +269,19 @@ class TestRatFunc:
 
 class TestPartialFractions:
     def test_double_pole(self):
-        pf = partial_fractions(RatFunc(2, R**2))
-        assert pf.poly_part == Poly()
-        assert pf.terms == ((F(0), 2, F(2)),)
+        poly_part, terms = partial_fractions(RatFunc(2, R**2))
+        assert poly_part == Poly()
+        assert terms == ((F(0), 2, F(2)),)
 
     def test_cancellation(self):
-        pf = partial_fractions(RatFunc(-R, R))
-        assert pf.poly_part == Poly.const(-1)
-        assert pf.terms == ()
+        poly_part, terms = partial_fractions(RatFunc(-R, R))
+        assert poly_part == Poly.const(-1)
+        assert terms == ()
 
     def test_symmetric_split(self):
-        pf = partial_fractions(RatFunc(2 * R, R * R - 1))
-        assert pf.poly_part == Poly()
-        assert pf.terms == ((F(-1), 1, F(1)), (F(1), 1, F(1)))
+        poly_part, terms = partial_fractions(RatFunc(2 * R, R * R - 1))
+        assert poly_part == Poly()
+        assert terms == ((F(-1), 1, F(1)), (F(1), 1, F(1)))
 
     def test_irrational_denominator_rejected(self):
         with pytest.raises(UnsupportedDenominator):
@@ -312,9 +315,9 @@ class TestPartialFractions:
         for root in roots:
             den = den * Poly.linear_root(root)
         f = RatFunc(Poly(num_coeffs), den)
-        form = partial_fractions(f)
-        total = RatFunc(form.poly_part)
-        for root, order, coeff in form.terms:
+        poly_part, terms = partial_fractions(f)
+        total = RatFunc(poly_part)
+        for root, order, coeff in terms:
             total = total + RatFunc(Poly.const(coeff), Poly.linear_root(root) ** order)
         assert total == f
 

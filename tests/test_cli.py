@@ -490,7 +490,7 @@ class TestEigenfunction:
         assert result.output.splitlines() == ["r,y", "0,0", "0.5,0.5", "1,1"]
 
     def test_sample_count_is_bounded(self, runner):
-        assert len(_sample_grid(f"0:1:{MAX_SAMPLES}")) == MAX_SAMPLES
+        assert len(_sample_grid(f"0:1:{MAX_SAMPLES}")[2]) == MAX_SAMPLES
         for count in (1, MAX_SAMPLES + 1, 10**8):
             result = runner.invoke(
                 main, ["eigenfunction", "legendre", "--samples", f"0:1:{count}"]
@@ -510,7 +510,7 @@ class TestEigenfunction:
         assert result.output.startswith("error: sample points print alike")
 
     def test_closest_distinct_labels_pass(self):
-        assert [label for label, _ in _sample_grid("1:1.00000000001:2")] == ["1", "1.00000000001"]
+        assert _sample_grid("1:1.00000000001:2")[2] == ["1", "1.00000000001"]
 
     def test_zero_denominator_in_samples_exits_2(self, runner):
         result = runner.invoke(
@@ -534,11 +534,15 @@ class TestEigenfunction:
     @example(Poly([Fraction(1, 3)] * 13), ("1234567890123456789012345678901/7", "1/3"), 2)
     @example(Poly([1] * 13), ("1e300", "2e300"), 3)  # y beyond the float range
     def test_sample_rows_match_per_point_evaluation(self, poly, bounds, count):
-        # the integer route q(j) = p(a + h j) against one Poly.evaluate per point
+        # the integer routes for labels and q(j) = p(a + h j) against one Fraction
+        # and one Poly.evaluate per point
         try:
             grid = _sample_grid(f"{bounds[0]}:{bounds[1]}:{count}")
         except BadParameter:  # points that print alike
             assume(False)
+        a, h, labels = grid
+        points = [a + h * j for j in range(count)]
+        assert labels == [_decimal12(*x.as_integer_ratio()) for x in points]
 
         def outcome(rows):
             try:
@@ -547,7 +551,8 @@ class TestEigenfunction:
                 return str(exc)
 
         def per_point():
-            return [[label, _decimal12(*poly.evaluate(x).as_integer_ratio())] for label, x in grid]
+            values = (poly.evaluate(x).as_integer_ratio() for x in points)
+            return [[label, _decimal12(*y)] for label, y in zip(labels, values)]
 
         assert outcome(lambda: _sample_rows(poly, grid)) == outcome(per_point)
 

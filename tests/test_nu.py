@@ -73,6 +73,12 @@ class TestFindK:
         with pytest.raises(NoRationalReduction, match="no rational k"):
             nu_find_k(problem)
 
+    def test_constant_discriminant(self):
+        # u = k - r is linear in r for every k: A = B = 0 != C, no root K
+        problem = NuProblem(Poly(), Poly.const(1), R)
+        with pytest.raises(NoRationalReduction, match="no rational k gives a perfect-square radicand"):
+            nu_find_k(problem)
+
     def test_constant_radicand(self):
         # u = (k - 3) r^2 + 7 - k: the square root is 2 at k = 3 and 2r at k = 7
         problem = NuProblem(2 * R, R * R - 1, 3 * R * R - 7)

@@ -78,6 +78,7 @@ def random_polys(draw):
 @given(factored_polys())
 @example(Poly((-(10**30), 0, 1)))  # roots -+10^15
 @example(Poly((F(4, 9), F(-4, 3), 1)))  # the double root 2/3
+@example(3 * Poly.linear_root(F(10**30 + 1, 7)) * Poly.linear_root(-(10**30)))  # 31-digit roots
 def test_rational_roots_match_sympy(p):
     roots, residual = rational_roots(p)
     expected = sympy.roots(_to_sympy(p), filter="Q")
@@ -171,10 +172,10 @@ def _apart(expr):
 @settings(max_examples=20, deadline=None)
 @given(linear_factor_ratfuncs())
 def test_partial_fractions_match_sympy_apart(f):
-    form = partial_fractions(f)
-    poly_part, terms = _apart(_to_sympy(f.num).as_expr() / _to_sympy(f.den).as_expr())
-    assert _to_sympy(form.poly_part) == poly_part
-    assert list(form.terms) == terms
+    poly_part, terms = partial_fractions(f)
+    expected_part, expected_terms = _apart(_to_sympy(f.num).as_expr() / _to_sympy(f.den).as_expr())
+    assert _to_sympy(poly_part) == expected_part
+    assert list(terms) == expected_terms
 
 
 @st.composite
