@@ -1,5 +1,5 @@
-"""`aimnu solve`, `aimnu aim`, `aimnu eigenfunction`, `aimnu nu` and `aimnu verify` output,
-byte for byte, against files written by an earlier build.
+"""`aimnu list`, `aimnu solve`, `aimnu aim`, `aimnu eigenfunction`, `aimnu nu` and
+`aimnu verify` output, byte for byte, against files written by an earlier build.
 
 Any change to these outputs must be deliberate: rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record why in CHANGES.md.
@@ -26,6 +26,17 @@ CASES = [
     ("kratzer-wide", ["kratzer", "--bracket", "1/150:1"], 0),
 ]
 FORMATS = ("json", "csv")
+ALL_FORMATS = ("table", *FORMATS)
+
+#: The golden file's extension for each ``--format``.
+EXT = {"table": "txt", "csv": "csv", "json": "json"}
+
+#: (file stem, `aimnu list` arguments), written in ALL_FORMATS; every run
+#: exits 0.  "list-empty" matches no entry and prints the header alone.
+LIST_CASES = [
+    ("list", []),
+    ("list-empty", ["--filter", "zzz"]),
+]
 
 #: (file stem, `aimnu eigenfunction` arguments), written as json; every run exits 0.
 EIGEN_CASES = [
@@ -37,8 +48,8 @@ EIGEN_CASES = [
     ("hulthen", ["hulthen", "--n", "6", "--method", "hypergeometric", "--param", "q=1/2"]),
 ]
 
-#: (file stem, `aimnu eigenfunction --samples` arguments), written in both
-#: FORMATS; every run exits 0.  "hulthen-samples" has a 31-digit grid bound,
+#: (file stem, `aimnu eigenfunction --samples` arguments), written in
+#: ALL_FORMATS; every run exits 0.  "hulthen-samples" has a 31-digit grid bound,
 #: and the grid of "legendre-samples" runs from a = 1 down to b = -1.
 SAMPLE_CASES = [
     (
@@ -49,7 +60,7 @@ SAMPLE_CASES = [
     ("legendre-samples", ["legendre", "--n", "11", "--samples", "1:-1:21"]),
 ]
 
-#: (file stem, `aimnu nu` problem file), run with ``--n 2``; every run exits 0.
+#: (file stem, `aimnu nu` problem file), run with ``--n 2`` in ALL_FORMATS; every run exits 0.
 #: "readme" is the README's example, "two-roots" has sigma = (3r - 2)(r + 1),
 #: the first phi of "exp-pole" prints ``r^2 * exp((2)/(r))``, "linear" has
 #: sigma = r and a phi ``r^1/2 * exp(1/2*r)``, and the phi of "irrational",
@@ -83,7 +94,6 @@ NU_CASES = [
     ),
     ("fractional-k", {"tauTilde": ["1/2"], "sigma": ["-3", "5", "2"], "sigmaTilde": ["5/4", "21/4", "-7/2"]}),
 ]
-NU_FORMATS = {"table": "txt", "json": "json"}
 
 #: (file stem, `aimnu solve` arguments), written in both FORMATS; every run
 #: exits 0.  "kratzer-big" has the 31-digit parameters of the CI brackets.
@@ -107,10 +117,10 @@ DENOMINATORS = {
 
 #: (file stem, command, arguments after the DENOMINATORS file, formats); every run exits 0.
 FILE_CASES = [
-    ("solve-denominators", "solve", ["--n", "30"], FORMATS),
-    ("aim-denominators", "aim", ["--bracket=-30:50"], FORMATS),
+    ("solve-denominators", "solve", ["--n", "30"], ALL_FORMATS),
+    ("aim-denominators", "aim", ["--bracket=-30:50"], ALL_FORMATS),
     *(
-        (f"eigenfunction-denominators-{method}", "eigenfunction", ["--n", "3", "--method", method], ("json",))
+        (f"eigenfunction-denominators-{method}", "eigenfunction", ["--n", "3", "--method", method], ALL_FORMATS)
         for method in ("recursion", "rodrigues", "explicit")
     ),
 ]
@@ -124,6 +134,14 @@ def _run_file(command, doc, args, fmt, tmp_dir):
     path = Path(tmp_dir) / "problem.json"
     path.write_text(json.dumps(doc))
     return _run(command, [str(path), *args], fmt)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
+@pytest.mark.parametrize("stem, args", LIST_CASES, ids=[stem for stem, _ in LIST_CASES])
+def test_list_output_matches_golden(stem, args, fmt):
+    result = _run("list", args, fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"{stem}.{EXT[fmt]}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -141,24 +159,24 @@ def test_eigenfunction_output_matches_golden(stem, args):
     assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.json").read_bytes()
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
 @pytest.mark.parametrize("stem, args", SAMPLE_CASES, ids=[stem for stem, _ in SAMPLE_CASES])
 def test_sampled_eigenfunction_output_matches_golden(stem, args, fmt):
     result = _run("eigenfunction", args, fmt)
     assert result.exit_code == 0
-    assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.{fmt}").read_bytes()
+    assert result.stdout_bytes == (DATA / f"eigenfunction-{stem}.{EXT[fmt]}").read_bytes()
 
 
 def _run_nu(doc, fmt, tmp_dir):
     return _run_file("nu", doc, ["--n", "2"], fmt, tmp_dir)
 
 
-@pytest.mark.parametrize("fmt", NU_FORMATS)
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
 @pytest.mark.parametrize("stem, doc", NU_CASES, ids=[stem for stem, _ in NU_CASES])
 def test_nu_output_matches_golden(stem, doc, fmt, tmp_path):
     result = _run_nu(doc, fmt, tmp_path)
     assert result.exit_code == 0
-    assert result.stdout_bytes == (DATA / f"nu-{stem}.{NU_FORMATS[fmt]}").read_bytes()
+    assert result.stdout_bytes == (DATA / f"nu-{stem}.{EXT[fmt]}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -177,7 +195,7 @@ def test_solve_output_matches_golden(stem, args, fmt):
 def test_problem_file_output_matches_golden(stem, command, args, fmt, tmp_path):
     result = _run_file(command, DENOMINATORS, args, fmt, tmp_path)
     assert result.exit_code == 0
-    assert result.stdout_bytes == (DATA / f"{stem}.{fmt}").read_bytes()
+    assert result.stdout_bytes == (DATA / f"{stem}.{EXT[fmt]}").read_bytes()
 
 
 def test_verify_output_matches_golden():
@@ -190,6 +208,9 @@ if __name__ == "__main__":
     import tempfile
 
     DATA.mkdir(exist_ok=True)
+    for stem, args in LIST_CASES:
+        for fmt in ALL_FORMATS:
+            (DATA / f"{stem}.{EXT[fmt]}").write_bytes(_run("list", args, fmt).stdout_bytes)
     for stem, args, _ in CASES:
         for fmt in FORMATS:
             (DATA / f"aim-{stem}.{fmt}").write_bytes(_run("aim", args, fmt).stdout_bytes)
@@ -197,18 +218,18 @@ if __name__ == "__main__":
         path = DATA / f"eigenfunction-{stem}.json"
         path.write_bytes(_run("eigenfunction", args, "json").stdout_bytes)
     for stem, args in SAMPLE_CASES:
-        for fmt in FORMATS:
-            path = DATA / f"eigenfunction-{stem}.{fmt}"
+        for fmt in ALL_FORMATS:
+            path = DATA / f"eigenfunction-{stem}.{EXT[fmt]}"
             path.write_bytes(_run("eigenfunction", args, fmt).stdout_bytes)
     for stem, args in SOLVE_CASES:
         for fmt in FORMATS:
             (DATA / f"solve-{stem}.{fmt}").write_bytes(_run("solve", args, fmt).stdout_bytes)
     with tempfile.TemporaryDirectory() as tmp_dir:
         for stem, doc in NU_CASES:
-            for fmt, ext in NU_FORMATS.items():
-                (DATA / f"nu-{stem}.{ext}").write_bytes(_run_nu(doc, fmt, tmp_dir).stdout_bytes)
+            for fmt in ALL_FORMATS:
+                (DATA / f"nu-{stem}.{EXT[fmt]}").write_bytes(_run_nu(doc, fmt, tmp_dir).stdout_bytes)
         for stem, command, args, fmts in FILE_CASES:
             for fmt in fmts:
                 result = _run_file(command, DENOMINATORS, args, fmt, tmp_dir)
-                (DATA / f"{stem}.{fmt}").write_bytes(result.stdout_bytes)
+                (DATA / f"{stem}.{EXT[fmt]}").write_bytes(result.stdout_bytes)
     (DATA / "verify.txt").write_bytes(CliRunner().invoke(main, ["verify"]).stdout_bytes)
