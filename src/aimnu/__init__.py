@@ -38,7 +38,7 @@ from .hypergeometric import (
     validate,
 )
 from .nu import NuProblem, NuReduction, build_phi, nu_find_k, nu_solve
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 __version__ = "0.1.0"
 
@@ -75,5 +75,4 @@ __all__ = [
     "catalog_list",
     "expected_eigenvalue",
     "parse_rational",
-    "format_rational",
 ]

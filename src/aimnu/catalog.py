@@ -19,7 +19,6 @@ from typing import Callable, Mapping
 from .algebra import Affine, Poly
 from .errors import BadParameter, DegenerateParameterMap, UnknownEntry
 from .hypergeometric import HypergeometricProblem, validate
-from .rationals import format_rational
 
 __all__ = [
     "ParamSpec",
@@ -41,9 +40,12 @@ class ParamSpec:
     default: Fraction
     excluded: Fraction | None = None
 
+    def __str__(self) -> str:
+        return f"{self.name}={self.default}"
+
     @property
     def constraint_text(self) -> str:
-        return "" if self.excluded is None else f"{self.name} != {format_rational(self.excluded)}"
+        return "" if self.excluded is None else f"{self.name} != {self.excluded}"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ command line and in problem files are exact "p/q" strings; floating
 literals are accepted only for sample-grid bounds.  csv/json output is
 byte-deterministic for identical invocations.
 
+Each command builds its rows once, as dicts of plain values (ints,
+Fractions, bools, Polys, phi or None, catalog ParamSpecs), and ``_emit``
+alone decides how a value prints: ``_cell`` for table and csv cells,
+``_json`` for what json cannot hold.
+
 Exit codes: 0 success; 2 for an ``InputError``, 1 for any other aimnu error
 and for a failed verification (see ``_Main``).
 """
@@ -29,7 +34,7 @@ from . import nu as nu_mod
 from . import verify as verify_mod
 from .algebra import Affine, Poly, cleared
 from .errors import AimnuError, BadParameter, InputError
-from .rationals import MAX_DIGITS, format_rational, parse_rational
+from .rationals import MAX_DIGITS, parse_rational
 
 
 class _Main(click.Group):
@@ -130,24 +135,41 @@ def _parse_bracket(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _emit(fmt: str, header: list[str], rows: list[list[str]], envelope: dict):
-    """Render rows as table/csv, or the full envelope as stable json."""
+def _cell(value) -> str:
+    """A table or csv cell: a bool in lower case, a tuple as its items joined
+    (``-`` when empty), a missing phi as ``unsupported``, anything else its str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value)) or "-"
+    return "unsupported" if value is None else str(value)
+
+
+def _json(value):
+    """What json cannot hold: a Poly as its coefficient list, a ParamSpec as
+    {name, default, constraint}, anything else (a Fraction, phi) as its str."""
+    if isinstance(value, Poly):
+        return value.coeffs
+    if isinstance(value, catalog_mod.ParamSpec):
+        return {"name": value.name, "default": value.default, "constraint": value.constraint_text}
+    return str(value)
+
+
+def _emit(fmt: str, header: list[str], rows: list[dict], envelope: dict):
+    """Print the ``header`` columns of the rows as a table or csv, or the
+    envelope, which holds the rows, as stable json."""
     if fmt == "json":
-        click.echo(json.dumps(envelope, indent=2, sort_keys=True))
-    elif fmt == "csv":
+        click.echo(json.dumps(envelope, indent=2, sort_keys=True, default=_json))
+        return
+    lines = [header, *([_cell(row[key]) for key in header] for row in rows)]
+    if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf).writerows(lines)
         click.echo(buf.getvalue(), nl=False)
     else:
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        for row in rows:
-            click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            click.echo("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
 
 
 #: Bounds on the sizes whose cost grows without limit, each set so that the
@@ -177,32 +199,16 @@ def main():
 @_FORMAT
 def cmd_list(substring, fmt):
     """List catalog entries."""
-    entries = catalog_mod.catalog_list(substring)
-    header = ["name", "parameters", "quantized", "note"]
-    rows = []
-    envelope_rows = []
-    for e in entries:
-        problem = catalog_mod.catalog_get(e.name)
-        schema = ", ".join(
-            f"{s.name}={format_rational(s.default)}" for s in e.parameters
-        )
-        rows.append([e.name, schema or "-", problem.parameter, e.provenance])
-        envelope_rows.append(
-            {
-                "name": e.name,
-                "parameters": [
-                    {
-                        "name": s.name,
-                        "default": format_rational(s.default),
-                        "constraint": s.constraint_text,
-                    }
-                    for s in e.parameters
-                ],
-                "quantized": problem.parameter,
-                "note": e.provenance,
-            }
-        )
-    _emit(fmt, header, rows, {"entries": envelope_rows})
+    rows = [
+        {
+            "name": e.name,
+            "parameters": e.parameters,
+            "quantized": catalog_mod.catalog_get(e.name).parameter,
+            "note": e.provenance,
+        }
+        for e in catalog_mod.catalog_list(substring)
+    ]
+    _emit(fmt, ["name", "parameters", "quantized", "note"], rows, {"entries": rows})
 
 
 @main.command("solve")
@@ -215,21 +221,9 @@ def cmd_list(substring, fmt):
 def cmd_solve(name_or_file, params, n_max, fmt):
     """Closed-form spectrum via the quantization-constant formula."""
     name, problem = _load_problem(name_or_file, _parse_params(params))
-    values = [hg.eigenvalue(problem, n) for n in range(n_max + 1)]
-    header = ["n", "eigenvalue"]
-    rows = [[str(n), format_rational(v)] for n, v in enumerate(values)]
-    _emit(
-        fmt,
-        header,
-        rows,
-        {
-            "name": name,
-            "parameter": problem.parameter,
-            "rows": [
-                {"n": n, "eigenvalue": format_rational(v)} for n, v in enumerate(values)
-            ],
-        },
-    )
+    rows = [{"n": n, "eigenvalue": hg.eigenvalue(problem, n)} for n in range(n_max + 1)]
+    envelope = {"name": name, "parameter": problem.parameter, "rows": rows}
+    _emit(fmt, ["n", "eigenvalue"], rows, envelope)
 
 
 @main.command("aim")
@@ -247,13 +241,8 @@ def cmd_aim(name_or_file, params, bracket, fmt):
     """
     name, problem = _load_problem(name_or_file, _parse_params(params))
     estimates = aim_mod.solve_iterative(problem, None, _parse_bracket(bracket))
-    rows = [{"n": e.n, "value": format_rational(e.value), "converged": e.converged} for e in estimates]
-    _emit(
-        fmt,
-        ["n", "value", "converged"],
-        [[str(r["n"]), r["value"], str(r["converged"]).lower()] for r in rows],
-        {"name": name, "rows": rows},
-    )
+    rows = [{"n": e.n, "value": e.value, "converged": e.converged} for e in estimates]
+    _emit(fmt, ["n", "value", "converged"], rows, {"name": name, "rows": rows})
 
 
 def _grid_bound(text: str) -> Fraction:
@@ -340,21 +329,14 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
         poly = eig_mod.y_low_order(tau, problem.sigma, n)
     else:
         poly = eig_mod.hulthen_eigenfunction(n, -problem.sigma.coeff(2), value)  # sigma = r(1 - q r)
-    coeffs = [format_rational(c) for c in poly.coeffs] or ["0"]
-    envelope = {
-        "name": name,
-        "n": n,
-        "method": method,
-        "eigenvalue": format_rational(value),
-        "coefficients": coeffs,
-    }
-    if grid is not None:
-        rows = _sample_rows(poly, grid)
-        envelope["samples"] = rows
-        header = ["r", "y"]
-    else:
+    envelope = {"name": name, "n": n, "method": method, "eigenvalue": value, "coefficients": poly}
+    if grid is None:
         header = ["power", "coefficient"]
-        rows = [[str(i), c] for i, c in enumerate(coeffs)]
+        rows = [{"power": i, "coefficient": c} for i, c in enumerate(poly.coeffs)]
+    else:
+        envelope["samples"] = _sample_rows(poly, grid)
+        header = ["r", "y"]
+        rows = [{"r": r, "y": y} for r, y in envelope["samples"]]
     _emit(fmt, header, rows, envelope)
 
 
@@ -369,34 +351,14 @@ def cmd_nu(problem_file, n, fmt):
     keys = ("tauTilde", "sigma", "sigmaTilde")
     doc = _read_json(problem_file, keys, keys)
     problem = nu_mod.NuProblem(*(_coeffs(doc, key) for key in keys))
-    candidates = nu_mod.nu_find_k(problem)
-    header = ["k", "pi", "lambdaBar", "tau", "phi"]
-    if n is not None:
-        header.append(f"lambdaBar_{n}")
+    header = ["k", "pi", "lambdaBar", "tau", "phi"] + ([] if n is None else [f"lambdaBar_{n}"])
     rows = []
-    envelope_rows = []
-    for c in candidates:
-        row = [
-            format_rational(c.k),
-            str(c.pi),
-            format_rational(c.lambda_bar),
-            str(c.tau),
-            str(c.phi) if c.phi is not None else "unsupported",
-        ]
-        entry = {
-            "k": format_rational(c.k),
-            "pi": [format_rational(x) for x in c.pi.coeffs],
-            "lambdaBar": format_rational(c.lambda_bar),
-            "tau": [format_rational(x) for x in c.tau.coeffs],
-            "phi": str(c.phi) if c.phi is not None else None,
-        }
+    for c in nu_mod.nu_find_k(problem):
+        row = {"k": c.k, "pi": c.pi, "lambdaBar": c.lambda_bar, "tau": c.tau, "phi": c.phi}
         if n is not None:
-            lam_n = hg.gamma_n(c.tau, problem.sigma, n)
-            row.append(format_rational(lam_n))
-            entry[f"lambdaBar_{n}"] = format_rational(lam_n)
+            row[f"lambdaBar_{n}"] = hg.gamma_n(c.tau, problem.sigma, n)
         rows.append(row)
-        envelope_rows.append(entry)
-    _emit(fmt, header, rows, {"candidates": envelope_rows})
+    _emit(fmt, header, rows, {"candidates": rows})
 
 
 @main.command("verify")

@@ -182,6 +182,9 @@ def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
     factorial, by the term ratio
     t_(m+1)/t_m = (m-n)(2e+n+2+m) q / ((2e+1+m)(m+1)); no gamma function is
     ever evaluated numerically.
+
+    Raises InconsistentGamma when the sum stops below degree n, as it does
+    when 2e + n + 2 + m = 0 for some m < n, where the spectrum is degenerate.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -194,4 +197,7 @@ def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
     for m in range(n):
         term *= (m - n) * (two_e + n + 2 + m) * q / ((two_e + 1 + m) * (m + 1))
         coeffs.append(term)
-    return Poly(coeffs)
+    result = Poly(coeffs)
+    if result.degree != n:
+        raise InconsistentGamma(f"2F1 series degree {result.degree} != {n}")
+    return result

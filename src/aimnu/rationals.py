@@ -1,8 +1,9 @@
-"""Rational text: parsing and formatting.
+"""Rational text: parsing.
 
 Scalars are `fractions.Fraction`s, and polynomials hold integer numerators
-over one denominator (``algebra.Poly``).  These helpers read and write the
-canonical "p/q" string form used on the command line and in JSON files.
+over one denominator (``algebra.Poly``).  ``parse_rational`` reads the
+canonical "p/q" string form used on the command line and in JSON files;
+``str`` of a Fraction writes it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import InvalidRational
 __all__ = [
     "MAX_DIGITS",
     "parse_rational",
-    "format_rational",
 ]
 
 #: Most digits of a numerator or denominator read; the exact work grows with them.
@@ -51,11 +51,3 @@ def parse_rational(text: str) -> Fraction:
     if den == "0":
         raise InvalidRational("zero denominator")
     return Fraction(int(num_sign + num), int((den_sign or "") + den))
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-

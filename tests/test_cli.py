@@ -27,7 +27,7 @@ from aimnu.cli import (
     main,
 )
 from aimnu.eigenfunctions import ode_residual
-from aimnu.rationals import MAX_DIGITS, format_rational, parse_rational
+from aimnu.rationals import MAX_DIGITS, parse_rational
 
 
 @pytest.fixture
@@ -164,13 +164,13 @@ class TestSolve:
             "name": name,
             "tau": {
                 f"r{i}": {
-                    "const": format_rational(tau.const.coeff(i)),
-                    "param": format_rational(tau.slope.coeff(i)),
+                    "const": str(tau.const.coeff(i)),
+                    "param": str(tau.slope.coeff(i)),
                 }
                 for i in (0, 1)
             },
-            "sigma": [format_rational(c) for c in problem.sigma.coeffs],
-            "gamma": {"const": format_rational(gamma.const), "param": format_rational(gamma.slope)},
+            "sigma": [str(c) for c in problem.sigma.coeffs],
+            "gamma": {"const": str(gamma.const), "param": str(gamma.slope)},
             "parameter": problem.parameter,
         }
         path = tmp_path / f"{name}.json"
@@ -466,6 +466,18 @@ class TestEigenfunction:
             ["eigenfunction", "hulthen", "--n", "1", "--method", "hypergeometric", "--format", "json"],
         )
         assert json.loads(result.output)["coefficients"] == ["-1", "3"]
+
+    @pytest.mark.parametrize(
+        "params, n, degree",
+        [(["--param", "q=2", "--param", "beta2=-40"], 4, 3), (["--param", "q=-1"], 3, 0)],
+    )
+    def test_hypergeometric_below_degree_n_exits_1(self, runner, params, n, degree):
+        # the 2F1 series stops below r^n where the spectrum is degenerate
+        args = ["eigenfunction", "hulthen", *params, "--n", str(n), "--method", "hypergeometric"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: 2F1 series degree {degree} != {n}\n"
 
     def test_hypergeometric_reads_q_off_the_problem(self, runner, monkeypatch):
         # with q defaulting to 2 the 2F1 route must still solve the problem the

@@ -264,6 +264,20 @@ class TestHulthenEigenfunction:
         with pytest.raises(PochhammerPole):
             hulthen_eigenfunction(2, F(1), F(-1))  # 2e + 2 = 0
 
+    @pytest.mark.parametrize(
+        "n, q, beta2",
+        [(4, F(2), F(-40)), (3, F(-1), F(4))],  # the series stops at r^3 and at r^0
+    )
+    def test_series_below_degree_n(self, n, q, beta2):
+        # 2e + n + 2 + m = 0 for some m < n: a term of the sum vanishes, and
+        # the recursion finds the same degenerate spectrum
+        problem = catalog_get("hulthen", {"q": q, "beta2": beta2})
+        e = eigenvalue(problem, n)
+        with pytest.raises(InconsistentGamma, match=f"2F1 series degree .* != {n}"):
+            hulthen_eigenfunction(n, q, e)
+        with pytest.raises(DegenerateSpectrum):
+            polynomial_solution(problem.tau.substitute(e), problem.sigma, n)
+
     def test_negative_n(self):
         with pytest.raises(ValueError):
             hulthen_eigenfunction(-1, F(1), F(1))
