@@ -470,6 +470,7 @@ class TestEigenfunction:
     @pytest.mark.parametrize(
         "params, n, degree",
         [(["--param", "q=2", "--param", "beta2=-40"], 4, 3), (["--param", "q=-1"], 3, 0)],
+        ids=["stops-at-r3", "stops-at-r0"],
     )
     def test_hypergeometric_below_degree_n_exits_1(self, runner, params, n, degree):
         # the 2F1 series stops below r^n where the spectrum is degenerate

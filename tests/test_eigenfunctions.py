@@ -266,7 +266,8 @@ class TestHulthenEigenfunction:
 
     @pytest.mark.parametrize(
         "n, q, beta2",
-        [(4, F(2), F(-40)), (3, F(-1), F(4))],  # the series stops at r^3 and at r^0
+        [(4, F(2), F(-40)), (3, F(-1), F(4))],
+        ids=["stops-at-r3", "stops-at-r0"],
     )
     def test_series_below_degree_n(self, n, q, beta2):
         # 2e + n + 2 + m = 0 for some m < n: a term of the sum vanishes, and
