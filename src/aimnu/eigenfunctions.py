@@ -13,8 +13,10 @@ All three run on integer lists, tau = T/m and sigma = S/m from one
 ``algebra.cleared``, and build one Poly at the end.  As deg S <= 2, each
 Rodrigues step updates a coefficient from three old ones, and each explicit
 form, homogeneous of degree n in (tau, sigma), is a sum of products of T and
-S over m^n.  They must agree up to a nonzero scalar; the verification suite
-enforces this three-way agreement.  A fourth, potential-specific route
+S over m^n.  The explicit forms are the Rodrigues formula expanded, so the
+two are equal for n <= 3, and the recursion output is the monic multiple of
+Rodrigues; the verification suite checks that all three agree up to a nonzero
+scalar.  A fourth, potential-specific route
 evaluates the terminating hypergeometric closed form of the deformed Hulthen
 eigenfunctions term by term, from the exact ratio of consecutive terms (no
 gamma-function numerics).

@@ -87,9 +87,15 @@ def validate(
 
 
 def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
-    """Quantization constant -n (tau' + (n-1) sigma''/2) for numeric tau, as one Fraction."""
+    """Quantization constant -n (tau' + (n-1) sigma''/2) for numeric tau, as one Fraction.
+
+    Raises NotHypergeometricType beyond the caps deg tau <= 1 and deg sigma <= 2,
+    where the closed form does not hold.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if tau.degree > 1 or sigma.degree > 2:
+        raise NotHypergeometricType(f"deg(tau) = {tau.degree}, deg(sigma) = {sigma.degree}")
     (t1, dt), (s2, ds) = tau.coeff_pair(1), sigma.coeff_pair(2)
     return Fraction(-n * (t1 * ds + (n - 1) * s2 * dt), dt * ds)
 

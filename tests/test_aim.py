@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import aimnu.aim as aim_module
 import aimnu.hypergeometric as hypergeometric_module
 from aimnu.aim import MAX_MODES, determinants, iterate, solve_iterative
-from aimnu.algebra import Affine, Poly, RatFunc, cleared
+from aimnu.algebra import Affine, Poly, RatFunc
 from aimnu.catalog import CATALOG, catalog_get, expected_eigenvalue
 from aimnu.errors import (
     DegenerateParameterMap,
@@ -241,14 +241,17 @@ class TestCertifiedBrackets:
             solve_iterative(catalog_get(name), None, bracket)
 
     @pytest.mark.parametrize(
-        "factor", [Poly([1, 1]), Poly.const(2)], ids=["quadratic-quotient", "uneven-slopes"]
+        "change",
+        [lambda d: d * Poly([1, 1]), lambda d: d * 2, lambda d: d + 1, lambda d: Poly([1])],
+        ids=["quadratic-quotient", "uneven-slopes", "remainder", "lower-degree"],
     )
-    def test_levels_that_fit_no_factors_fail_loudly(self, monkeypatch, factor):
+    def test_levels_that_fit_no_factors_fail_loudly(self, monkeypatch, change):
         # delta_2 times 1 + E leaves delta_2/delta_1 quadratic in E; times 2 it gives the
-        # slopes e(0), e(1), e(2) = 2, 2, 4, not linear in k
+        # slopes e(0), e(1), e(2) = 2, 2, 4, not linear in k; plus 1 leaves a remainder;
+        # and 1 in its place has a lower degree than delta_1
         def mutant(*args):
             for k, delta in enumerate(determinants(*args)):
-                yield delta * factor if k == 2 else delta
+                yield change(delta) if k == 2 else delta
 
         monkeypatch.setattr(aim_module, "determinants", mutant)
         with pytest.raises(IncompleteSpectrum, match="^delta_0, delta_1 and delta_2 do not fit"):
@@ -305,6 +308,15 @@ def _mu(problem, count):
     return mu
 
 
+def _multiplies_back(levels, c, e):
+    """delta_(k-1) (c(k) + E e(k)) = q delta_k for k = 0, 1, 2, with delta_(-1) = 1 and
+    one q > 0: the fit (c, e) of ``aim._fit`` checked by multiplication alone."""
+    factors = [Poly([(c[2] * k + c[1]) * k + c[0], (e[2] * k + e[1]) * k + e[0]]) for k in range(3)]
+    products = [last * f for last, f in zip([Poly.const(1), *levels], factors)]
+    q = products[0].coeff(levels[0].degree) / levels[0].leading
+    return q > 0 and all(p == q * d for p, d in zip(products, levels))
+
+
 def _check_product_formula(problem, r0, mu):
     """delta_k(r0) = sigma(r0)^-(k+1) prod_{n<=k} mu_n(E) for every k < len(mu)."""
     scale, product = 1 / problem.sigma.evaluate(r0), Poly.const(1)
@@ -339,11 +351,17 @@ class TestDeterminants:
     @settings(max_examples=40, deadline=None)
     @given(hypergeometric_problems())
     @example((validate(Affine(Poly(), R), Poly.const(1), (0, -1), "E"), F(0)))  # delta_1 = 0
+    # gamma = 3 free of E, tau = (E - 2) r: delta_0 and its quotient have degree 0 in E
+    @example((validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (3, 0), "E"), F(1)))
+    @example((_NEGATIVE_DEN, F(3, 2)))  # D(0) < 0
     def test_each_level_divides_the_next(self, case):
-        # delta_k = (mu_k / sigma(r0)) delta_{k-1}, mu_k affine in E with root E_k
+        # delta_k = (mu_k / sigma(r0)) delta_{k-1}, mu_k affine in E with root E_k, and
+        # the factors that _fit reads off the first three levels multiply back
         problem, r0 = case
         deltas = [d for _, d in zip(range(8), determinants(problem, r0))]
         assume(not deltas[0].is_zero)
+        if not any(d.is_zero for d in deltas[1:3]):
+            assert _multiplies_back(deltas[:3], *aim_module._fit(deltas[:3]))
         for k, (last, delta) in enumerate(zip(deltas, deltas[1:]), start=1):
             if last.is_zero:  # mu_(k-1) = 0 identically, as mu_1 in the example
                 assert delta.is_zero
@@ -443,6 +461,13 @@ class TestLevelRoots:
         hypergeometric_problems(),
         st.tuples(small, small, st.integers(1, 20)).filter(lambda t: t[0] != t[1]),
     )
+    # gamma = 3 free of E, tau = (E - 2) r: delta_0 and its quotient have degree 0 in E
+    @example(
+        (validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (3, 0), "E"), F(1)),
+        (F(-1), F(1), 5),
+    )
+    @example((_NEGATIVE_DEN, F(3, 2)), (F(-5), F(5), 20))  # D(0) < 0
+    @example((catalog_get("kratzer"), F(1)), (F(1, 5), F(1), 1))  # descending in n
     def test_matches_the_closed_form_enumeration(self, case, draw):
         # the enumeration of eigenvalue() is this test's oracle, never the solver's:
         # every mode n < 1000 in the bracket, or a raise that the oracle confirms; rows
@@ -479,101 +504,20 @@ class TestLevelRoots:
         assert all(e.converged for e in estimates)
 
 
-_NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
-
-
-def _divmod_fit(levels):
-    """(c, e) by Poly division of each level by the one before and cleared
-    quotients, the route the integer fit replaced: this class's oracle.  None
-    where the levels fit no factors c(k) + E e(k)."""
-    fits = [divmod(b, a) for a, b in zip([Poly.const(1), *levels], levels)]
-    if any(q.degree > 1 or not r.is_zero for q, r in fits):
-        return None
-    (c0, e0), (c1, e1), (c2, e2) = ([*q, 0][:2] for q in cleared(*(q for q, _ in fits))[0])
-    if e2 - e1 != e1 - e0:
-        return None
-    d = c2 - 2 * c1 + c0
-    return [2 * c0, 2 * (c1 - c0) - d, d], [2 * e0, 2 * (e1 - e0), 0]
-
-
-def _primitive(fit):
-    """(c, e) divided by their content: two fits that differ by a positive scale agree."""
-    if fit is None:
-        return None
-    g = gcd(*fit[0], *fit[1])
-    return [x // g for x in fit[0]], [x // g for x in fit[1]]
-
-
-def _integer_fit(levels):
-    try:
-        return aim_module._fit(levels)
-    except IncompleteSpectrum as exc:
-        assert str(exc) == _NO_FIT
-        return None
-
-
-def _divmod_rows(problem, r0, bracket):
-    """The rows (value, n) of ``solve_iterative`` by the oracle fit and a sort on
-    (value, n), or the (type, message) of the error it raises."""
-    levels = [d for _, d in zip(range(3), determinants(problem, r0))]
-    for k in (1, 2):
-        if levels[k].is_zero:
-            return NoRootInBracket, f"delta_{k} vanishes for every trial value"
-    fit = _divmod_fit(levels)
-    if fit is None:
-        return IncompleteSpectrum, _NO_FIT
-    (c, e), (lo, hi) = fit, bracket
-    try:
-        modes = aim_module._modes(c, e, lo, hi)
-    except (NoRootInBracket, IncompleteSpectrum) as exc:
-        return type(exc), str(exc)
-    if not modes:
-        return NoRootInBracket, f"no mode in ({lo}, {hi})"
-    return sorted((F(-((c[2] * n + c[1]) * n + c[0]), e[0] + e[1] * n), n) for n in modes)
-
-
-def _rows(problem, r0, bracket):
-    try:
-        return [(e.value, e.n) for e in solve_iterative(problem, r0, bracket)]
-    except (NoRootInBracket, IncompleteSpectrum) as exc:
-        return type(exc), str(exc)
-
-
 #: sigma = 1 - r^2, tau = 6r, gamma = E: E_n = n(n - 7), so E_n = E_(7-n).
 _DEGENERATE = validate(Poly([0, 6]), Poly([1, 0, -1]), (0, 1), "E")
 
 
 class TestIntegerFit:
-    """``_fit`` divides the levels on their integer numerators; the Poly
-    division it replaced is the oracle, for the fit and for the rows."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        hypergeometric_problems(),
-        st.tuples(small, small, st.integers(1, 20)).filter(lambda t: t[0] != t[1]),
-    )
-    # gamma = 3 free of E, tau = (E - 2) r: delta_0 and its quotient have degree 0 in E
-    @example(
-        (validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (3, 0), "E"), F(1)),
-        (F(-1), F(1), 5),
-    )
-    @example((_NEGATIVE_DEN, F(3, 2)), (F(-5), F(5), 20))  # D(0) < 0
-    @example((catalog_get("kratzer"), F(1)), (F(1, 5), F(1), 1))  # descending in n
-    def test_matches_the_division_route(self, case, draw):
-        problem, r0 = case
-        bracket = tuple(sorted(x * draw[2] for x in draw[:2]))
-        levels = [d for _, d in zip(range(3), determinants(problem, r0))]
-        if not any(d.is_zero for d in levels):
-            assert _primitive(_integer_fit(levels)) == _primitive(_divmod_fit(levels))
-        assert _rows(problem, r0, bracket) == _divmod_rows(problem, r0, bracket)
+    """``_fit`` reads the factors c(k) + E e(k) off the levels' integer numerators;
+    every fit it returns multiplies back, and ``TestCertifiedBrackets`` holds its refusals."""
 
     def test_ties_before_a_run_keep_ascending_n(self):
         # E_6 = E_1 = -6: _modes gives the cut-point single 6 before the run 1..2
         levels = [d for _, d in zip(range(3), determinants(_DEGENERATE, F(1, 2)))]
         assert aim_module._modes(*aim_module._fit(levels), F(-12), F(-5)) == [6, 1, 2, 5]
-        rows = [(-10, 2), (-10, 5), (-6, 1), (-6, 6)]
-        case = (_DEGENERATE, F(1, 2), (F(-12), F(-5)))
-        assert _rows(*case) == rows == _divmod_rows(*case)
+        estimates = solve_iterative(_DEGENERATE, F(1, 2), (F(-12), F(-5)))
+        assert [(e.value, e.n) for e in estimates] == [(-10, 2), (-10, 5), (-6, 1), (-6, 6)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -582,15 +526,23 @@ class TestIntegerFit:
         st.sampled_from(["times", "plus", "replace"]),
         st.lists(small, min_size=1, max_size=4).map(Poly),
     )
-    @example((HERMITE, F(1)), 2, "times", Poly([1, 1]))  # a quotient quadratic in E
-    @example((HERMITE, F(1)), 2, "plus", Poly([1]))  # a remainder
-    @example((HERMITE, F(1)), 2, "replace", Poly([1]))  # delta_2 of lower degree than delta_1
-    @example((HERMITE, F(1)), 2, "times", Poly([2]))  # e(0), e(1), e(2) not linear in k
+    # gamma = 2 free of E, tau = (E - 2) r, sigma = r^2: mu_1 mu_2 = 2E^2, so delta_1
+    # times 2E leaves delta_2/delta_1 constant and delta_1/delta_0 quadratic in E
+    @example(
+        (validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly([0, 0, 1]), (2, 0), "E"), F(1)),
+        1,
+        "times",
+        Poly([0, 2]),
+    )
     def test_levels_off_the_formula(self, case, k, kind, f):
-        # a level times, plus or replaced by a polynomial in E: both routes
-        # refuse the same levels and fit the others alike
+        # a level times, plus or replaced by a polynomial in E: what _fit does not
+        # refuse multiplies back
         problem, r0 = case
         levels = [d for _, d in zip(range(3), determinants(problem, r0))]
         levels[k] = {"times": levels[k] * f, "plus": levels[k] + f, "replace": f}[kind]
         assume(not any(d.is_zero for d in levels))
-        assert _primitive(_integer_fit(levels)) == _primitive(_divmod_fit(levels))
+        try:
+            fit = aim_module._fit(levels)
+        except IncompleteSpectrum:
+            return
+        assert _multiplies_back(levels, *fit)

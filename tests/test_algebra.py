@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction as F
-from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,34 +104,6 @@ def _trim(cs) -> tuple[F, ...]:
     return tuple(cs)
 
 
-def _ref_add(a, b, sign=1):
-    return _trim(x + sign * y for x, y in zip_longest(a, b, fillvalue=F(0)))
-
-
-def _ref_mul(a, b):
-    out = [F(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _ref_divmod(a, b):
-    rem, quo = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        quo[i] = rem[i + len(b) - 1] / b[-1]
-        for j, y in enumerate(b):
-            rem[i + j] -= quo[i] * y
-    return _trim(quo), _trim(rem[: len(b) - 1])
-
-
-def _ref_compose(a, u):
-    out: tuple[F, ...] = ()
-    for c in reversed(a):
-        out = _ref_add(_ref_mul(out, (u, F(1))), (c,))
-    return out
-
-
 coefficient = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=30),
@@ -141,27 +112,15 @@ coefficients = st.lists(coefficient, max_size=7)
 
 
 class TestIntegerKernel:
-    """The stored integer form against plain Fraction-list arithmetic."""
-
-    @given(a=coefficients, b=coefficients, c=coefficient)
-    @settings(max_examples=100, deadline=None)
-    def test_ring_operations(self, a, b, c):
-        p, q, ra, rb = Poly(a), Poly(b), _trim(a), _trim(b)
-        assert p.coeffs == ra and all(type(x) is F for x in p.coeffs)
-        assert (p + q).coeffs == _ref_add(ra, rb)
-        assert (p - q).coeffs == _ref_add(ra, rb, -1)
-        assert (-p).coeffs == _ref_add((), ra, -1)
-        assert (p * q).coeffs == _ref_mul(ra, rb)
-        assert (p * c).coeffs == (c * p).coeffs == _ref_mul(ra, (F(c),))
-        assert (c - p).coeffs == _ref_add((F(c),), ra, -1)
+    """The stored integer form reads back as the Fractions it was built from;
+    ``test_oracle`` checks its ring arithmetic against sympy."""
 
     @given(a=coefficients, x=coefficient)
     @settings(max_examples=100, deadline=None)
     def test_calculus_and_evaluation(self, a, x):
         p, ra = Poly(a), _trim(a)
-        assert p.derivative().coeffs == _trim([i * c for i, c in enumerate(ra)][1:])
+        assert p.coeffs == ra and all(type(c) is F for c in p.coeffs)
         assert p.evaluate(x) == sum(c * F(x) ** i for i, c in enumerate(ra))
-        assert p.compose_linear(x).coeffs == _ref_compose(ra, F(x))
         if ra:
             assert p.leading == ra[-1]
         assert [p.coeff(i) for i in range(-1, 9)] == [0] + list(ra) + [0] * (9 - len(ra))
@@ -184,9 +143,9 @@ class TestIntegerKernel:
             with pytest.raises(DivisionByZero):
                 divmod(p, q)
             return
+        # the two facts fix the quotient and the remainder
         quo, rem = divmod(p, q)
-        assert (quo.coeffs, rem.coeffs) == _ref_divmod(_trim(a), _trim(b))
-        assert quo * q + rem == p
+        assert quo * q + rem == p and rem.degree < q.degree
 
     @given(a=coefficients, b=coefficients, c=coefficient)
     @settings(max_examples=100, deadline=None)

@@ -1,17 +1,21 @@
-"""The exact kernel and the linear solve against sympy, an independent
-computer-algebra oracle.
+"""The exact kernel, the closed-form spectrum and the linear solve against
+sympy, an independent computer-algebra oracle.
 
-sympy is a test-only dependency; without it this module is skipped.
+This module is the only oracle for the ring arithmetic of ``Poly``, for
+``gamma_n`` and for ``eigenvalue``, so it imports sympy (a test-only
+dependency) plainly: without sympy the run fails at collection.
 """
 
 from fractions import Fraction as F
 from math import comb, prod
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimnu.algebra import (
+    Affine,
     Poly,
     RatFunc,
     integrate_log_derivative,
@@ -21,14 +25,15 @@ from aimnu.algebra import (
 )
 from aimnu.eigenfunctions import polynomial_solution, rodrigues
 from aimnu.errors import (
+    DegenerateParameterMap,
     DegenerateSpectrum,
     InconsistentGamma,
     NoRationalReduction,
+    NotHypergeometricType,
     UnsupportedDenominator,
 )
+from aimnu.hypergeometric import eigenvalue, gamma_n, validate
 from aimnu.nu import NuProblem, build_phi, nu_find_k
-
-sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
 
@@ -103,12 +108,26 @@ wide_rationals = st.one_of(rationals, st.fractions(max_denominator=10**30))
 any_polys = st.lists(wide_rationals, max_size=7).map(Poly)
 
 
+def _rational(x: int | F):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 @settings(max_examples=100, deadline=None)
-@given(any_polys, any_polys)
-@example(Poly(), Poly([1, 2]))
-@example(Poly([F(-3, 7)]), Poly([F(1, 10**30), 0, F(5, 3)]))
-def test_mul_matches_sympy(a, b):
-    assert _to_sympy(a * b) == _to_sympy(a) * _to_sympy(b)
+@given(any_polys, any_polys, st.one_of(st.integers(-50, 50), wide_rationals))
+@example(Poly(), Poly([1, 2]), F(0))
+@example(Poly([F(-3, 7)]), Poly([F(1, 10**30), 0, F(5, 3)]), F(-1, 3))
+def test_mul_matches_sympy(a, b, c):
+    """The ring operations, with int or Fraction scalars on either side, the
+    derivative and p(c + r)."""
+    sa, sb, sc = _to_sympy(a), _to_sympy(b), _rational(c)
+    assert _to_sympy(a * b) == sa * sb
+    assert _to_sympy(a + b) == sa + sb
+    assert _to_sympy(a - b) == sa - sb
+    assert _to_sympy(-a) == -sa
+    assert _to_sympy(a * c) == _to_sympy(c * a) == sa * sc
+    assert _to_sympy(c - a) == sc - sa
+    assert _to_sympy(a.derivative()) == sa.diff(X)
+    assert _to_sympy(a.compose_linear(c)) == sa.shift(sc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,7 +137,7 @@ def test_mul_matches_sympy(a, b):
 @example(Poly([F(1, 3), 0, F(-2, 5)]), F(0))
 @example(Poly([1, -1, 1, -1]), F(-(10**30) - 1, 10**30))
 def test_evaluate_matches_sympy(p, x):
-    expected = _to_sympy(p).eval(sympy.Rational(x.numerator, x.denominator))
+    expected = _to_sympy(p).eval(_rational(x))
     assert p.evaluate(x) == _to_fraction(expected)
 
 
@@ -244,6 +263,48 @@ def test_polynomial_solution_matches_sympy_solve(tau, sigma, n):
     values = list((matrix.T * matrix).inv() * matrix.T * rhs) if n else []
     assert found.poly == Poly([_to_fraction(v) for v in values] + [1])
     assert found.gamma_used == _to_fraction(gamma)
+
+
+#: Small coefficients, and denominators up to 10^15.
+spectrum_coeffs = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7), st.fractions(max_denominator=10**15)
+)
+
+
+def _sympy_gamma_n(tau, sigma, n):
+    """-n (tau' + (n-1) sigma''/2) for expressions tau and sigma in X."""
+    return -n * (sympy.diff(tau, X) + (n - 1) * sympy.diff(sigma, X, 2) / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(spectrum_coeffs, max_size=2),
+    st.lists(spectrum_coeffs, max_size=2),
+    st.lists(spectrum_coeffs, min_size=1, max_size=3),
+    st.tuples(spectrum_coeffs, spectrum_coeffs),
+    st.integers(0, 10**4),
+)
+@example([0, F(-1, 3)], [0, F(1, 3)], [1], (1, F(-2, 3)), 2)  # slope -2/3 + 2/3 = 0
+@example([F(2, 7), F(-9, 4)], [], [F(1, 5), 0, F(3, 10)], (F(5, 6), F(-7, 9)), 6)
+def test_gamma_n_and_eigenvalue_match_sympy(tau_const, tau_slope, sigma, gamma, n):
+    """gamma_n by sympy's derivatives, and eigenvalue as the root in p of the
+    expanded gap gamma_n(tau_c + p tau_s) - (gamma_c + p gamma_s)."""
+    tau, sigma = Affine(Poly(tau_const), Poly(tau_slope)), Poly(sigma)
+    tc, ts, s = (_to_sympy(q).as_expr() for q in (tau.const, tau.slope, sigma))
+    assert gamma_n(tau.const, sigma, n) == _to_fraction(_sympy_gamma_n(tc, s, n))
+    try:
+        problem = validate(tau, sigma, gamma)
+    except NotHypergeometricType:  # sigma = 0, or no parameter to quantize
+        return
+    p = sympy.Symbol("p")
+    gc, gs = _rational(problem.gamma.const), _rational(problem.gamma.slope)
+    gap = sympy.Poly(_sympy_gamma_n(tc + p * ts, s, n) - (gc + p * gs), p)
+    if gap.degree() < 1:
+        with pytest.raises(DegenerateParameterMap, match=f"^parameter coefficient vanishes at n = {n}$"):
+            eigenvalue(problem, n)
+        return
+    (root,) = sympy.roots(gap)
+    assert eigenvalue(problem, n) == _to_fraction(root)
 
 
 ninths = st.fractions(min_value=-6, max_value=6, max_denominator=9)
