@@ -426,6 +426,39 @@ GOLDEN_BRACKETS = [
 ]
 
 
+def _check_rows(problem, r0, bracket, mu):
+    """The rows of ``solve_iterative`` against mu(n) = (a, b), mu_n = a + b E up to a
+    nonzero scale: every mode n < 1000 whose root lies in the bracket, or a raise that
+    mu confirms; rows n >= 1000 are checked one by one."""
+    (lo, hi), expected, vanishing = bracket, [], None
+    for n in range(1000):
+        a, b = mu(n)
+        if not b:
+            if vanishing is None and not a:
+                vanishing = n
+        elif lo < F(-a, b) < hi:
+            expected.append((F(-a, b), n))
+    try:
+        estimates = solve_iterative(problem, r0, (lo, hi))
+    except NoRootInBracket as exc:
+        if vanishing is None:
+            assert str(exc) == f"no mode in ({lo}, {hi})" and not expected
+        else:
+            assert str(exc) == f"delta_{max(vanishing, 1)} vanishes for every trial value"
+        return
+    except IncompleteSpectrum as exc:
+        assert vanishing is None and "infinitely many" in str(exc)
+        assert all(b and lo < F(-a, b) < hi for a, b in map(mu, (10**6, 10**6 + 1, 10**9)))
+        return
+    assert vanishing is None
+    rows = [(e.value, e.n) for e in estimates]
+    assert rows == sorted(rows) and [row for row in rows if row[1] < 1000] == sorted(expected)
+    for v, n in rows:
+        a, b = mu(n)
+        assert lo < v < hi and a + v * b == 0
+    assert all(e.converged for e in estimates)
+
+
 class TestLevelRoots:
     """The solver reads every mode off delta_0..delta_2; what it returns are
     the roots of the deep levels, which the product formula gives."""
@@ -469,48 +502,75 @@ class TestLevelRoots:
     @example((_NEGATIVE_DEN, F(3, 2)), (F(-5), F(5), 20))  # D(0) < 0
     @example((catalog_get("kratzer"), F(1)), (F(1, 5), F(1), 1))  # descending in n
     def test_matches_the_closed_form_enumeration(self, case, draw):
-        # the enumeration of eigenvalue() is this test's oracle, never the solver's:
-        # every mode n < 1000 in the bracket, or a raise that the oracle confirms; rows
-        # n >= 1000 (E_n = n/12 lies in (0, 84) up to n = 1007) are checked one by one
+        # the enumeration of eigenvalue() is this test's oracle, never the solver's;
+        # E_n = n/12 lies in (0, 84) up to n = 1007
         problem, r0 = case
-        lo, hi = sorted(x * draw[2] for x in draw[:2])
-        expected, vanishing = [], None
-        for n in range(1000):
+
+        def mu(n):
             try:
-                value = eigenvalue(problem, n)
+                return -eigenvalue(problem, n), 1
             except DegenerateParameterMap:  # mu_n is constant in E: zero or never zero
-                at0 = gamma_n(problem.tau.const, problem.sigma, n) - problem.gamma.const
-                if vanishing is None and at0 == 0:
-                    vanishing = n
-                continue
-            if lo < value < hi:
-                expected.append((value, n))
-        try:
-            estimates = solve_iterative(problem, r0, (lo, hi))
-        except NoRootInBracket as exc:
-            if vanishing is None:
-                assert str(exc) == f"no mode in ({lo}, {hi})" and not expected
-            else:
-                assert str(exc) == f"delta_{max(vanishing, 1)} vanishes for every trial value"
-            return
-        except IncompleteSpectrum as exc:
-            assert vanishing is None and "infinitely many" in str(exc)
-            assert all(lo < eigenvalue(problem, n) < hi for n in (10**6, 10**6 + 1, 10**9))
-            return
-        assert vanishing is None
-        rows = [(e.value, e.n) for e in estimates]
-        assert rows == sorted(rows) and [row for row in rows if row[1] < 1000] == sorted(expected)
-        assert all(lo < v < hi and v == eigenvalue(problem, n) for v, n in rows if n >= 1000)
-        assert all(e.converged for e in estimates)
+                return gamma_n(problem.tau.const, problem.sigma, n) - problem.gamma.const, 0
+
+        _check_rows(problem, r0, sorted(x * draw[2] for x in draw[:2]), mu)
 
 
 #: sigma = 1 - r^2, tau = 6r, gamma = E: E_n = n(n - 7), so E_n = E_(7-n).
 _DEGENERATE = validate(Poly([0, 6]), Poly([1, 0, -1]), (0, 1), "E")
 
 
+def _quotients(levels):
+    """delta_k / delta_(k-1), k = 0, 1, 2, with delta_(-1) = 1, by Poly division; None
+    where one leaves a remainder, is not affine in E or has slopes not linear in k."""
+    quotients = []
+    for last, delta in zip([Poly.const(1), *levels], levels):
+        quo, rem = divmod(delta, last)
+        if not rem.is_zero or quo.degree > 1:
+            return None
+        quotients.append(quo)
+    e0, e1, e2 = (q.coeff(1) for q in quotients)
+    return quotients if e2 - e1 == e1 - e0 else None
+
+
 class TestIntegerFit:
     """``_fit`` reads the factors c(k) + E e(k) off the levels' integer numerators;
-    every fit it returns multiplies back, and ``TestCertifiedBrackets`` holds its refusals."""
+    Poly division of each level by the one before states the same factors, every fit
+    it returns multiplies back, and ``TestCertifiedBrackets`` holds its refusals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hypergeometric_problems(),
+        st.tuples(small, small, st.integers(1, 20)).filter(lambda t: t[0] != t[1]),
+    )
+    # gamma = 3 free of E, tau = (E - 2) r: delta_0 and its quotient have degree 0 in E
+    @example(
+        (validate(Affine(Poly([0, -2]), Poly([0, 1])), Poly.const(1), (3, 0), "E"), F(1)),
+        (F(-1), F(1), 5),
+    )
+    @example((_NEGATIVE_DEN, F(3, 2)), (F(-5), F(5), 20))  # D(0) < 0
+    @example((catalog_get("kratzer"), F(1)), (F(1, 5), F(1), 1))  # descending in n
+    def test_matches_the_division_route(self, case, draw):
+        # _fit returns m times the quotients delta_k / delta_(k-1), m > 0, or refuses where
+        # they fit no factors; the rows are the roots of c(n) + E e(n), the quotients
+        # carried to k = n
+        problem, r0 = case
+        lo, hi = sorted(x * draw[2] for x in draw[:2])
+        levels = [d for _, d in zip(range(3), determinants(problem, r0))]
+        for k in (1, 2):  # delta_0 = 0 makes delta_1 = 0
+            if levels[k].is_zero:
+                with pytest.raises(NoRootInBracket, match=f"^delta_{k} vanishes for every"):
+                    solve_iterative(problem, r0, (lo, hi))
+                return
+        quotients = _quotients(levels)
+        if quotients is None:
+            with pytest.raises(IncompleteSpectrum, match="^delta_0, delta_1 and delta_2 do not fit"):
+                aim_module._fit(levels)
+            return
+        c, e = aim_module._fit(levels)
+        factor = lambda n: ((c[2] * n + c[1]) * n + c[0], e[1] * n + e[0])  # c(n) + E e(n)
+        m = F(factor(0)[quotients[0].degree], quotients[0].leading)
+        assert e[2] == 0 and m > 0 and [Poly(factor(k)) for k in range(3)] == [m * q for q in quotients]
+        _check_rows(problem, r0, (lo, hi), factor)
 
     def test_ties_before_a_run_keep_ascending_n(self):
         # E_6 = E_1 = -6: _modes gives the cut-point single 6 before the run 1..2

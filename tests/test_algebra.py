@@ -112,8 +112,20 @@ coefficients = st.lists(coefficient, max_size=7)
 
 
 class TestIntegerKernel:
-    """The stored integer form reads back as the Fractions it was built from;
-    ``test_oracle`` checks its ring arithmetic against sympy."""
+    """The stored integer form reads back as the Fractions it was built from, and its
+    ring arithmetic agrees with arithmetic on values; ``test_oracle`` checks it against sympy."""
+
+    @given(a=coefficients, b=coefficients, c=coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, a, b, c):
+        # a polynomial with at most N coefficients is fixed by its values at N points
+        p, q, size = Poly(a), Poly(b), len(a) + len(b) + 1
+        results = [p + q, p - q, -p, p * q, p * c, c * p, c - p]
+        for r in results:  # trimmed, of Fractions
+            assert len(r.coeffs) <= size and r.coeffs[-1:] != (0,) and all(type(x) is F for x in r.coeffs)
+        for x in range(size):
+            u, v = p.evaluate(x), q.evaluate(x)
+            assert [r.evaluate(x) for r in results] == [u + v, u - v, -u, u * v, u * c, c * u, c - u]
 
     @given(a=coefficients, x=coefficient)
     @settings(max_examples=100, deadline=None)
