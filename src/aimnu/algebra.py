@@ -6,15 +6,16 @@ weights and the Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special
 Functions of Mathematical Physics, 1988, ch. 1).  sigma has at most two
 rational poles, so each weight is prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),
 one factor per distinct simple pole in root order; ``WeightExpr`` stores
-its fields as given.
+its fields as given, read off the integer numerators of p and sigma.
 
 A Poly is stored as integer numerators over one denominator, and all of
 its arithmetic runs on those integers; other modules read them only through
 ``cleared`` and ``Poly.coeff_pair``.  The module also owns exact roots: the
 rational roots of an integer quadratic, by one exact isqrt of its
-discriminant, serve ``rational_roots`` here and the k search of the
-Nikiforov--Uvarov reduction.  Everything is exact: no floating-point value
-is accepted or produced.
+discriminant, serve ``rational_roots`` here, the weights and the k search
+of the Nikiforov--Uvarov reduction.  ``partial_fractions`` is a stand-alone
+decomposition that no library path calls.  Everything is exact: no
+floating-point value is accepted or produced.
 """
 
 from __future__ import annotations
@@ -254,6 +255,14 @@ def _poly(nums: list[int], den: int = 1) -> Poly:
     p = object.__new__(Poly)
     p._store(nums, den)
     return p
+
+
+def _ratfunc(num: Poly, den: Poly) -> "RatFunc":
+    """The RatFunc num/den as given: the caller passes it in normalised form."""
+    f = object.__new__(RatFunc)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
 
 
 def _combine(a: Poly, b: Poly, sign: int) -> Poly:
@@ -548,21 +557,36 @@ class WeightExpr:
         return " * ".join(parts) if parts else "1"
 
 
-def integrate_log_derivative(f: RatFunc) -> WeightExpr:
-    """Return w with w'/w = f as a WeightExpr (integration constant = 1).
+def integrate_log_derivative(p: Poly, sigma: Poly) -> WeightExpr:
+    """Return w with w'/w = p/sigma as a WeightExpr (integration constant = 1),
+    for deg p <= 1 and a nonzero sigma of degree <= 2 (else InvalidInput).
 
-    f = p/sigma, deg p <= 1, deg sigma <= 2 (else InvalidInput): a pole
-    c/(r - a) becomes the factor (r - a)^c, a pole c/(r - a)^2 the exponent
-    -c/(r - a), and a polynomial part b + m r the exponent b r + m r^2/2.
+    Read off the integers P/S = p/sigma of ``cleared`` and the rational roots
+    of S: a simple root a = u/v gives (r - a)^mu, mu = P(a)/S'(a) =
+    (p0 v + p1 u)/(s1 v + 2 s2 u); a double root, S = s2 (r - a)^2, gives
+    mu = p1/s2 and the exponent -P(a)/(s2 (r - a)); a linear S adds the
+    exponent (p1/s1) r, and a constant S gives only (p0 r + p1 r^2/2)/s0.
+    Zero terms are dropped and the fields are built in canonical form.  A
+    quadratic S with no rational root and P != 0: UnsupportedDenominator.
     """
-    poly_part, terms = partial_fractions(f)
-    if poly_part.degree > 1:
-        raise InvalidInput(f"polynomial part {poly_part} of degree above 1")
-    exp_arg = RatFunc(Poly((0, poly_part.coeff(0), poly_part.coeff(1) / 2)))
-    factors: list[tuple[Fraction, Fraction]] = []
-    for root, order, coeff in terms:
-        if order == 1:
-            factors.append((root, coeff))
-        else:
-            exp_arg = exp_arg + RatFunc(Poly.const(-coeff), Poly.linear_root(root))
-    return WeightExpr(RatFunc(1), tuple(factors), exp_arg)
+    if sigma.is_zero:
+        raise DivisionByZero("zero denominator in rational function")
+    if p.degree > 1 or sigma.degree > 2:
+        raise InvalidInput(f"a weight takes deg p <= 1 and deg sigma <= 2, not {p} over {sigma}")
+    (P, S), _ = cleared(p, sigma)
+    (p0, p1), (s0, s1, s2), one = (P + [0, 0])[:2], (S + [0, 0])[:3], _poly([1])
+    if not (s1 or s2):
+        return WeightExpr(_ratfunc(one, one), (), _ratfunc(_poly([0, 2 * p0, p1], 2 * s0), one))
+    roots = _quadratic_roots(s0, s1, s2)
+    if not roots and P:
+        raise UnsupportedDenominator(f"denominator factor without rational roots: {_poly(S, s2)}")
+    factors, exp_arg = [], _ratfunc(_poly([0, p1], s1) if not s2 else _poly([]), one)
+    for a, multiplicity in roots:
+        u, v = a.numerator, a.denominator
+        pa = p0 * v + p1 * u  # v P(a)
+        if multiplicity == 2 and pa:
+            exp_arg = _ratfunc(_poly([-pa], s2 * v), _poly([-u, v], v))
+        mu = (pa, s1 * v + 2 * s2 * u) if multiplicity == 1 else (p1, s2)
+        if mu[0]:
+            factors.append((a, Fraction(*mu)))
+    return WeightExpr(_ratfunc(one, one), tuple(factors), exp_arg)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .algebra import Poly, RatFunc, WeightExpr, cleared, integrate_log_derivative
+from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative
 from .algebra import _derivative, _dot, _poly
 from .errors import DegenerateSpectrum, InconsistentGamma, NotHypergeometricType
 from .errors import OutOfRange, PochhammerPole
@@ -142,9 +142,9 @@ def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
 
 
 def pearson_weight(tau: Poly, sigma: Poly) -> PearsonWeight:
-    """Weight rho with (sigma rho)' = tau rho, integrated from rho'/rho =
-    (tau - sigma')/sigma; the ``eigenfunctions`` verify suite checks it."""
-    return PearsonWeight(integrate_log_derivative(RatFunc(tau - sigma.derivative(), sigma)))
+    """Weight rho with (sigma rho)' = tau rho, integrated on integers from
+    rho'/rho = (tau - sigma')/sigma; the ``eigenfunctions`` verify suite checks it."""
+    return PearsonWeight(integrate_log_derivative(tau - sigma.derivative(), sigma))
 
 
 def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:

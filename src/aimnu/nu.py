@@ -8,7 +8,8 @@ once a linear pi(r) and a constant k are chosen so that the radicand
 
 is the square of a polynomial.  The module enumerates all rational (k, pi)
 candidates, forms the reduced tau = tauTilde + 2*pi, the eigenparameter
-lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma.
+lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma, read
+off the integers of pi and sigma by ``algebra.integrate_log_derivative``.
 
 The search runs on the integer coefficients of the problem over one common
 denominator (``algebra.cleared``): the discriminant of the radicand in r is
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import Poly, RatFunc, WeightExpr, cleared, integrate_log_derivative, rational_roots
+from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative, rational_roots
 from .algebra import _derivative, _dot, _isqrt_exact, _poly, _quadratic_roots
 from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
@@ -123,8 +124,8 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
 
 
 def build_phi(pi: Poly, sigma: Poly) -> WeightExpr:
-    """Integrate phi'/phi = pi/sigma into a weight expression."""
-    return integrate_log_derivative(RatFunc(pi, sigma))
+    """Integrate phi'/phi = pi/sigma, on integers, into a weight expression."""
+    return integrate_log_derivative(pi, sigma)
 
 
 def nu_solve(problem: NuProblem, n: int) -> tuple[Fraction, NuReduction]:

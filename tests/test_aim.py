@@ -583,7 +583,12 @@ class TestIntegerFit:
     @given(
         hypergeometric_problems(),
         st.integers(0, 2),
-        st.sampled_from(["times", "plus", "replace"]),
+        # the perturbations are one branch of four, the other three keep a fit, so
+        # most draws reach the multiply-back check
+        st.sampled_from(["times", "plus", "replace", "even"])
+        | st.just("shift")
+        | st.just("scale")
+        | st.just("stretch"),
         st.lists(small, min_size=1, max_size=4).map(Poly),
     )
     # gamma = 2 free of E, tau = (E - 2) r, sigma = r^2: mu_1 mu_2 = 2E^2, so delta_1
@@ -595,14 +600,27 @@ class TestIntegerFit:
         Poly([0, 2]),
     )
     def test_levels_off_the_formula(self, case, k, kind, f):
-        # a level times, plus or replaced by a polynomial in E: what _fit does not
-        # refuse multiplies back
+        # level k times, plus or replaced by a polynomial f in E, or every level one even
+        # g(E) g(-E), g = f's affine part: delta_0 quadratic in E with no E term, the later
+        # quotients 1.  E shifted by t = f(0) or scaled by t, or delta_j times t^(j+1) as
+        # another r0 gives, keep the fit.  What _fit does not refuse multiplies back
         problem, r0 = case
         levels = [d for _, d in zip(range(3), determinants(problem, r0))]
-        levels[k] = {"times": levels[k] * f, "plus": levels[k] + f, "replace": f}[kind]
+        t, g = f.coeff(0), Poly(f.coeffs[:2])
+        if kind in ("times", "plus", "replace"):
+            levels[k] = {"times": levels[k] * f, "plus": levels[k] + f, "replace": f}[kind]
+        else:
+            even = g * Poly([t, -g.coeff(1)])
+            levels = {
+                "even": [even] * 3,
+                "shift": [d.compose_linear(t) for d in levels],
+                "scale": [d * t ** (j + 1) for j, d in enumerate(levels)],
+                "stretch": [Poly([c * t**i for i, c in enumerate(d.coeffs)]) for d in levels],
+            }[kind]
         assume(not any(d.is_zero for d in levels))
         try:
             fit = aim_module._fit(levels)
         except IncompleteSpectrum:
+            assert kind not in ("shift", "scale", "stretch")  # the product formula still holds
             return
         assert _multiplies_back(levels, *fit)

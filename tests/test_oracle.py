@@ -217,18 +217,30 @@ def weight_problems(draw):
 @given(weight_problems())
 @example((Poly((1, 2)), Poly((F(1, 4), -1, 1))))  # a double pole at 1/2
 @example((Poly((0, 3)), Poly((-6, 1, 1))))  # poles at -3 and 2
+@example((Poly((1, 2)), Poly.const(F(-3, 2))))  # a constant sigma: exp only
+@example((Poly((-6, 2)), Poly((-15, 5))))  # p/sigma = 2/5: the root of sigma is a root of p
+@example((Poly((-3, 1)), Poly((18, -12, 2))))  # a double root with P(a) = 0: no exp
+@example((Poly(), Poly((1, 0, 1))))  # p = 0 over an irreducible sigma: w = 1
+@example((Poly((1, 1)), Poly((6, -4, -2))))  # a negative lead, -2 (r - 1)(r + 3)
 def test_weights_have_the_log_derivative_they_integrate(problem):
     """w'/w = p/sigma, and UnsupportedDenominator exactly when the reduced
-    denominator is a quadratic in which sympy finds no rational root."""
+    denominator is a quadratic in which sympy finds no rational root.  w is in
+    canonical form: prefactor 1, roots strictly ascending with nonzero mu, and
+    an exp_arg that RatFunc's normalisation leaves as it is."""
     f = RatFunc(*problem)
     irrational = f.den.degree == 2 and not sympy.roots(_to_sympy(f.den), filter="Q")
     try:
-        w = integrate_log_derivative(f)
+        w = integrate_log_derivative(*problem)
     except UnsupportedDenominator:
         assert irrational
         return
     assert not irrational
     assert w.log_derivative() == f
+    roots = [root for root, _ in w.factors]
+    assert all(a < b for a, b in zip(roots, roots[1:])) and all(mu for _, mu in w.factors)
+    assert w.prefactor == RatFunc(1)
+    normalised = RatFunc(w.exp_arg.num, w.exp_arg.den)
+    assert (normalised.num, normalised.den) == (w.exp_arg.num, w.exp_arg.den)
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -77,8 +77,8 @@ def _pearson_exp_plus_r(monkeypatch):
     # rho times exp(r): its log-derivative is off by 1 from (tau - sigma')/sigma
     original = eigenfunctions.integrate_log_derivative
 
-    def plus_r(f):
-        weight = original(f)
+    def plus_r(*args):
+        weight = original(*args)
         return replace(weight, exp_arg=weight.exp_arg + RatFunc(R))
 
     monkeypatch.setattr(eigenfunctions, "integrate_log_derivative", plus_r)
