@@ -307,7 +307,7 @@ def _sample_rows(poly: Poly, grid: tuple[Fraction, Fraction, list[str]]) -> list
 @click.option("--n", "n", type=click.IntRange(0, MAX_EIGENFUNCTION_N), default=0)
 @click.option(
     "--method",
-    type=click.Choice(["recursion", "rodrigues", "explicit", "hypergeometric"]),
+    type=click.Choice(["recursion", "rodrigues", "hypergeometric"]),
     default="recursion",
 )
 @click.option("--samples", default=None, help="a:b:count sampling grid for plotting")
@@ -325,8 +325,6 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
         poly = eig_mod.polynomial_solution(tau, problem.sigma, n).poly
     elif method == "rodrigues":
         poly = eig_mod.rodrigues(tau, problem.sigma, n)
-    elif method == "explicit":
-        poly = eig_mod.y_low_order(tau, problem.sigma, n)
     else:
         poly = eig_mod.hulthen_eigenfunction(n, -problem.sigma.coeff(2), value)  # sigma = r(1 - q r)
     envelope = {"name": name, "n": n, "method": method, "eigenvalue": value, "coefficients": poly}

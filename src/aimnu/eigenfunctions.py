@@ -65,11 +65,11 @@ def ode_residual(tau: Poly, sigma: Poly, gamma: Fraction, y: Poly) -> Poly:
 
 
 def _cleared(tau: Poly, sigma: Poly) -> tuple[list[int], list[int], int]:
-    """T, S and m of ``algebra.cleared``, tau = T/m and sigma = S/m, within the caps."""
+    """[T0, T1], [S0, S1, S2] and m of ``algebra.cleared``, tau = T/m and sigma = S/m, within the caps."""
     (T, S), m = cleared(tau, sigma)
     if len(T) > 2 or len(S) > 3:
         raise NotHypergeometricType(f"deg(tau) = {tau.degree}, deg(sigma) = {sigma.degree}")
-    return T, S, m
+    return T + [0] * (2 - len(T)), S + [0] * (3 - len(S)), m
 
 
 def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
@@ -98,13 +98,12 @@ def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
         raise ValueError("n must be non-negative")
     g = gamma_n(tau, sigma, n)
     T, S, m = _cleared(tau, sigma)
-    (t0, t1), (s0, s1, s2) = (T + [0, 0])[:2], (S + [0, 0, 0])[:3]
-    pivots = [-(n - j) * (t1 + (n + j - 1) * s2) for j in range(n + 1)]  # P_n = 0
+    pivots = [-(n - j) * (T[1] + (n + j - 1) * S[2]) for j in range(n + 1)]  # P_n = 0
     M = [0] * n + [1, 0]  # M_0 .. M_n, and M_(n+1) = 0
     for j in range(n - 1, -1, -1):
         if not pivots[j]:
             raise DegenerateSpectrum(f"gamma_{j} = gamma_{n}; spectrum degenerate")
-        a, b = (j + 1) * (t0 + j * s1), (j + 1) * (j + 2) * s0
+        a, b = (j + 1) * (T[0] + j * S[1]), (j + 1) * (j + 2) * S[0]
         M[j] = -(a * M[j + 1] + b * pivots[j + 1] * M[j + 2])
     prefixes = list(accumulate(pivots[:n], mul, initial=1))  # P_0 ... P_(j-1)
     nums = [mj * pj for mj, pj in zip(M, prefixes)]
@@ -125,7 +124,7 @@ def y_low_order(tau: Poly, sigma: Poly, n: int) -> Poly:
     if n < 0 or n > 3:
         raise OutOfRange("explicit closed forms exist for n <= 3 only")
     T, S, m = _cleared(tau, sigma)
-    t1, s2, S1 = (T + [0, 0])[1], (S + [0, 0, 0])[2], _derivative(S)
+    t1, s2, S1 = T[1], S[2], _derivative(S)
     if n < 2:  # 1 and tau
         nums = T if n else [1]
     elif n == 2:  # tau^2 + tau sigma' + tau' sigma + sigma sigma''
@@ -164,8 +163,8 @@ def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    T, S, m = _cleared(tau, sigma)
-    (t0, t1), (s0, s1, s2), Q = (T + [0, 0])[:2], (S + [0, 0, 0])[:3], [1]
+    (t0, t1), (s0, s1, s2), m = _cleared(tau, sigma)
+    Q = [1]
     for j in range(n - 1, -1, -1):  # j = n-k-1 at step k
         l0, l1 = j * s1 + t0, 2 * j * s2 + t1
         Q = [s0 * (i + 1) * a + (s1 * i + l0) * b + (s2 * (i - 1) + l1) * c

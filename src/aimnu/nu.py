@@ -14,10 +14,10 @@ off the integers of pi and sigma by ``algebra.integrate_log_derivative``.
 The search runs on the integer coefficients of the problem over one common
 denominator (``algebra.cleared``): the discriminant of the radicand in r is
 an integer quadratic in k.  Its rational roots take one isqrt of its
-discriminant, in the integer root routine behind ``algebra.rational_roots``,
-and each root's perfect-square test takes one more, ``algebra._isqrt_exact``.
-phi is left out (None, printed ``unsupported``) exactly when sigma is a
-quadratic with no rational root and pi != 0.
+discriminant, in ``algebra._quadratic_roots``, and each root's perfect-square
+test takes one more, ``algebra._isqrt_exact``.  phi is left out (None, printed
+``unsupported``) exactly when pi != 0 and sigma has no rational root, which the
+leading coefficient of that quadratic, m^2 disc(sigma), shows with no factoring.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative, rational_roots
+from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative
 from .algebra import _derivative, _dot, _isqrt_exact, _poly, _quadratic_roots
 from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
@@ -83,9 +83,9 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     A K^2 + 2 B K + C, whose rational roots take one isqrt in ``algebra``'s
     integer quadratic routine.  A root K = p/q gives a square exactly when
     V = q U + p S is q W^2, one more isqrt, and then pi = (H +- W)/(2m).
-    Candidates come k ascending, +W before -W.  phi is None when sigma is a
-    quadratic with no rational root and pi != 0, the case ``build_phi``
-    refuses.  Raises NoRationalReduction when no candidate exists.
+    Candidates come k ascending, +W before -W.  phi is None when pi != 0 and A, m^2 times
+    sigma's discriminant, is no square: sigma is then a quadratic with no rational root,
+    the case ``build_phi`` refuses.  Raises NoRationalReduction when no candidate exists.
     """
     (T, S, Q), m = cleared(problem.tau_tilde, problem.sigma, problem.sigma_tilde)
     dS = _derivative(S)
@@ -102,7 +102,7 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     else:
         roots = [K for K, _ in _quadratic_roots(C, 2 * B, A)]
 
-    irreducible = rational_roots(problem.sigma)[1].degree > 0
+    irreducible = _isqrt_exact(A) is None
     candidates: list[NuReduction] = []
     for K in roots:
         p, q = K.numerator, K.denominator

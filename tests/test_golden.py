@@ -121,7 +121,7 @@ FILE_CASES = [
     ("aim-denominators", "aim", ["--bracket=-30:50"], ALL_FORMATS),
     *(
         (f"eigenfunction-denominators-{method}", "eigenfunction", ["--n", "3", "--method", method], ALL_FORMATS)
-        for method in ("recursion", "rodrigues", "explicit")
+        for method in ("recursion", "rodrigues")
     ),
 ]
 

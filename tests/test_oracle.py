@@ -445,6 +445,10 @@ def _nu_oracle(problem: NuProblem) -> set[tuple[F, Poly]]:
     return found
 
 
+#: a 31-digit sigma constant for the irreducible @example
+_C31 = 1234567890123456789012345678901
+
+
 @settings(max_examples=150, deadline=None)
 @given(nu_problems())
 @example(NuProblem(Poly(), Poly((0, 0, 1)), Poly((0, 0, 1))))  # u vanishes identically at k = 0
@@ -452,6 +456,11 @@ def _nu_oracle(problem: NuProblem) -> set[tuple[F, Poly]]:
 @example(NuProblem(Poly(), Poly((0, 0, 1)), Poly((-1, 0, 3))))  # A = 0: k = 2
 @example(NuProblem(Poly(), Poly((10**30 - 1, 0, 1)), Poly((2 * 10**30 - 2, 0, 2))))  # r^2 + c
 @example(NuProblem(Poly(), Poly((-(10**30), 0, 1)), Poly((0, 2, 1))))  # roots -+10^15
+@example(NuProblem(Poly((1,)), Poly((0, 1)), Poly((-1, 4, F(-1, 4)))))  # linear sigma: pi = 1 - r/2
+@example(NuProblem(Poly(), Poly((1,)), Poly((3, 0, -1))))  # constant sigma: the oscillator
+@example(NuProblem(Poly(), Poly((1, 0, 1)), Poly((-4, 12, 2))))  # disc(sigma) < 0, pi = 3 - r
+@example(NuProblem(Poly(), Poly((_C31, 7, 1)), Poly((5 * _C31 + 12, 40, 2))))  # 31-digit, irreducible
+@example(NuProblem(Poly(), Poly((F(3, 4), -3, 3)), Poly((F(-13, 4), -2, 8))))  # 3 (r - 1/2)^2
 def test_nu_find_k_matches_sympy(problem):
     """The same (k, pi) as the oracle, and phi is build_phi(pi, sigma) when
     sigma splits over Q or pi = 0, else None."""
