@@ -38,6 +38,7 @@ from operator import attrgetter
 from .algebra import Poly, RatFunc, _dot, _poly, _shifted, cleared
 from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
 from .hypergeometric import HypergeometricProblem
+from .rationals import MAX_MODES
 
 __all__ = [
     "EigenvalueEstimate",
@@ -148,7 +149,6 @@ def determinants(problem: HypergeometricProblem, r0: Fraction):
         yield _poly(_dot([(a[level][0], s_prev), (lam_prev, neg)]), D[0] ** (2 * level + 1))
 
 
-MAX_MODES = 20_000  # the most modes ``solve_iterative`` returns
 _NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
 
 

@@ -10,6 +10,11 @@ Fractions, bools, Polys, phi or None, catalog ParamSpecs), and ``_emit``
 alone decides how a value prints: ``_cell`` for table and csv cells,
 ``_json`` for what json cannot hold.
 
+The solver modules bound here (``aim_mod``, ``catalog_mod``, ``eig_mod``,
+``nu_mod``, ``verify_mod``) are the package's lazy modules: each executes on
+the first attribute a command reads from it, so ``nu`` never runs ``aim`` or
+``catalog``, and nothing at import time reads from them.
+
 Exit codes: 0 success; 2 for an ``InputError``, 1 for any other aimnu error
 and for a failed verification (see ``_Main``).
 """
@@ -32,9 +37,9 @@ from . import eigenfunctions as eig_mod
 from . import hypergeometric as hg
 from . import nu as nu_mod
 from . import verify as verify_mod
-from .algebra import Affine, Poly, cleared
+from .algebra import Affine, Poly, WeightExpr, cleared
 from .errors import AimnuError, BadParameter, InputError
-from .rationals import MAX_DIGITS, parse_rational
+from .rationals import MAX_DIGITS, MAX_MODES, parse_rational
 
 
 class _Main(click.Group):
@@ -150,6 +155,8 @@ def _json(value):
     {name, default, constraint}, anything else (a Fraction, phi) as its str."""
     if isinstance(value, Poly):
         return value.coeffs
+    if isinstance(value, (Fraction, WeightExpr)):  # before ParamSpec, which loads the catalog
+        return str(value)
     if isinstance(value, catalog_mod.ParamSpec):
         return {"name": value.name, "default": value.default, "constraint": value.constraint_text}
     return str(value)
@@ -168,14 +175,14 @@ def _emit(fmt: str, header: list[str], rows: list[dict], envelope: dict):
         click.echo(buf.getvalue(), nl=False)
     else:
         widths = [max(map(len, column)) for column in zip(*lines)]
-        for line in lines:
-            click.echo("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
+        text = ("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
+        click.echo("\n".join(text))
 
 
 #: Bounds on the sizes whose cost grows without limit, each set so that the
 #: slowest call it accepts at catalog defaults takes a few seconds;
 #: ``MAX_DIGITS`` bounds every numerator and denominator read, grid bounds too.
-MAX_SOLVE_N = aim_mod.MAX_MODES  # one closed-form value per mode, as many as aim returns
+MAX_SOLVE_N = MAX_MODES  # one closed-form value per mode, as many as aim returns
 MAX_EIGENFUNCTION_N = 100  # Rodrigues grows about as n^3, one sample as n^2
 MAX_SAMPLES = 2_000  # points of a --samples grid, each one exact evaluation
 
@@ -367,13 +374,14 @@ def cmd_verify(substring):
     if not results:
         raise BadParameter(f"no suite matches filter {substring!r}")
     width = max(len(f"[{r.suite}] {r.name}") for r in results)
+    lines = []
     for r in results:
         label = f"[{r.suite}] {r.name}"
         status = "PASS" if r.ok else "FAIL"
         suffix = f"  ({r.detail})" if r.detail and not r.ok else ""
-        click.echo(f"{label.ljust(width)}  {status}{suffix}")
+        lines.append(f"{label.ljust(width)}  {status}{suffix}")
     failed = sum(1 for r in results if not r.ok)
-    click.echo(f"{len(results) - failed}/{len(results)} checks passed")
+    click.echo("\n".join([*lines, f"{len(results) - failed}/{len(results)} checks passed"]))
     if failed:
         sys.exit(1)
 

@@ -1,4 +1,4 @@
-"""Rational text: parsing.
+"""Rational text: parsing, and the size bounds that the library and the CLI share.
 
 Scalars are `fractions.Fraction`s, and polynomials hold integer numerators
 over one denominator (``algebra.Poly``).  ``parse_rational`` reads the
@@ -15,11 +15,15 @@ from .errors import InvalidRational
 
 __all__ = [
     "MAX_DIGITS",
+    "MAX_MODES",
     "parse_rational",
 ]
 
 #: Most digits of a numerator or denominator read; the exact work grows with them.
 MAX_DIGITS = 32
+
+#: Most modes ``aim.solve_iterative`` returns, and the highest ``solve --n``.
+MAX_MODES = 20_000
 
 #: "p/q" or "p" in ASCII digits, each with an optional sign.
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([+-]?)([0-9]+))?")

@@ -9,7 +9,7 @@ an edit.  It also checks that ``uninstall`` restores every binding that
 import sys
 from pathlib import Path
 
-import aimnu.cli  # loads every module the tracer rebinds
+import aimnu.cli  # registers every module the tracer rebinds
 
 BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
 sys.path.insert(0, BENCHMARKS)
