@@ -29,7 +29,7 @@ _HOME = {
         "hypergeometric": "HypergeometricProblem validate gamma_n eigenvalue",
         "nu": "NuProblem NuReduction nu_find_k build_phi nu_solve",
         "eigenfunctions": "EigenPolynomial PearsonWeight polynomial_solution y_low_order "
-        "pearson_weight rodrigues hulthen_eigenfunction ode_residual",
+        "pearson_weight rodrigues ode_residual",
         "catalog": "CatalogEntry catalog_get catalog_list expected_eigenvalue",
         "rationals": "parse_rational",
     }.items()

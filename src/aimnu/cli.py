@@ -314,7 +314,7 @@ def _sample_rows(poly: Poly, grid: tuple[Fraction, Fraction, list[str]]) -> list
 @click.option("--n", "n", type=click.IntRange(0, MAX_EIGENFUNCTION_N), default=0)
 @click.option(
     "--method",
-    type=click.Choice(["recursion", "rodrigues", "hypergeometric"]),
+    type=click.Choice(["recursion", "rodrigues"]),
     default="recursion",
 )
 @click.option("--samples", default=None, help="a:b:count sampling grid for plotting")
@@ -323,17 +323,13 @@ def cmd_eigenfunction(name_or_file, params, n, method, samples, fmt):
     """Polynomial eigenfunction coefficients, optionally sampled on a grid."""
     parsed = _parse_params(params)
     name, problem = _load_problem(name_or_file, parsed)
-    if method == "hypergeometric" and name_or_file != "hulthen":  # the catalog entry, never a file
-        raise BadParameter("hypergeometric route applies to the hulthen entry only")
     grid = _sample_grid(samples) if samples else None
     value = hg.eigenvalue(problem, n)
     tau = problem.tau.substitute(value)
     if method == "recursion":
         poly = eig_mod.polynomial_solution(tau, problem.sigma, n).poly
-    elif method == "rodrigues":
-        poly = eig_mod.rodrigues(tau, problem.sigma, n)
     else:
-        poly = eig_mod.hulthen_eigenfunction(n, -problem.sigma.coeff(2), value)  # sigma = r(1 - q r)
+        poly = eig_mod.rodrigues(tau, problem.sigma, n)
     envelope = {"name": name, "n": n, "method": method, "eigenvalue": value, "coefficients": poly}
     if grid is None:
         header = ["power", "coefficient"]

@@ -16,10 +16,7 @@ form, homogeneous of degree n in (tau, sigma), is a sum of products of T and
 S over m^n.  The explicit forms are the Rodrigues formula expanded, so the
 two are equal for n <= 3, and the recursion output is the monic multiple of
 Rodrigues; the verification suite checks that all three agree up to a nonzero
-scalar.  A fourth, potential-specific route
-evaluates the terminating hypergeometric closed form of the deformed Hulthen
-eigenfunctions term by term, from the exact ratio of consecutive terms (no
-gamma-function numerics).
+scalar.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from operator import mul
 
 from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative
 from .algebra import _derivative, _dot, _poly
-from .errors import DegenerateSpectrum, InconsistentGamma, NotHypergeometricType
-from .errors import OutOfRange, PochhammerPole
+from .errors import DegenerateSpectrum, InconsistentGamma, NotHypergeometricType, OutOfRange
 from .hypergeometric import gamma_n
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "y_low_order",
     "pearson_weight",
     "rodrigues",
-    "hulthen_eigenfunction",
     "ode_residual",
 ]
 
@@ -172,33 +167,4 @@ def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
     result = _poly(Q, m**n)
     if result.degree != n:
         raise InconsistentGamma(f"Rodrigues output degree {result.degree} != {n}")
-    return result
-
-
-def hulthen_eigenfunction(n: int, q: Fraction, epsilon_n: Fraction) -> Poly:
-    """Terminating 2F1 closed form of the deformed Hulthen eigenfunctions.
-
-    y_n(r) = (-1)^n (2e+1)_n * 2F1(-n, 2e+n+2; 2e+1; q r) with e = epsilon_n,
-    summed from the prefactor (-1)^n (2e+1)_n, the gamma ratio as a rising
-    factorial, by the term ratio
-    t_(m+1)/t_m = (m-n)(2e+n+2+m) q / ((2e+1+m)(m+1)); no gamma function is
-    ever evaluated numerically.
-
-    Raises InconsistentGamma when the sum stops below degree n, as it does
-    when 2e + n + 2 + m = 0 for some m < n, where the spectrum is degenerate.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    two_e, term = 2 * Fraction(epsilon_n), Fraction((-1) ** n)
-    for m in range(1, n + 1):
-        if two_e + m == 0:
-            raise PochhammerPole(f"2*epsilon_n + {m} = 0")
-        term *= two_e + m  # the prefactor (-1)^n (2e+1)_n
-    coeffs = [term]
-    for m in range(n):
-        term *= (m - n) * (two_e + n + 2 + m) * q / ((two_e + 1 + m) * (m + 1))
-        coeffs.append(term)
-    result = Poly(coeffs)
-    if result.degree != n:
-        raise InconsistentGamma(f"2F1 series degree {result.degree} != {n}")
     return result

@@ -73,10 +73,6 @@ class OutOfRange(InputError, ValueError):
     """A mode index is outside the supported range."""
 
 
-class PochhammerPole(AimnuError, ValueError):
-    """A rising-factorial denominator vanishes."""
-
-
 class UnknownEntry(InputError, KeyError):
     """Catalog lookup with an unknown name."""
 

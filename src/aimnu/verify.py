@@ -157,24 +157,25 @@ def suite_hulthen() -> list[CheckResult]:
 
     ok = True
     for q in (F(1), F(1, 2), F(3)):
-        for e in (F(1, 3), F(2), F(-1, 5)):
+        problem = catalog.catalog_get("hulthen", {"q": q})
+        for e in (F(1, 3), F(2), F(-1, 5)):  # tau at any epsilon, not only at a mode
+            tau = problem.tau.substitute(e)
             for n in range(3):
-                if eigenfunctions.hulthen_eigenfunction(n, q, e) != _hulthen_y_printed(n, q, e):
+                printed = _hulthen_y_printed(n, q, e) * (-1) ** n
+                if eigenfunctions.rodrigues(tau, problem.sigma, n) != printed:
                     ok = False
-    out.append(_result("hulthen", "terminating-series forms match printed y0..y2", ok))
+    out.append(_result("hulthen", "Rodrigues matches the printed y0..y2 up to (-1)^n", ok))
 
     ok = True
-    q, beta2 = F(1), F(25)
-    problem = catalog.catalog_get("hulthen", {"q": q, "beta2": beta2})
+    problem = catalog.catalog_get("hulthen", {"q": F(1), "beta2": F(25)})
     sigma = problem.sigma
     for n in range(4):
-        eps = hypergeometric.eigenvalue(problem, n)
-        tau = problem.tau.substitute(eps)
-        series = eigenfunctions.hulthen_eigenfunction(n, q, eps)
+        tau = problem.tau.substitute(hypergeometric.eigenvalue(problem, n))
+        rodrigues = eigenfunctions.rodrigues(tau, sigma, n)
         solved = eigenfunctions.polynomial_solution(tau, sigma, n).poly
-        if not _proportional(series, solved):
+        if not _proportional(rodrigues, solved):
             ok = False
-    out.append(_result("hulthen", "series route agrees with coefficient recursion, n <= 3", ok))
+    out.append(_result("hulthen", "Rodrigues agrees with coefficient recursion for n <= 3", ok))
     return out
 
 

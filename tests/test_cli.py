@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import subprocess
@@ -430,73 +429,61 @@ class TestEigenfunction:
         assert y.degree == 3
         assert ode_residual(tau, sigma, parse_rational(out["eigenvalue"]), y).is_zero
 
-    @pytest.mark.parametrize("method", ["recursion", "rodrigues"])
-    def test_degenerate_spectrum_exits_1(self, runner, tmp_path, method):
-        # tau = 1, sigma = r^2: gamma_0 = gamma_1 = 0, so there is no unique y_1
-        doc = {"tau": {"r0": "1"}, "sigma": ["0", "0", "1"], "gamma": {"param": "1"}}
-        path = tmp_path / "degenerate.json"
-        path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["eigenfunction", str(path), "--n", "1", "--method", method])
+    @pytest.mark.parametrize(
+        "args, method",
+        [
+            pytest.param(args, method, id=f"{stem}{method}")
+            for stem, args in [
+                ("", None),
+                # Hulthen where gamma_3 = gamma_4, and where gamma_0 = gamma_3
+                ("hulthen-stops-at-r3-", ["hulthen", "--param", "q=2", "--param", "beta2=-40", "--n", "4"]),
+                ("hulthen-stops-at-r0-", ["hulthen", "--param", "q=-1", "--n", "3"]),
+            ]
+            for method in ("recursion", "rodrigues")
+        ],
+    )
+    def test_degenerate_spectrum_exits_1(self, runner, tmp_path, args, method):
+        if args is None:
+            # tau = 1, sigma = r^2: gamma_0 = gamma_1 = 0, so there is no unique y_1
+            doc = {"tau": {"r0": "1"}, "sigma": ["0", "0", "1"], "gamma": {"param": "1"}}
+            path = tmp_path / "degenerate.json"
+            path.write_text(json.dumps(doc))
+            args = [str(path), "--n", "1"]
+        result = runner.invoke(main, ["eigenfunction", *args, "--method", method])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ")
 
-    def test_explicit_method_exits_2(self, runner):
-        # the explicit forms equal Rodrigues for n <= 3 (test_y_low_order_is_rodrigues)
+    @pytest.mark.parametrize("method", ["explicit", "hypergeometric"])
+    def test_explicit_method_exits_2(self, runner, method):
+        # the explicit forms equal Rodrigues for n <= 3 (test_y_low_order_is_rodrigues),
+        # and Hulthen's terminating 2F1 is (-1)^n times Rodrigues
         result = runner.invoke(
-            main, ["eigenfunction", "hermite", "--n", "2", "--method", "explicit"]
+            main, ["eigenfunction", "hermite", "--n", "2", "--method", method]
         )
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--method'" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_hypergeometric_hulthen_only(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["eigenfunction", "legendre", "--method", "hypergeometric"]
-        )
-        assert result.exit_code == 2
-        # the Hulthen 2F1 belongs to the catalog entry, not to a file's "name"
-        path = tmp_path / "hermite.json"
-        path.write_text(json.dumps({**HERMITE_FILE, "name": "hulthen"}))
-        result = runner.invoke(
-            main, ["eigenfunction", str(path), "--n", "2", "--method", "hypergeometric"]
-        )
-        assert result.exit_code == 2
-        assert result.output.startswith("error: hypergeometric route applies to the hulthen entry")
-        result = invoke(
-            runner,
-            ["eigenfunction", "hulthen", "--n", "1", "--method", "hypergeometric", "--format", "json"],
-        )
-        assert json.loads(result.output)["coefficients"] == ["-1", "3"]
-
     @pytest.mark.parametrize(
-        "params, n, degree",
-        [(["--param", "q=2", "--param", "beta2=-40"], 4, 3), (["--param", "q=-1"], 3, 0)],
-        ids=["stops-at-r3", "stops-at-r0"],
+        "q, n", [(Fraction(1), 3), (Fraction(1, 2), 7), (Fraction(2), 1)], ids=["q=1", "q=1/2", "q=2"]
     )
-    def test_hypergeometric_below_degree_n_exits_1(self, runner, params, n, degree):
-        # the 2F1 series stops below r^n where the spectrum is degenerate
-        args = ["eigenfunction", "hulthen", *params, "--n", str(n), "--method", "hypergeometric"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == f"error: 2F1 series degree {degree} != {n}\n"
-
-    def test_hypergeometric_reads_q_off_the_problem(self, runner, monkeypatch):
-        # with q defaulting to 2 the 2F1 route must still solve the problem the
-        # catalog builds, so it agrees with the recursion up to a scalar
-        hulthen = CATALOG["hulthen"]
-        q, beta2 = hulthen.parameters  # q defaults to 1
-        entry = dataclasses.replace(hulthen, parameters=(dataclasses.replace(q, default=Fraction(2)), beta2))
-        monkeypatch.setitem(CATALOG, "hulthen", entry)
-        coeffs = {}
-        for method in ("hypergeometric", "recursion"):
-            args = ["eigenfunction", "hulthen", "--n", "2", "--method", method, "--format", "json"]
-            doc = json.loads(invoke(runner, args).output)
-            coeffs[method] = Poly([parse_rational(c) for c in doc["coefficients"]])
-        a, b = coeffs["hypergeometric"], coeffs["recursion"]
-        assert a.degree == 2 and a * b.leading == b * a.leading
+    def test_hulthen_where_2_epsilon_n_is_minus_n(self, runner, q, n):
+        # the 2F1's lower parameter 2 epsilon_n + 1 is 1 - n there; both routes still give y_n
+        problem = catalog_get("hulthen", {"q": q})
+        ys = []
+        for method in ("recursion", "rodrigues"):
+            args = ["eigenfunction", "hulthen", "--param", f"q={q}", "--n", str(n), "--method", method]
+            result = invoke(runner, [*args, "--format", "json"])
+            assert result.exit_code == 0
+            doc = json.loads(result.output)
+            eps, y = parse_rational(doc["eigenvalue"]), Poly([parse_rational(c) for c in doc["coefficients"]])
+            assert 2 * eps == -n and y.degree == n
+            tau, gamma = problem.tau.substitute(eps), problem.gamma.substitute(eps)
+            assert ode_residual(tau, problem.sigma, gamma, y).is_zero
+            ys.append(y)
+        assert ys[0] * ys[1].leading == ys[1] * ys[0].leading
 
     def test_samples_csv(self, runner):
         result = invoke(

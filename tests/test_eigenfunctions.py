@@ -8,7 +8,6 @@ from aimnu import eigenfunctions
 from aimnu.algebra import Poly, RatFunc, WeightExpr
 from aimnu.catalog import CATALOG, catalog_get
 from aimnu.eigenfunctions import (
-    hulthen_eigenfunction,
     ode_residual,
     pearson_weight,
     polynomial_solution,
@@ -20,7 +19,6 @@ from aimnu.errors import (
     InconsistentGamma,
     NotHypergeometricType,
     OutOfRange,
-    PochhammerPole,
 )
 from aimnu.hypergeometric import eigenvalue, gamma_n
 
@@ -227,46 +225,43 @@ def test_y_low_order_is_rodrigues(tau, sigma, n):
 
 
 class TestHulthenEigenfunction:
+    """Rodrigues on the Hulthen record sigma = r(1 - q r), tau = 1 + 2e - (3 + 2e) q r."""
+
+    @staticmethod
+    def _tau_sigma(q, e):
+        problem = catalog_get("hulthen", {"q": q})
+        return problem.tau.substitute(e), problem.sigma
+
     def test_low_orders(self):
-        q, e = F(1), F(1, 3)
-        assert hulthen_eigenfunction(0, q, e) == Poly.const(1)
-        assert hulthen_eigenfunction(1, q, e) == Poly([-(2 * e + 1), (2 * e + 3) * q])
-        y2 = hulthen_eigenfunction(2, q, e)
-        expected = Poly(
-            [
-                2 * (2 * e * e + 3 * e) + 2,
-                -8 * (e + 1) * (e + 2) * q,
-                2 * (e + 2) * (2 * e + 5) * q * q,
-            ]
-        )
-        assert y2 == expected
+        # the printed forms at any epsilon, not only at a mode; 2e + 1 = -6 at e = -7/2
+        for q in (F(1), F(1, 2), F(3)):
+            for e in (F(1, 3), F(2), F(-1, 5), F(-7, 2)):
+                printed = [
+                    Poly.const(1),
+                    Poly([-(2 * e + 1), (2 * e + 3) * q]),
+                    Poly([4 * e * e + 6 * e + 2, -8 * (e + 1) * (e + 2) * q, 2 * (e + 2) * (2 * e + 5) * q * q]),
+                ]
+                for n, y in enumerate(printed):
+                    assert rodrigues(*self._tau_sigma(q, e), n) == y * (-1) ** n
 
     def test_degree(self):
         for n in range(5):
-            assert hulthen_eigenfunction(n, F(1, 2), F(3)).degree == n
-
-    def test_pochhammer_pole(self):
-        with pytest.raises(PochhammerPole):
-            hulthen_eigenfunction(2, F(1), F(-1))  # 2e + 2 = 0
+            assert rodrigues(*self._tau_sigma(F(1, 2), F(3)), n).degree == n
 
     @pytest.mark.parametrize(
         "n, q, beta2",
         [(4, F(2), F(-40)), (3, F(-1), F(4))],
         ids=["stops-at-r3", "stops-at-r0"],
     )
-    def test_series_below_degree_n(self, n, q, beta2):
-        # 2e + n + 2 + m = 0 for some m < n: a term of the sum vanishes, and
-        # the recursion finds the same degenerate spectrum
+    def test_rodrigues_below_degree_n(self, n, q, beta2):
+        # gamma_j = gamma_n for some j < n: no degree-n solution, and the
+        # recursion finds the same degenerate spectrum
         problem = catalog_get("hulthen", {"q": q, "beta2": beta2})
-        e = eigenvalue(problem, n)
-        with pytest.raises(InconsistentGamma, match=f"2F1 series degree .* != {n}"):
-            hulthen_eigenfunction(n, q, e)
+        tau = problem.tau.substitute(eigenvalue(problem, n))
+        with pytest.raises(InconsistentGamma, match=f"Rodrigues output degree .* != {n}"):
+            rodrigues(tau, problem.sigma, n)
         with pytest.raises(DegenerateSpectrum):
-            polynomial_solution(problem.tau.substitute(e), problem.sigma, n)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            hulthen_eigenfunction(-1, F(1), F(1))
+            polynomial_solution(tau, problem.sigma, n)
 
 
 class TestOdeResidual:

@@ -45,7 +45,7 @@ EIGEN_CASES = [
     ("gegenbauer", ["gegenbauer", "--n", "11", "--method", "recursion"]),
     ("bessel", ["bessel", "--n", "8", "--method", "recursion"]),
     ("generalized_bessel", ["generalized_bessel", "--n", "8", "--method", "recursion"]),
-    ("hulthen", ["hulthen", "--n", "6", "--method", "hypergeometric", "--param", "q=1/2"]),
+    ("hulthen", ["hulthen", "--n", "6", "--method", "rodrigues", "--param", "q=1/2"]),
 ]
 
 #: (file stem, `aimnu eigenfunction --samples` arguments), written in

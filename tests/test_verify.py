@@ -51,13 +51,6 @@ def _shift_delta(monkeypatch):
     )
 
 
-def _hulthen_series_times_r(monkeypatch):
-    original = eigenfunctions.hulthen_eigenfunction
-    monkeypatch.setattr(
-        eigenfunctions, "hulthen_eigenfunction", lambda *args: original(*args) * R
-    )
-
-
 def _recursion_times_r(monkeypatch):
     original = eigenfunctions.polynomial_solution
 
@@ -104,7 +97,7 @@ MUTANTS = [
     ("morse", _drop_a_root, [1]),
     ("morse", _determinants_at_shifted_e, [1]),
     ("hulthen", _shift_eigenvalue, [0]),
-    ("hulthen", _hulthen_series_times_r, [1, 2]),
+    ("hulthen", _rodrigues_times_r, [1, 2]),
     ("hulthen", _recursion_times_r, [2]),
     ("kratzer", _shift_eigenvalue, [0, 1]),
     ("kratzer", _recursion_times_r, [1]),
