@@ -574,12 +574,18 @@ def integrate_log_derivative(p: Poly, sigma: Poly) -> WeightExpr:
     if p.degree > 1 or sigma.degree > 2:
         raise InvalidInput(f"a weight takes deg p <= 1 and deg sigma <= 2, not {p} over {sigma}")
     (P, S), _ = cleared(p, sigma)
+    roots = _quadratic_roots(*(S + [0, 0])[:3]) if S[1:] else []
+    if S[2:] and not roots and P:
+        raise UnsupportedDenominator(f"denominator factor without rational roots: {_poly(S, S[2])}")
+    return _weight(P, S, roots)
+
+
+def _weight(P: list[int], S: list[int], roots: list[tuple[Fraction, int]]) -> WeightExpr:
+    """The weight of ``integrate_log_derivative`` from the integers P/S = p/sigma, in any
+    common scaling, and ``_quadratic_roots`` of S (none for a constant S)."""
     (p0, p1), (s0, s1, s2), one = (P + [0, 0])[:2], (S + [0, 0])[:3], _poly([1])
     if not (s1 or s2):
         return WeightExpr(_ratfunc(one, one), (), _ratfunc(_poly([0, 2 * p0, p1], 2 * s0), one))
-    roots = _quadratic_roots(s0, s1, s2)
-    if not roots and P:
-        raise UnsupportedDenominator(f"denominator factor without rational roots: {_poly(S, s2)}")
     factors, exp_arg = [], _ratfunc(_poly([0, p1], s1) if not s2 else _poly([]), one)
     for a, multiplicity in roots:
         u, v = a.numerator, a.denominator

@@ -8,26 +8,29 @@ once a linear pi(r) and a constant k are chosen so that the radicand
 
 is the square of a polynomial.  The module enumerates all rational (k, pi)
 candidates, forms the reduced tau = tauTilde + 2*pi, the eigenparameter
-lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma, read
-off the integers of pi and sigma by ``algebra.integrate_log_derivative``.
+lambdaBar = k + pi', and the factor phi with phi'/phi = pi/sigma.
 
 The search runs on the integer coefficients of the problem over one common
 denominator (``algebra.cleared``): the discriminant of the radicand in r is
 an integer quadratic in k.  Its rational roots take one isqrt of its
 discriminant, in ``algebra._quadratic_roots``, and each root's perfect-square
-test takes one more, ``algebra._isqrt_exact``.  phi is left out (None, printed
-``unsupported``) exactly when pi != 0 and sigma has no rational root, which the
-leading coefficient of that quadratic, m^2 disc(sigma), shows with no factoring.
+test takes one more, ``algebra._isqrt_exact``.  sigma's rational roots are
+found once per problem, by the same routine on sigma's integers, whose
+discriminant is that quadratic's leading coefficient m^2 disc(sigma).  Each
+candidate's phi and lambdaBar are built from the integers already at hand:
+phi by ``algebra._weight``, the core that ``integrate_log_derivative`` (and so
+``build_phi``) shares, from pi's numerators and sigma's roots.  phi is left out
+(None, printed ``unsupported``) exactly when pi != 0 and sigma is a quadratic
+with no rational root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .algebra import Poly, WeightExpr, cleared, integrate_log_derivative
-from .algebra import _derivative, _dot, _isqrt_exact, _poly, _quadratic_roots
+from .algebra import _isqrt_exact, _poly, _quadratic_roots, _weight
 from .errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from .hypergeometric import gamma_n
 
@@ -82,19 +85,21 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     is 4 m^2 u(r; k) = U + K S with K = 4 m k.  Its discriminant in r is
     A K^2 + 2 B K + C, whose rational roots take one isqrt in ``algebra``'s
     integer quadratic routine.  A root K = p/q gives a square exactly when
-    V = q U + p S is q W^2, one more isqrt, and then pi = (H +- W)/(2m).
-    Candidates come k ascending, +W before -W.  phi is None when pi != 0 and A, m^2 times
-    sigma's discriminant, is no square: sigma is then a quadratic with no rational root,
-    the case ``build_phi`` refuses.  Raises NoRationalReduction when no candidate exists.
+    V = q U + p S is q times a square (W/w)^2, one more isqrt, and then
+    pi = (H +- W/w)/(2m) = P/(2mw) and lambdaBar = k + pi' = (p w + 2 q P1)/(4mqw).
+    Candidates come k ascending, +W before -W.
+    sigma's rational roots are found once, from S, whose discriminant is A; phi is the
+    weight of pi/sigma = P/(2w S) from them, the one ``build_phi`` gives, and None
+    when pi != 0 and sigma is a quadratic with no rational root, the case ``build_phi``
+    refuses.  Raises NoRationalReduction when no candidate exists.
     """
     (T, S, Q), m = cleared(problem.tau_tilde, problem.sigma, problem.sigma_tilde)
-    dS = _derivative(S)
-    H = _dot(((dS, [1]), (T, [-1])))
-    U = _dot(((H, H), (Q, [-4 * m])))
-    (S0, S1, S2), (U0, U1, U2) = ((*P, 0, 0, 0)[:3] for P in (S, U))
+    (T0, T1), (S0, S1, S2), (Q0, Q1, Q2) = (T + [0, 0])[:2], (S + [0, 0])[:3], (Q + [0, 0, 0])[:3]
+    H0, H1 = S1 - T0, 2 * S2 - T1
+    U0, U1, U2 = H0 * H0 - 4 * m * Q0, 2 * H0 * H1 - 4 * m * Q1, H1 * H1 - 4 * m * Q2
     A, B, C = S1 * S1 - 4 * S0 * S2, U1 * S1 - 2 * U2 * S0 - 2 * U0 * S2, U1 * U1 - 4 * U0 * U2
     if not (A or B or C):
-        if U:
+        if U0 or U1 or U2:
             raise NoRationalReduction(
                 "one-parameter family of perfect squares; no discrete rational k"
             )
@@ -102,22 +107,25 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     else:
         roots = [K for K, _ in _quadratic_roots(C, 2 * B, A)]
 
-    irreducible = _isqrt_exact(A) is None
+    sigma_roots = _quadratic_roots(S0, S1, S2) if S1 or S2 else []
+    irreducible = S2 != 0 and not sigma_roots
     candidates: list[NuReduction] = []
     for K in roots:
         p, q = K.numerator, K.denominator
-        V0, V1, V2 = (q * u + p * s for u, s in ((U0, S0), (U1, S1), (U2, S2)))
+        V0, V1, V2 = q * U0 + p * S0, q * U1 + p * S1, q * U2 + p * S2
         R = _isqrt_exact(q * (V2 or V0))
         if R is None:
             continue
-        W, w = ([V1, 2 * V2], 2 * R) if V2 else ([R], q)  # the square root of V/q is W/w
-        k = Fraction(p, 4 * m * q)
+        (W0, W1), w = ((V1, 2 * V2), 2 * R) if V2 else ((R, 0), q)  # the square root of V/q is W/w
+        k, wS = Fraction(p, 4 * m * q), [2 * w * s for s in S]
         for sign in (1, -1) if R else (1,):
-            pi = _poly([w * h + sign * x for h, x in zip_longest(H, W, fillvalue=0)], 2 * m * w)
+            P0, P1 = w * H0 + sign * W0, w * H1 + sign * W1
+            pi = _poly([P0, P1], 2 * m * w)
             # tauTilde + 2 pi = (S' +- W/w)/m, as T + H = S'
-            tau = _poly([w * ds + sign * x for ds, x in zip_longest(dS, W, fillvalue=0)], m * w)
-            phi = None if irreducible and not pi.is_zero else build_phi(pi, problem.sigma)
-            candidates.append(NuReduction(k, pi, k + pi.coeff(1), tau, phi))
+            tau = _poly([w * S1 + sign * W0, 2 * w * S2 + sign * W1], m * w)
+            phi = None if irreducible and not pi.is_zero else _weight([P0, P1], wS, sigma_roots)
+            lambda_bar = Fraction(p * w + 2 * q * P1, 4 * m * q * w)
+            candidates.append(NuReduction(k, pi, lambda_bar, tau, phi))
     if not candidates:
         raise NoRationalReduction("no rational k gives a perfect-square radicand")
     return candidates

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from aimnu import nu
 from aimnu.algebra import Poly, RatFunc
 from aimnu.errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
 from aimnu.nu import NuProblem, build_phi, nu_find_k, nu_solve
@@ -101,6 +102,18 @@ class TestFindK:
         assert by_pi[2 * R].k == 1
         assert by_pi[2 * R].phi.factors == ((1, 2),)
         assert by_pi[-R].phi.factors == ((1, -1),)
+
+    def test_phi_from_the_integers_at_hand(self, monkeypatch):
+        # sigma = r - r^2 splits, so all four candidates carry a phi; none goes back
+        # through build_phi or integrate_log_derivative to clear pi and sigma again
+        problem = NuProblem(-R, Poly([0, 1, -1]), Poly([0, 4, -5]))
+        calls = []
+        for name in ("build_phi", "integrate_log_derivative"):
+            monkeypatch.setattr(nu, name, lambda *args, name=name: calls.append(name))
+        candidates = nu_find_k(problem)
+        monkeypatch.undo()
+        assert calls == [] and len(candidates) == 4
+        assert all(c.phi is not None and c.phi == build_phi(c.pi, problem.sigma) for c in candidates)
 
     def test_round_trip_construction(self):
         sigma = Poly([0, 1, -1])

@@ -462,8 +462,9 @@ _C31 = 1234567890123456789012345678901
 @example(NuProblem(Poly(), Poly((_C31, 7, 1)), Poly((5 * _C31 + 12, 40, 2))))  # 31-digit, irreducible
 @example(NuProblem(Poly(), Poly((F(3, 4), -3, 3)), Poly((F(-13, 4), -2, 8))))  # 3 (r - 1/2)^2
 def test_nu_find_k_matches_sympy(problem):
-    """The same (k, pi) as the oracle, and phi is build_phi(pi, sigma) when
-    sigma splits over Q or pi = 0, else None."""
+    """The same (k, pi) as the oracle, with lambdaBar = k + pi' and tau = tauTilde + 2 pi;
+    phi is build_phi(pi, sigma) when sigma splits over Q or pi = 0, else None, and
+    phi'/phi = pi/sigma as RatFunc arithmetic gives it."""
     expected = _nu_oracle(problem)
     try:
         candidates = nu_find_k(problem)
@@ -475,4 +476,6 @@ def test_nu_find_k_matches_sympy(problem):
     sigma = _to_sympy(problem.sigma)
     splits = sum(sympy.roots(sigma, filter="Q").values()) == sigma.degree()
     for c in candidates:
+        assert c.lambda_bar == c.k + c.pi.coeff(1) and c.tau == problem.tau_tilde + 2 * c.pi
         assert c.phi == (build_phi(c.pi, problem.sigma) if splits or c.pi.is_zero else None)
+        assert c.phi is None or c.phi.log_derivative() == RatFunc(c.pi, problem.sigma)
