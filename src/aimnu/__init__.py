@@ -25,7 +25,7 @@ _HOME = {
     name: module
     for module, names in {
         "algebra": "NEG_INF Poly RatFunc Affine WeightExpr poly_gcd integrate_log_derivative",
-        "aim": "EigenvalueEstimate iterate solve_iterative",
+        "aim": "EigenvalueEstimate solve_iterative",
         "hypergeometric": "HypergeometricProblem validate gamma_n eigenvalue",
         "nu": "NuProblem NuReduction nu_find_k build_phi nu_solve",
         "eigenfunctions": "EigenPolynomial PearsonWeight polynomial_solution y_low_order "

@@ -9,10 +9,11 @@ s0 = -gamma/sigma,
 and the quantization determinant delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k
 by two independent routes of one shape: each gives delta_0 = -s0, delta_1,
 ..., the levels that follow from lambda_{-1} = 1 and s_{-1} = 0.
-``iterate`` runs the recursion on rational functions of r at one numeric
-trial value; it serves as the oracle.  ``determinants`` runs it on the
-integer numerators of ``algebra.cleared``, shifted to r - r0, with the trial
-value E symbolic, so each level gives delta_k(r0, E) as one exact polynomial in E.
+``determinants``, the route every command takes, runs it on the integer
+numerators of ``algebra.cleared``, shifted to r - r0, with the trial value E
+symbolic, so each level gives delta_k(r0, E) as one exact polynomial in E.
+``iterate`` runs it on rational functions of r at one numeric trial value.
+It is the tests' oracle, outside ``__all__``, and stays for the benchmark's tracer.
 
 For hypergeometric input delta_k = (mu_k/sigma) delta_{k-1}, with
 mu_k = gamma + k tau' + k(k-1) sigma''/2 affine in E.  Proof: the equation
@@ -42,7 +43,6 @@ from .rationals import MAX_MODES
 
 __all__ = [
     "EigenvalueEstimate",
-    "iterate",
     "determinants",
     "solve_iterative",
 ]

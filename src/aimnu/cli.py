@@ -369,13 +369,12 @@ def cmd_verify(substring):
     results = verify_mod.run_suites(substring)
     if not results:
         raise BadParameter(f"no suite matches filter {substring!r}")
-    width = max(len(f"[{r.suite}] {r.name}") for r in results)
     lines = []
     for r in results:
-        label = f"[{r.suite}] {r.name}"
+        label = f"[{r.suite}] {r.name}"  # one fixed column: a new row re-spaces no other line
         status = "PASS" if r.ok else "FAIL"
         suffix = f"  ({r.detail})" if r.detail and not r.ok else ""
-        lines.append(f"{label.ljust(width)}  {status}{suffix}")
+        lines.append(f"{label.ljust(64)}  {status}{suffix}")
     failed = sum(1 for r in results if not r.ok)
     click.echo("\n".join([*lines, f"{len(results) - failed}/{len(results)} checks passed"]))
     if failed:

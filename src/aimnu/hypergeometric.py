@@ -63,9 +63,7 @@ class HypergeometricProblem:
             raise NotHypergeometricType("no parameter dependence to quantize")
 
 
-def validate(
-    tau: Poly | Affine, sigma: Poly, gamma: tuple = (0, 1), parameter: str = "p"
-) -> HypergeometricProblem:
+def validate(tau: Poly | Affine, sigma: Poly, gamma: tuple, parameter: str = "p") -> HypergeometricProblem:
     """Build a problem record, which checks the caps.
 
     ``tau`` is an ``Affine`` of two Polys, or a bare Poly when it does not

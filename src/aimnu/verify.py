@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import aim, catalog, eigenfunctions, hypergeometric, nu
 from .algebra import Poly, RatFunc, _derivative, _dot, cleared
@@ -323,19 +324,16 @@ def suite_nu() -> list[CheckResult]:
 def suite_delta() -> list[CheckResult]:
     out = []
     problem = catalog.catalog_get("hermite")
-    # delta_1 is a quadratic polynomial in the trial constant; checking it
-    # against 4k(k-1) at seven points proves the identity
+    # the solver's route, delta_1(r0, E) as a polynomial in E; sigma = 1 and delta_1 has
+    # degree <= 2 in r, so 4E(E - 1) at three points r0 proves the identity in r
     ok = all(
-        aim.iterate(problem, kappa, 1)[1] == RatFunc(Poly.const(4 * kappa * (kappa - 1)))
-        for kappa in (F(-2), F(-1), F(0), F(1, 2), F(1), F(3), F(7, 3))
+        list(islice(aim.determinants(problem, r0), 2))[1] == Poly([0, -4, 4])
+        for r0 in (F(1), F(-2), F(1, 3))
     )
     out.append(_result("delta", "delta_1 = 4k(k-1) for the Hermite form", ok))
 
-    ok = all(
-        delta.evaluate(F(1)) == 0
-        for n in range(5)
-        for delta in aim.iterate(problem, F(n), 8)[n + 1 :]
-    )
+    levels = list(islice(aim.determinants(problem, F(1)), 9))
+    ok = all(delta.evaluate(F(n)) == 0 for n in range(5) for delta in levels[n + 1 :])
     out.append(_result("delta", "delta_k vanishes at integer modes for k >= n+1", ok))
     return out
 

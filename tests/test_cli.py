@@ -793,6 +793,12 @@ class TestVerify:
         assert "2/2 checks passed" in result.output
         assert "FAIL" not in result.output
 
+    def test_status_in_a_fixed_column(self, runner):
+        # the filtered rows are padded to the same column as the full run, not to their widest label
+        rows = invoke(runner, ["verify", "--filter", "delta"]).output.splitlines()[:-1]
+        assert len(rows) == 2
+        assert all(row.index("PASS") == 66 for row in rows)
+
     def test_unknown_filter_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--filter", "zzz"])
         assert result.exit_code == 2

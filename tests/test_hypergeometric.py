@@ -26,7 +26,7 @@ class TestValidate:
     def test_rejects_zero_sigma(self):
         # validate passes the record's refusals through; TestRecord holds each refusal
         with pytest.raises(NotHypergeometricType, match="sigma is identically zero"):
-            validate(R, Poly())
+            validate(R, Poly(), (0, 1))
 
     def test_rejects_float_gamma(self):
         with pytest.raises(InvalidInput):
@@ -49,7 +49,7 @@ class TestValidate:
         one = Poly.const(1)
         for tau, sigma in ((Poly([0, 1]), [1]), ([0, 1], one), (Affine([0, 1], Poly()), one)):
             with pytest.raises(InvalidInput):
-                validate(tau, sigma)
+                validate(tau, sigma, (0, 1))
 
 
 class TestRecord:

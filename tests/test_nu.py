@@ -20,6 +20,8 @@ class TestValidation:
             NuProblem(Poly(), Poly.const(1), R**3)
         with pytest.raises(NotHypergeometricType):
             NuProblem(Poly(), Poly(), Poly())
+        with pytest.raises(NotHypergeometricType):
+            NuProblem(Poly(), R**3, Poly())
 
     def test_rejects_a_list_for_a_poly(self):
         # a plain list once failed with a bare AttributeError on .degree
@@ -192,6 +194,22 @@ class TestSolve:
         assert reduction.lambda_bar == -1
         assert lam0 == 0
         assert reduction.lambda_bar != lam0
+
+    @pytest.mark.parametrize(
+        "tau_tilde, sigma_tilde, other_tau, chosen_tau, lam_1",
+        [
+            # beside tau' = 0 and beside tau' = 1/2: only tau' < 0 is the bound-state branch
+            (Poly([1]), Poly(), Poly([1]), Poly([-1, -4]), F(4)),
+            (Poly([1, 1]), Poly([0, F(1, 4), F(11, 16)]), Poly([1, F(1, 2)]), Poly([-1, F(-9, 2)]), F(9, 2)),
+        ],
+        ids=["beside-zero-slope", "beside-slope-one-half"],
+    )
+    def test_picks_the_negative_slope(self, tau_tilde, sigma_tilde, other_tau, chosen_tau, lam_1):
+        problem = NuProblem(tau_tilde, -R * R, sigma_tilde)
+        assert [c.tau for c in nu_find_k(problem)] == [other_tau, chosen_tau]
+        lam, reduction = nu_solve(problem, 1)
+        assert reduction.tau == chosen_tau
+        assert lam == lam_1
 
     def test_ambiguous_branch(self):
         problem = NuProblem(Poly(), R * R, R * R)  # single branch with tau' = 2 > 0
