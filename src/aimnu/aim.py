@@ -212,9 +212,7 @@ def _fit(levels: list[Poly]) -> tuple[list[int], list[int]]:
 
 
 def solve_iterative(
-    problem: HypergeometricProblem,
-    r0: Fraction | None = None,
-    bracket: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
+    problem: HypergeometricProblem, r0: Fraction | None, bracket: tuple[Fraction, Fraction]
 ) -> list[EigenvalueEstimate]:
     """Every mode whose eigenvalue lies in the open bracket, ascending.
 
@@ -227,7 +225,7 @@ def solve_iterative(
     trial value, raises NoRootInBracket; infinitely many or more than
     MAX_MODES modes raise IncompleteSpectrum.
 
-    Without ``r0`` the solver takes the first of 1, 1/2, 1/3, ... that is no
+    With ``r0`` None the solver takes the first of 1, 1/2, 1/3, ... that is no
     root of sigma; r0 only scales delta_k by sigma(r0)^-(k+1) and moves no root.
     """
     if r0 is None:  # sigma != 0 has finitely many roots

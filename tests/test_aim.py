@@ -23,6 +23,7 @@ R = Poly.variable()
 
 
 HERMITE = catalog_get("hermite")  # lambda0 = 2r, s0 = -2E
+GEGENBAUER_K2 = catalog_get("gegenbauer", {"k": F(-2)})  # E_n = n(n - 4), not monotone in n
 
 
 class TestRecursion:
@@ -97,8 +98,9 @@ class TestSolveIterative:
 
     def test_input_validation(self):
         problem = catalog_get("hermite")
-        with pytest.raises(ValueError):
-            solve_iterative(problem, F(1), (F(1), F(0)))
+        for bracket in [(F(1), F(0)), (F(1), F(1))]:  # reversed, and one point
+            with pytest.raises(ValueError):
+                solve_iterative(problem, F(1), bracket)
 
     def test_agrees_with_closed_form(self):
         problem = catalog_get("kratzer")
@@ -198,8 +200,13 @@ class TestCertifiedBrackets:
             # E_n = n(n - 7/2) is 0, -5/2, -3, -3/2, 2 for n <= 4, and the bracket
             # holds E_0 = 0 and E_4 = 2
             (catalog_get("jacobi", {"alpha": F(-9, 2), "beta": F(0)}), (F(-1), F(3)), [(0, 0), (4, 2)]),
+            # gegenbauer at k = -2: E_n = n(n - 4) gives E_1 = E_3 = -3 and E_0 = E_4 = 0, and
+            # the minimum E_2 = -4 lies on the open end of the first bracket
+            (GEGENBAUER_K2, (F(-4), F(10)), [(1, -3), (3, -3), (0, 0), (4, 0), (5, 5)]),
+            (GEGENBAUER_K2, (F(-7, 2), F(10)), [(1, -3), (3, -3), (0, 0), (4, 0), (5, 5)]),
+            (GEGENBAUER_K2, (F(-3), F(1)), [(0, 0), (4, 0)]),
         ],
-        ids=["nonmono", "jacobi-alpha-minus-9/2"],
+        ids=["nonmono", "jacobi-alpha-minus-9/2", "gegenbauer-k-2-wide", "gegenbauer-k-2-inner", "gegenbauer-k-2-low"],
     )
     def test_nonmonotone_spectrum_is_complete(self, problem, bracket, expected):
         estimates = solve_iterative(problem, None, bracket)

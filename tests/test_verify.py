@@ -1,17 +1,20 @@
-"""Every `aimnu verify` row can fail.
+"""Every `aimnu verify` row can fail, and compares independent routes.
 
 Each mutant below breaks one route that a suite checks, by monkeypatching
 the module attribute the suite calls.  The suite must then report the rows
 that check that route as failed, without raising, and together a suite's
-mutants must fail every one of its rows.
+mutants must fail every one of its rows.  The two sides of every case run
+under a profiler, and may share only the ``KERNEL`` functions.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from aimnu import aim, eigenfunctions, hypergeometric, nu, verify
+from aimnu import aim, algebra, eigenfunctions, hypergeometric, nu, verify
 from aimnu.algebra import Poly, RatFunc
 
 R = Poly.variable()
@@ -144,3 +147,55 @@ def test_every_label_fits_the_verify_column():
     rows = verify.run_suites()
     assert all(row.ok for row in rows)
     assert max(len(f"[{row.suite}] {row.name}") for row in rows) <= 64
+
+
+#: What the two sides of one case may both run: building Polys and clearing denominators.
+KERNEL = (
+    Poly.__init__,
+    Poly._store,
+    Poly.degree.fget,
+    algebra._poly,
+    algebra._dot,
+    algebra._derivative,
+    algebra.cleared,
+    eigenfunctions._cleared,
+)
+
+
+def _calls(side):
+    """The code objects of the aimnu functions outside verify.py that side() runs."""
+    package, seen = Path(verify.__file__).parent, set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name not in ("<listcomp>", "<genexpr>"):
+            path = Path(code.co_filename)
+            if path.parent == package and path.name != "verify.py":
+                seen.add(code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        side()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_sides_share_only_the_kernel(monkeypatch):
+    # each case's two routes run under a profiler: a function both call, beyond
+    # building Polys and clearing denominators, makes the comparison circular
+    kernel = {f.__code__ for f in KERNEL}
+    checked, shared = set(), set()
+
+    def profiled_row(suite, name, cases):
+        for what, left, right, same in cases:
+            checked.add((suite, name))
+            for code in (_calls(left) & _calls(right)) - kernel:
+                label = getattr(code, "co_qualname", code.co_name)  # Python 3.11+
+                shared.add(f"[{suite}] {name}: {Path(code.co_filename).stem}.{label}")
+        return verify.CheckResult(suite, name, True)
+
+    monkeypatch.setattr(verify, "_row", profiled_row)
+    assert len(verify.run_suites()) == len(checked) == 43  # every row has a case
+    assert not shared, sorted(shared)
