@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "algebra": "NEG_INF Poly RatFunc Affine WeightExpr poly_gcd integrate_log_derivative",
+        "algebra": "NEG_INF Poly Affine WeightExpr integrate_log_derivative",
         "aim": "EigenvalueEstimate solve_iterative",
         "hypergeometric": "HypergeometricProblem validate gamma_n eigenvalue",
         "nu": "NuProblem NuReduction nu_find_k build_phi nu_solve",

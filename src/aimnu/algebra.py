@@ -1,12 +1,16 @@
 """Exact-rational univariate algebra in the variable r.
 
-Provides immutable polynomials, normalized rational functions, and the
-weights w with w'/w = p/sigma, deg p <= 1 and deg sigma <= 2: the Pearson
-weights and the Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special
-Functions of Mathematical Physics, 1988, ch. 1).  sigma has at most two
-rational poles, so each weight is prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)),
-one factor per distinct simple pole in root order; ``WeightExpr`` stores
-its fields as given, read off the integer numerators of p and sigma.
+Provides immutable polynomials and the weights w with w'/w = p/sigma,
+deg p <= 1 and deg sigma <= 2: the Pearson weights and the
+Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special Functions of
+Mathematical Physics, 1988, ch. 1).  sigma has at most two rational poles,
+so each weight is prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)), one factor per
+distinct simple pole in root order; ``WeightExpr`` stores its fields as
+given, read off the integer numerators of p and sigma.  ``RatFunc``, a
+normalized rational function, is kept for three uses only: the type of
+``WeightExpr``'s ``prefactor`` and ``exp_arg``, the input of
+``partial_fractions``, and ``aim.iterate``, whose recursion needs its
+``+``, ``-``, ``*`` and derivative between RatFuncs.
 
 A Poly is stored as integer numerators over one denominator, and all of
 its arithmetic runs on those integers; other modules read them only through
@@ -26,12 +30,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable
 
-from .errors import (
-    DivisionByZero,
-    EvaluationPole,
-    InvalidInput,
-    UnsupportedDenominator,
-)
+from .errors import DivisionByZero, InvalidInput, UnsupportedDenominator
 
 __all__ = [
     "NEG_INF",
@@ -322,39 +321,19 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den == Poly.const(1)
 
-    def __add__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        other = _coerce_ratfunc(other)
+    def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        return self + (-_coerce_ratfunc(other))
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + (-other)
 
-    def __rsub__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        return _coerce_ratfunc(other) + (-self)
-
-    def __mul__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        other = _coerce_ratfunc(other)
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        other = _coerce_ratfunc(other)
-        if other.is_zero:
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: "RatFunc | Poly | _FractionLike") -> "RatFunc":
-        return _coerce_ratfunc(other) / self
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Fraction, int, Poly)):
-            other = _coerce_ratfunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -369,12 +348,6 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def evaluate(self, x: _FractionLike) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise EvaluationPole(f"pole at r = {x}")
-        return self.num.evaluate(x) / d
-
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
@@ -382,12 +355,6 @@ class RatFunc:
         if self.is_poly:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _coerce_ratfunc(x: "RatFunc | Poly | _FractionLike") -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc(_coerce_poly(x))
 
 
 @dataclass(frozen=True)
@@ -538,13 +505,6 @@ class WeightExpr:
     prefactor: RatFunc
     factors: tuple[tuple[Fraction, Fraction], ...]
     exp_arg: RatFunc
-
-    def log_derivative(self) -> RatFunc:
-        """(w'/w) as an exact rational function."""
-        total = self.prefactor.derivative() / self.prefactor
-        for root, mu in self.factors:
-            total = total + RatFunc(Poly.const(mu), Poly.linear_root(root))
-        return total + self.exp_arg.derivative()
 
     def __str__(self) -> str:
         parts = []

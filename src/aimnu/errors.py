@@ -33,7 +33,7 @@ class UnsupportedDenominator(AimnuError, ValueError):
 
 
 class EvaluationPole(AimnuError, ArithmeticError):
-    """A rational function was evaluated at a pole."""
+    """The AIM recursion was started at a root r0 of sigma, a pole of lambda0 and s0."""
 
 
 class NoRootInBracket(AimnuError, RuntimeError):

@@ -56,11 +56,8 @@ def _proportional(a: Poly, b: Poly) -> bool:
     return a * b.leading == b * a.leading
 
 
-def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
-        v = F(rng.randint(-9, 9), rng.randint(1, 4))
-        if v != 0 or not nonzero:
-            return v
+def _random_fraction(rng: random.Random) -> Fraction:
+    return F(rng.randint(-9, 9), rng.randint(1, 4))
 
 
 def _spectrum(name: str, params: dict | None, modes: int = 6) -> list:
@@ -229,18 +226,9 @@ def suite_eigenfunctions() -> list[CheckResult]:
 
 
 def _reduction_sides(problem: nu.NuProblem, reduction: nu.NuReduction) -> tuple:
-    """The two sides of ``reduction_identity_holds`` as zero-argument callables:
-    the original equation's y = 1 and y = r coefficients, and the reduced one's."""
-    polys = (problem.tau_tilde, problem.sigma, reduction.pi, problem.sigma_tilde, reduction.tau)
-    (Tt, S, P, St, T, L), m = cleared(*polys, reduction.lambda_bar)
-    return (
-        lambda: (_dot([(S, _derivative(P)), (P, P), (Tt, P), ([m], St)]), _dot([([1], Tt), ([2], P)])),
-        lambda: (_dot([(P, _derivative(S)), (L, S)]), T),
-    )
-
-
-def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -> bool:
-    """The NU reduction psi = phi y with phi'/phi = pi/sigma, multiplied through.
+    """The two sides of the NU reduction psi = phi y with phi'/phi = pi/sigma,
+    multiplied through, as zero-argument callables: the original equation's
+    y = 1 and y = r coefficients, and the reduced one's.
 
     The original equation times sigma^2/phi equals the reduced one times sigma,
 
@@ -252,10 +240,15 @@ def reduction_identity_holds(problem: nu.NuProblem, reduction: nu.NuReduction) -
     are the two NU conditions: y = 1 reads sigma pi' - pi sigma' + pi^2
     + tauTilde pi + sigmaTilde == lambdaBar sigma, y = r then adds
     tau == tauTilde + 2 pi (as sigma != 0), and y = r^2 follows from the two.
-    Both are checked on integers, times m^2 and m for m the lcm of all denominators.
+    Both are checked on integers, times m^2 and m for m the lcm of all denominators;
+    ``_dot`` strips, so ``==`` compares polynomials.
     """
-    original, reduced = _reduction_sides(problem, reduction)
-    return original() == reduced()  # _dot strips: == compares polys
+    polys = (problem.tau_tilde, problem.sigma, reduction.pi, problem.sigma_tilde, reduction.tau)
+    (Tt, S, P, St, T, L), m = cleared(*polys, reduction.lambda_bar)
+    return (
+        lambda: (_dot([(S, _derivative(P)), (P, P), (Tt, P), ([m], St)]), _dot([([1], Tt), ([2], P)])),
+        lambda: (_dot([(P, _derivative(S)), (L, S)]), T),
+    )
 
 
 def _oscillator(n: int) -> tuple[Fraction, Fraction]:

@@ -52,13 +52,13 @@ class TestDelta:
             assert iterate(HERMITE, kappa, 1) == expected
 
     def test_delta_vanishes_at_integer_modes(self):
-        # E = n is a root of delta_k exactly from level k = n on
+        # E = n is a root of delta_k exactly from level k = n on; sigma = 1, so each den is 1
         for n in range(4):
             deltas = iterate(HERMITE, F(n), 6)
-            assert [d.evaluate(F(1)) == 0 for d in deltas] == [k >= n for k in range(7)]
+            assert [d.num.evaluate(F(1)) == 0 for d in deltas] == [k >= n for k in range(7)]
 
     def test_delta_nonzero_off_spectrum(self):
-        assert all(d.evaluate(F(1)) != 0 for d in iterate(HERMITE, F(1, 2), 3))
+        assert all(d.num.evaluate(F(1)) != 0 for d in iterate(HERMITE, F(1, 2), 3))
 
 
 class TestSolveIterative:
@@ -271,7 +271,7 @@ class TestCertifiedBrackets:
 
 def _deltas_at(problem, energy, k_max, r0=F(1)):
     """[delta_k(r0) for k = 0..k_max] at one energy, from the RatFunc rows."""
-    return [delta.evaluate(r0) for delta in iterate(problem, energy, k_max)]
+    return [delta.num.evaluate(r0) / delta.den.evaluate(r0) for delta in iterate(problem, energy, k_max)]
 
 
 #: sigma = (r - 1)(r - 2), tau = -1 - 2r + E r and gamma = 1/8 - E: at the

@@ -117,18 +117,18 @@ class TestPearsonWeight:
 
     def test_laguerre_exponential(self):
         rho = pearson_weight(*LAGUERRE).weight
-        assert rho.log_derivative() == RatFunc(Poly.const(-1))
+        assert rho == WeightExpr(RatFunc(1), (), RatFunc(-R))
 
     def test_legendre_constant(self):
         rho = pearson_weight(*LEGENDRE).weight
-        assert rho.log_derivative() == RatFunc(0)
+        assert rho == WeightExpr(RatFunc(1), (), RatFunc(0))
 
-    def test_defining_identity(self):
+    def test_defining_identity(self, log_derivative_gap):
         for name in ("hermite", "bessel", "gegenbauer"):
             problem = catalog_get(name)
             tau, sigma = problem.tau.const, problem.sigma
             rho = pearson_weight(tau, sigma).weight
-            assert rho.log_derivative() == RatFunc(tau - sigma.derivative(), sigma)
+            assert log_derivative_gap(rho, tau - sigma.derivative(), sigma) == 0
 
 
 class TestRodrigues:
