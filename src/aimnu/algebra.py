@@ -15,9 +15,10 @@ normalized rational function, is kept for three uses only: the type of
 A Poly is stored as integer numerators over one denominator, and all of
 its arithmetic runs on those integers; other modules read them only through
 ``cleared`` and ``Poly.coeff_pair``.  The module also owns exact roots: the
-rational roots of an integer quadratic, by one exact isqrt of its
-discriminant, serve ``rational_roots`` here, the weights and the k search
-of the Nikiforov--Uvarov reduction.  ``partial_fractions`` is a stand-alone
+rational roots of an integer quadratic, integer pairs u/v from one exact isqrt
+of its discriminant, serve the k search of the Nikiforov--Uvarov reduction,
+the weights, which build a Fraction only for a factor they keep, and
+``rational_roots``, which returns Fractions.  ``partial_fractions`` is a stand-alone
 decomposition that no library path calls.  Everything is exact: no
 floating-point value is accepted or produced.
 """
@@ -436,17 +437,18 @@ def _isqrt_exact(n: int) -> int | None:
     return root if root * root == n else None
 
 
-def _quadratic_roots(c: int, b: int, a: int) -> list[tuple[Fraction, int]]:
-    """The rational roots of c + b x + a x^2, integers not all zero, ascending with
-    their multiplicities: (-b -+ s)/(2a) when s = sqrt(b^2 - 4ac) is an integer."""
+def _quadratic_roots(c: int, b: int, a: int) -> list[tuple[int, int, int]]:
+    """The rational roots u/v of c + b x + a x^2, integers not all zero, ascending as
+    (u, v, multiplicity) in lowest terms with v > 0: (-b -+ s)/(2a) when s = sqrt(b^2 - 4ac)
+    is an integer."""
+    if a < 0 or not a and b < 0:
+        c, b, a = -c, -b, -a  # the same roots, now over a positive denominator
     if not a:
-        return [(Fraction(-c, b), 1)] if b else []
-    s = _isqrt_exact(b * b - 4 * a * c)
-    if s is None:
-        return []
-    if not s:
-        return [(Fraction(-b, 2 * a), 2)]
-    return sorted([(Fraction(-b - s, 2 * a), 1), (Fraction(-b + s, 2 * a), 1)])
+        roots = [(-c, b, 1)] if b else []
+    else:
+        s = _isqrt_exact(b * b - 4 * a * c)
+        roots = [] if s is None else [(-b - s, 2 * a, 1), (-b + s, 2 * a, 1)] if s else [(-b, 2 * a, 2)]
+    return [(u // (g := math.gcd(u, v)), v // g, multiplicity) for u, v, multiplicity in roots]
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
@@ -458,7 +460,7 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """
     if p.is_zero or p.degree > 2:
         raise InvalidInput(f"rational_roots takes a nonzero polynomial of degree <= 2, not {p}")
-    roots = _quadratic_roots(*(*p._nums, 0, 0)[:3])
+    roots = [(Fraction(u, v), m) for u, v, m in _quadratic_roots(*(*p._nums, 0, 0)[:3])]
     return (roots, Poly.const(p.leading)) if roots else ([], p)
 
 
@@ -540,19 +542,21 @@ def integrate_log_derivative(p: Poly, sigma: Poly) -> WeightExpr:
     return _weight(P, S, roots)
 
 
-def _weight(P: list[int], S: list[int], roots: list[tuple[Fraction, int]]) -> WeightExpr:
+_UNIT, _NO_EXP = _ratfunc(_poly([1]), _poly([1])), _ratfunc(_poly([]), _poly([1]))  # immutable, so shared
+
+
+def _weight(P: list[int], S: list[int], roots: list[tuple[int, int, int]]) -> WeightExpr:
     """The weight of ``integrate_log_derivative`` from the integers P/S = p/sigma, in any
     common scaling, and ``_quadratic_roots`` of S (none for a constant S)."""
-    (p0, p1), (s0, s1, s2), one = (P + [0, 0])[:2], (S + [0, 0])[:3], _poly([1])
+    (p0, p1), (s0, s1, s2) = (P + [0, 0])[:2], (S + [0, 0])[:3]
     if not (s1 or s2):
-        return WeightExpr(_ratfunc(one, one), (), _ratfunc(_poly([0, 2 * p0, p1], 2 * s0), one))
-    factors, exp_arg = [], _ratfunc(_poly([0, p1], s1) if not s2 else _poly([]), one)
-    for a, multiplicity in roots:
-        u, v = a.numerator, a.denominator
-        pa = p0 * v + p1 * u  # v P(a)
+        return WeightExpr(_UNIT, (), _ratfunc(_poly([0, 2 * p0, p1], 2 * s0), _UNIT.den))
+    factors, exp_arg = [], _ratfunc(_poly([0, p1], s1), _UNIT.den) if not s2 else _NO_EXP
+    for u, v, multiplicity in roots:
+        pa = p0 * v + p1 * u  # v P(u/v)
         if multiplicity == 2 and pa:
             exp_arg = _ratfunc(_poly([-pa], s2 * v), _poly([-u, v], v))
         mu = (pa, s1 * v + 2 * s2 * u) if multiplicity == 1 else (p1, s2)
         if mu[0]:
-            factors.append((a, Fraction(*mu)))
-    return WeightExpr(_ratfunc(one, one), tuple(factors), exp_arg)
+            factors.append((Fraction(u, v), Fraction(*mu)))
+    return WeightExpr(_UNIT, tuple(factors), exp_arg)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +86,32 @@ class TestPoly:
                 Poly(bad)
         with pytest.raises(InvalidInput):
             R + 0.5
+
+    def test_exact_coefficients_keep_their_stored_form(self):
+        class Int(int):
+            pass
+
+        class Frac(F):
+            pass
+
+        cases = [
+            ([], ((), 1)),
+            ([0, False, F(0, 3)], ((), 1)),
+            ([True, False, 2], ((1, 0, 2), 1)),
+            ([F(6, 4), -3, True], ((3, -6, 2), 2)),
+            ([F(1, 6), F(-1, 4), F(2, 1)], ((2, -3, 24), 12)),
+            ([Int(4), Frac(1, 3)], ((12, 1), 3)),
+        ]
+        for coeffs, stored in cases:
+            p = Poly(coeffs)
+            assert _stored(p) == stored
+            assert all(type(v) is int for v in (*p._nums, p._den))
+
+    def test_inexact_coefficients_are_refused(self):
+        for bad in (0.5, 2.0, "1", Decimal(1), Decimal("0.5"), None, 1j, complex(1, 0)):
+            with pytest.raises(InvalidInput) as raised:
+                Poly([F(1, 2), 1, bad])
+            assert str(raised.value) == f"polynomial coefficients {(F(1, 2), 1, bad)!r} are not all ints or Fractions"
 
 
 def _stored(p: Poly) -> tuple[tuple[int, ...], int]:

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from aimnu import nu
+from aimnu import nu, verify
 from aimnu.algebra import Poly, RatFunc, WeightExpr
 from aimnu.errors import AmbiguousBranch, InvalidInput, NoRationalReduction, NotHypergeometricType
+from aimnu.hypergeometric import gamma_n
 from aimnu.nu import NuProblem, build_phi, nu_find_k, nu_solve
 from aimnu.verify import _reduction_sides
 
@@ -180,7 +181,7 @@ class TestSolve:
             def gap(E, n=n):
                 problem = NuProblem(Poly(), Poly.const(1), Poly([2 * E, 0, -1]))
                 lam_n, reduction = nu_solve(problem, n)
-                assert reduction.tau_slope < 0
+                assert reduction.tau.coeff(1) < 0
                 return reduction.lambda_bar - lam_n
 
             g0, g1 = gap(F(0)), gap(F(1))
@@ -213,5 +214,50 @@ class TestSolve:
 
     def test_ambiguous_branch(self):
         problem = NuProblem(Poly(), R * R, R * R)  # single branch with tau' = 2 > 0
-        with pytest.raises(AmbiguousBranch):
+        with pytest.raises(AmbiguousBranch) as raised:
             nu_solve(problem, 1)
+        assert str(raised.value) == (
+            "0 candidates with tau' < 0; choose one from nu_find_k (candidates: [NuReduction("
+            "k=Fraction(0, 1), pi=Poly([Fraction(0, 1), Fraction(1, 1)]), lambda_bar=Fraction(1, 1), "
+            "tau=Poly([Fraction(0, 1), Fraction(2, 1)]), phi=WeightExpr(prefactor=RatFunc("
+            "Poly([Fraction(1, 1)]), Poly([Fraction(1, 1)])), factors=((Fraction(0, 1), Fraction(1, 1)),), "
+            "exp_arg=RatFunc(Poly([]), Poly([Fraction(1, 1)]))))])"
+        )
+
+    def test_two_negative_branches_are_ambiguous(self):
+        # sigma = 1 + r - r^2 has no rational root, so neither branch carries a phi
+        problem = NuProblem(Poly([-2, -2]), Poly([1, 1, -1]), Poly.const(2))
+        with pytest.raises(AmbiguousBranch) as raised:
+            nu_solve(problem, 1)
+        assert str(raised.value) == (
+            "2 candidates with tau' < 0; choose one from nu_find_k (candidates: [NuReduction("
+            "k=Fraction(0, 1), pi=Poly([Fraction(2, 1)]), lambda_bar=Fraction(0, 1), "
+            "tau=Poly([Fraction(2, 1), Fraction(-2, 1)]), phi=None), NuReduction("
+            "k=Fraction(0, 1), pi=Poly([Fraction(1, 1)]), lambda_bar=Fraction(0, 1), "
+            "tau=Poly([Fraction(0, 1), Fraction(-2, 1)]), phi=None)])"
+        )
+
+    def test_matches_the_unique_negative_candidate(self, monkeypatch):
+        # on the random constructions of verify's nu suite and on the oscillator at a few E,
+        # nu_solve builds the one record of nu_find_k with tau' < 0, or refuses with every
+        # candidate when there are 0 or several
+        problems, find_k = [], nu.nu_find_k
+        monkeypatch.setattr(nu, "nu_find_k", lambda problem: problems.append(problem) or find_k(problem))
+        verify.suite_nu()
+        monkeypatch.undo()
+        assert len(problems) >= 50  # the suite's constructions; its nu_solve calls go round nu_find_k
+        problems += [NuProblem(Poly(), Poly.const(1), Poly([2 * E, 0, -1])) for E in (F(0), F(1, 2), F(7, 3))]
+        counts = []
+        for problem in problems:
+            candidates = nu_find_k(problem)
+            negative = [c for c in candidates if c.tau.coeff(1) < 0]
+            counts.append(len(negative))
+            if len(negative) == 1:
+                assert nu_solve(problem, 2) == (gamma_n(negative[0].tau, problem.sigma, 2), negative[0])
+                continue
+            with pytest.raises(AmbiguousBranch) as raised:
+                nu_solve(problem, 2)
+            assert str(raised.value) == (
+                f"{len(negative)} candidates with tau' < 0; choose one from nu_find_k (candidates: {candidates})"
+            )
+        assert {0, 1, 2} <= set(counts)

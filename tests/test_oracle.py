@@ -7,7 +7,7 @@ dependency) plainly: without sympy the run fails at collection.
 """
 
 from fractions import Fraction as F
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 import sympy
@@ -18,6 +18,7 @@ from aimnu.algebra import (
     Affine,
     Poly,
     RatFunc,
+    _quadratic_roots,
     integrate_log_derivative,
     partial_fractions,
     poly_gcd,
@@ -93,6 +94,41 @@ def test_rational_roots_match_sympy(p):
         product = product * Poly.linear_root(root) ** m
     assert product == p
     assert not any(residual.evaluate(root) == 0 for root, _ in roots)
+
+
+@st.composite
+def integer_quadratics(draw):
+    """(c, b, a), not all zero, up to 30 digits: drawn as is, or s (v1 x - u1)(v2 x - u2)
+    with rational roots, double at times, or the linear s (v1 x - u1); s and v of either sign."""
+    big = st.integers(-(10**30), 10**30) | st.integers(-9, 9)
+    half = st.integers(-(10**15), 10**15) | st.integers(-9, 9)
+    kind = draw(st.sampled_from(["raw", "split", "double", "linear"]))
+    if kind == "raw":
+        return draw(st.tuples(big, big, big).filter(any))
+    s, u1, v1 = draw(st.integers(-9, 9).filter(bool)), draw(half), draw(half.filter(bool))
+    if kind == "linear":
+        return -s * u1, s * v1, 0
+    u2, v2 = (u1, v1) if kind == "double" else (draw(half), draw(half.filter(bool)))
+    return s * u1 * u2, -s * (u1 * v2 + u2 * v1), s * v1 * v2
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_quadratics())
+@example((5, 0, 0))  # a nonzero constant: no root
+@example((6, -5, 0))  # a = 0: the root 6/5
+@example((-4, 0, -8))  # a < 0, no rational root
+@example((9, -12, 4))  # the double root 3/2
+@example((-6, 3, -6 * 10**29))  # a < 0 with 30 digits
+@example((10**30 - 1, 0, -1))  # +-(10^30 - 1)^(1/2): irrational
+@example((-(10**30), 0, 1))  # roots -+10^15
+def test_quadratic_roots_match_sympy(cba):
+    """The integer routine gives sympy's rational roots with their multiplicities, ascending,
+    each (u, v) in lowest terms with v > 0."""
+    c, b, a = cba
+    roots = _quadratic_roots(c, b, a)
+    expected = sympy.roots(sympy.Poly([a, b, c], X), filter="Q")
+    assert [(sympy.Rational(u, v), m) for u, v, m in roots] == sorted(expected.items())
+    assert all(v > 0 and gcd(u, v) == 1 for u, v, _ in roots)
 
 
 @settings(max_examples=60, deadline=None)

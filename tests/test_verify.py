@@ -74,14 +74,13 @@ def _pearson_exp_plus_r(monkeypatch):
 
 
 def _shift_k(monkeypatch):
-    # k + 1 with lambdaBar = k + pi' kept consistent, as a wrong root would give
-    original = nu.nu_find_k
+    # k + 1 with lambdaBar = k + pi' kept consistent, as a wrong root would give; every
+    # record of nu_find_k and nu_solve comes from the one builder
+    original = nu._build
     monkeypatch.setattr(
         nu,
-        "nu_find_k",
-        lambda problem: [
-            replace(c, k=c.k + 1, lambda_bar=c.lambda_bar + 1) for c in original(problem)
-        ],
+        "_build",
+        lambda *args: [replace(c, k=c.k + 1, lambda_bar=c.lambda_bar + 1) for c in original(*args)],
     )
 
 
