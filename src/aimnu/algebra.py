@@ -59,10 +59,10 @@ class Poly:
     zeros, over one positive denominator, in lowest terms (the zero
     polynomial is () over 1); the form is canonical, so ``==`` and ``hash``
     compare the pair.  Methods work on the integers and normalise each
-    result with one gcd; ``coeffs`` is the tuple of Fractions, built on use.
+    result with one gcd; ``coeffs`` is the tuple of Fractions, built on each read.
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[_FractionLike] = ()):
         cs = tuple(coeffs)
@@ -86,12 +86,8 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, lowest degree first."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            object.__setattr__(self, "_coeffs", tuple(Fraction(v, self._den) for v in self._nums))
-            return self._coeffs
+        """The coefficients as Fractions, lowest degree first, built on each read."""
+        return tuple(Fraction(v, self._den) for v in self._nums)
 
     # -- constructors -------------------------------------------------
 
@@ -229,8 +225,7 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if i == 0:

@@ -16,6 +16,7 @@ import pytest
 
 from aimnu import aim, algebra, eigenfunctions, hypergeometric, nu, verify
 from aimnu.algebra import Poly, RatFunc
+from aimnu.errors import NoRationalReduction
 
 R = Poly.variable()
 
@@ -133,6 +134,21 @@ def test_raising_solver_fails_its_row_alone(monkeypatch):
     assert [row.detail.startswith("raised") for row in rows] == [False, False, True, False]
     assert rows[2].detail == "raised NoRootInBracket: no mode in (1/5, 1)"
     assert not any(row.ok for row in rows)
+
+
+def test_refused_construction_fails_the_nu_suite(monkeypatch):
+    # nu_find_k refuses every construction whose common denominator m is a multiple
+    # of 3: the suite draws no replacement, and the refusal fails verify
+    original = nu.nu_find_k
+
+    def refuse(problem):
+        if algebra.cleared(problem.tau_tilde, problem.sigma, problem.sigma_tilde)[1] % 3 == 0:
+            raise NoRationalReduction("refused")
+        return original(problem)
+
+    monkeypatch.setattr(nu, "nu_find_k", refuse)
+    rows = verify.run_suites("nu")
+    assert [(row.ok, row.name) for row in rows] == [(False, "raised NoRationalReduction: refused")]
 
 
 def test_every_row_has_a_failing_mutant():
