@@ -153,7 +153,7 @@ _NO_FIT = "delta_0, delta_1 and delta_2 do not fit factors c(k) + E e(k)"
 
 
 def _floors(p: list[int]) -> list[int]:
-    """floor(x) for each real root x of p0 + p1 n + p2 n^2, p integers, not all 0."""
+    """floor(x) for each real root x of p0 + p1 n + p2 n^2, p integers."""
     c, b, a = p if p[2] >= 0 else [-x for x in p]
     if not a:
         return [-c // b] if b else []
@@ -171,7 +171,7 @@ def _modes(c: list[int], e: list[int], lo: Fraction, hi: Fraction) -> list[int]:
     """
     (u, v), (w, z) = lo.as_integer_ratio(), hi.as_integer_ratio()
     polys = (e, [v * x + u * y for x, y in zip(c, e)], [z * x + w * y for x, y in zip(c, e)])
-    cuts = sorted({0, *(f for p in polys if any(p) for f in _floors(p) if f > 0)})
+    cuts = sorted({0, *(f for p in polys for f in _floors(p) if f > 0)})
 
     def inside(n):
         en, below, above = ((p[2] * n + p[1]) * n + p[0] for p in polys)

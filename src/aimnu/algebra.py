@@ -6,9 +6,11 @@ Nikiforov--Uvarov factors phi (Nikiforov & Uvarov, Special Functions of
 Mathematical Physics, 1988, ch. 1).  sigma has at most two rational poles,
 so each weight is prod_i (r - c_i)^{mu_i} * exp(N(r)/D(r)), one factor per
 distinct simple pole in root order; ``WeightExpr`` stores its fields as
-given, read off the integer numerators of p and sigma.  ``RatFunc``, a
-normalized rational function, is kept for three uses only: the type of
-``WeightExpr``'s ``prefactor`` and ``exp_arg``, the input of
+given, read off the integer numerators of p and sigma by ``_weight``, which
+returns None for the one weight without that form: a quadratic sigma with no
+rational root and p != 0.  ``RatFunc``, a normalized rational function reduced
+by ``poly_gcd`` (Euclid on ``Poly.__divmod__``), is kept for three uses only:
+the type of ``WeightExpr``'s ``prefactor`` and ``exp_arg``, the input of
 ``partial_fractions``, and ``aim.iterate``, whose recursion needs its
 ``+``, ``-``, ``*`` and derivative between RatFuncs.
 
@@ -268,21 +270,13 @@ def _combine(a: Poly, b: Poly, sign: int) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; InvalidInput if both arguments are zero.
-    A primitive remainder sequence on integers (Brown, J. ACM 18 (1971) 478)."""
+    """Monic greatest common divisor by Euclid on ``divmod``; InvalidInput for two zeros."""
     if a.is_zero and b.is_zero:
         raise InvalidInput("gcd of two zero polynomials")
-    x, y = _primitive(list(a._nums)), _primitive(list(b._nums))
-    while y:
-        while len(x) >= len(y):  # x <- lc(y) x - x[-1] r^top y, whose top term cancels
-            f, top = x[-1], len(x) - len(y)
-            x = [c * y[-1] for c in x]
-            for i, c in enumerate(y):
-                x[top + i] -= f * c
-            while x and not x[-1]:
-                x.pop()
-        x, y = y, _primitive(x)
-    return _poly(x, x[-1])
+    while not b.is_zero:
+        b = b * (1 / b.leading)  # a monic divisor keeps the remainders' integers small
+        a, b = b, divmod(a, b)[1]
+    return a * (1 / a.leading)
 
 
 class RatFunc:
@@ -399,11 +393,6 @@ def _derivative(ints) -> list[int]:
     return [i * v for i, v in enumerate(ints)][1:]
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    content = math.gcd(*ints)
-    return [v // content for v in ints] if content > 1 else ints
-
-
 def _horner(ints: list[int], u: int, v: int) -> int:
     """v^n p(u/v) for the integer polynomial p of degree n, v > 0, by homogeneous Horner."""
     acc, vp = 0, 1
@@ -433,7 +422,7 @@ def _isqrt_exact(n: int) -> int | None:
 
 
 def _quadratic_roots(c: int, b: int, a: int) -> list[tuple[int, int, int]]:
-    """The rational roots u/v of c + b x + a x^2, integers not all zero, ascending as
+    """The rational roots u/v of c + b x + a x^2, integers, ascending as
     (u, v, multiplicity) in lowest terms with v > 0: (-b -+ s)/(2a) when s = sqrt(b^2 - 4ac)
     is an integer."""
     if a < 0 or not a and b < 0:
@@ -505,7 +494,7 @@ class WeightExpr:
 
     def __str__(self) -> str:
         parts = []
-        if not (self.prefactor == RatFunc(1)) or not self.factors:
+        if self.prefactor != _UNIT or not self.factors:
             parts.append(f"({self.prefactor})")
         for root, mu in self.factors:
             parts.append(f"(r {'-' if root > 0 else '+'} {abs(root)})^{mu}" if root else f"r^{mu}")
@@ -524,28 +513,31 @@ def integrate_log_derivative(p: Poly, sigma: Poly) -> WeightExpr:
     mu = p1/s2 and the exponent -P(a)/(s2 (r - a)); a linear S adds the
     exponent (p1/s1) r, and a constant S gives only (p0 r + p1 r^2/2)/s0.
     Zero terms are dropped and the fields are built in canonical form.  A
-    quadratic S with no rational root and P != 0: UnsupportedDenominator.
+    quadratic S with no rational root and P != 0, None from ``_weight``: UnsupportedDenominator.
     """
     if sigma.is_zero:
         raise DivisionByZero("zero denominator in rational function")
     if p.degree > 1 or sigma.degree > 2:
         raise InvalidInput(f"a weight takes deg p <= 1 and deg sigma <= 2, not {p} over {sigma}")
     (P, S), _ = cleared(p, sigma)
-    roots = _quadratic_roots(*(S + [0, 0])[:3]) if S[1:] else []
-    if S[2:] and not roots and P:
+    weight = _weight(P, S, _quadratic_roots(*(S + [0, 0])[:3]))
+    if weight is None:
         raise UnsupportedDenominator(f"denominator factor without rational roots: {_poly(S, S[2])}")
-    return _weight(P, S, roots)
+    return weight
 
 
 _UNIT, _NO_EXP = _ratfunc(_poly([1]), _poly([1])), _ratfunc(_poly([]), _poly([1]))  # immutable, so shared
 
 
-def _weight(P: list[int], S: list[int], roots: list[tuple[int, int, int]]) -> WeightExpr:
+def _weight(P: list[int], S: list[int], roots: list[tuple[int, int, int]]) -> WeightExpr | None:
     """The weight of ``integrate_log_derivative`` from the integers P/S = p/sigma, in any
-    common scaling, and ``_quadratic_roots`` of S (none for a constant S)."""
+    common scaling, and ``_quadratic_roots`` of S; None, the one weight with no closed
+    form here, for a quadratic S with no rational root and P != 0."""
     (p0, p1), (s0, s1, s2) = (P + [0, 0])[:2], (S + [0, 0])[:3]
     if not (s1 or s2):
         return WeightExpr(_UNIT, (), _ratfunc(_poly([0, 2 * p0, p1], 2 * s0), _UNIT.den))
+    if s2 and not roots and (p0 or p1):
+        return None
     factors, exp_arg = [], _ratfunc(_poly([0, p1], s1), _UNIT.den) if not s2 else _NO_EXP
     for u, v, multiplicity in roots:
         pa = p0 * v + p1 * u  # v P(u/v)

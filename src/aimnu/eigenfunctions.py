@@ -89,8 +89,6 @@ def polynomial_solution(tau: Poly, sigma: Poly, n: int) -> EigenPolynomial:
     Raises DegenerateSpectrum when gamma_j = gamma_n for some j < n, and
     verifies the residual is identically zero before returning.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     g = gamma_n(tau, sigma, n)
     T, S, m = _cleared(tau, sigma)
     pivots = [-(n - j) * (T[1] + (n + j - 1) * S[2]) for j in range(n + 1)]  # P_n = 0

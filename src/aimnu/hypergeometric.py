@@ -104,10 +104,13 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     Both tau' and gamma may depend on p, so the gap gamma_n(p) - gamma(p)
     is affine in p, with constant gamma_n(tau.const) - gamma.const and
     slope -n tau.slope' - gamma.slope (sigma does not depend on p); its
-    root is the exact n-th spectrum value.  Raises DegenerateParameterMap
-    when the slope vanishes.  Both run on integer numerators over their
-    denominators (``Poly.coeff_pair``): the root is one Fraction of two integers.
+    root is the exact n-th spectrum value.  Raises ValueError for n < 0, as
+    ``gamma_n`` does, and DegenerateParameterMap when the slope vanishes.  Both
+    run on integer numerators over their denominators (``Poly.coeff_pair``):
+    the root is one Fraction of two integers.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     c, e = problem.gamma.const, problem.gamma.slope
     (a1, da), (b1, db) = problem.tau.const.coeff_pair(1), problem.tau.slope.coeff_pair(1)
     s2, ds = problem.sigma.coeff_pair(2)

@@ -19,10 +19,10 @@ isqrt in ``algebra._quadratic_roots``, each take one more perfect-square test,
 once per build, by the same routine on sigma's integers, whose discriminant
 is that quadratic's leading coefficient m^2 disc(sigma).  phi comes from
 ``algebra._weight``, the core that ``integrate_log_derivative`` (and so
-``build_phi``) shares, fed pi's numerators and sigma's roots.  phi is left out
-(None, printed ``unsupported``) exactly when pi != 0 and sigma is a quadratic
-with no rational root.  ``nu_solve`` picks its branch by the sign of tau's
-integer slope numerator and builds only that record.
+``build_phi``) shares, fed pi's numerators and sigma's roots.  phi is None
+(printed ``unsupported``) exactly when ``_weight`` refuses: pi != 0 over a
+quadratic sigma with no rational root.  ``nu_solve`` picks its branch by the
+sign of tau's integer slope numerator and builds only that record.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def nu_find_k(problem: NuProblem) -> list[NuReduction]:
     finds them as integers, and ``_build`` makes every record.
     sigma's rational roots are found once, from S, whose discriminant is A; phi is the
     weight of pi/sigma = P/(2w S) from them, the one ``build_phi`` gives, and None
-    when pi != 0 and sigma is a quadratic with no rational root, the case ``build_phi``
-    refuses.  Raises NoRationalReduction when no candidate exists.
+    exactly when ``_weight`` refuses it (pi != 0 over a quadratic sigma with no rational
+    root), where ``build_phi`` raises.  Raises NoRationalReduction when no candidate exists.
     """
     return _build(*_search(problem))
 
@@ -127,15 +127,13 @@ def _search(problem: NuProblem) -> tuple[int, list[int], list[tuple[int, ...]]]:
 
 def _build(m: int, S: list[int], candidates: list[tuple[int, ...]]) -> list[NuReduction]:
     """The NuReduction of each ``_search`` candidate."""
-    S0, S1, S2 = (S + [0, 0])[:3]
-    sigma_roots = _quadratic_roots(S0, S1, S2) if S1 or S2 else []
-    irreducible = S2 != 0 and not sigma_roots
+    sigma_roots = _quadratic_roots(*(S + [0, 0])[:3])
     reductions = []
     for p, q, w, P0, P1, t0, t1 in candidates:
-        pi = _poly([P0, P1], 2 * m * w)
-        phi = None if irreducible and not pi.is_zero else _weight([P0, P1], [2 * w * s for s in S], sigma_roots)
+        phi = _weight([P0, P1], [2 * w * s for s in S], sigma_roots)
         lambda_bar = Fraction(p * w + 2 * q * P1, 4 * m * q * w)
-        reductions.append(NuReduction(Fraction(p, 4 * m * q), pi, lambda_bar, _poly([t0, t1], m * w), phi))
+        pi, tau = _poly([P0, P1], 2 * m * w), _poly([t0, t1], m * w)
+        reductions.append(NuReduction(Fraction(p, 4 * m * q), pi, lambda_bar, tau, phi))
     return reductions
 
 

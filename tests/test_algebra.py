@@ -17,6 +17,8 @@ from aimnu.algebra import (
     poly_gcd,
     rational_roots,
 )
+from aimnu.aim import _floors
+from aimnu.algebra import _quadratic_roots, _weight
 from aimnu.errors import DivisionByZero, InvalidInput, InvalidRational, UnsupportedDenominator
 from aimnu.rationals import MAX_DIGITS, parse_rational
 
@@ -354,6 +356,17 @@ class TestWeightExpr:
         w = integrate_log_derivative(2 * R, R * R - 1)
         assert w == WeightExpr(RatFunc(1), ((F(-1), F(1)), (F(1), F(1))), RatFunc(0))
         assert log_derivative_gap(w, 2 * R, R * R - 1) == 0
+
+    def test_no_weight_for_a_quadratic_without_rational_roots(self):
+        # p/sigma = 1/(1 + r^2) integrates to an arctan: _weight refuses it, once it gave (1)
+        assert _weight([1, 0], [1, 0, 1], []) is None
+        with pytest.raises(UnsupportedDenominator) as refused:
+            integrate_log_derivative(Poly([1]), Poly([1, 0, 1]))
+        assert str(refused.value) == "denominator factor without rational roots: r^2 + 1"
+
+    def test_constant_and_zero_inputs_have_no_roots(self):
+        # callers pass these unguarded: a constant sigma has no pole, a zero bound no cut point
+        assert _quadratic_roots(5, 0, 0) == _quadratic_roots(0, 0, 0) == _floors([0, 0, 0]) == []
 
 
 class TestExactness:

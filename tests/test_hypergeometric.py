@@ -172,6 +172,11 @@ class TestEigenvalue:
         problem = catalog_get("kratzer", {"A": F(1), "Lambda": F(0)})
         assert [eigenvalue(problem, n) for n in range(3)] == [F(1, 2), F(1, 4), F(1, 6)]
 
+    def test_negative_n_rejected(self):
+        # the n = -1 "mode" once gave -1; gamma_n refuses it with the same error
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            eigenvalue(catalog_get("hermite"), -1)
+
     def test_degenerate_map(self):
         # parameter enters through tau' only; coefficient dies at n = 0
         problem = validate(

@@ -159,6 +159,7 @@ UNREACHED = {
     "algebra.rational_roots": "benchmark pin: tracing.TARGETS wraps it",
     "algebra.partial_fractions": "benchmark pin: tracing.TARGETS wraps it",
     "algebra.Poly.__divmod__": "benchmark pin: tracing.TARGETS wraps it",
+    "algebra.RatFunc.__init__": "benchmark pin: tracing.TARGETS wraps it",
     "nu.build_phi": "benchmark pin: tracing.TARGETS wraps it",
     "hypergeometric.to_aim_form": "benchmark pin: workloads._aim_op calls it",
     "algebra.RatFunc.__add__": "only aim.iterate calls it",
@@ -168,7 +169,6 @@ UNREACHED = {
     "algebra.RatFunc.derivative": "only aim.iterate calls it",
     "algebra.Poly.__neg__": "only RatFunc.__neg__ calls it",
     "algebra.Poly.__floordiv__": "only RatFunc.__init__ calls it, after a poly_gcd",
-    "algebra._primitive": "only poly_gcd calls it",
     "algebra.Poly.__setattr__": "immutability guard: no caller assigns",
     "algebra.RatFunc.__setattr__": "immutability guard: no caller assigns",
     "algebra.Poly.__rsub__": "value type: a number minus a Poly",

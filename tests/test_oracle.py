@@ -87,7 +87,7 @@ def random_polys(draw):
 @example(3 * Poly.linear_root(F(10**30 + 1, 7)) * Poly.linear_root(-(10**30)))  # 31-digit roots
 def test_rational_roots_match_sympy(p):
     roots, residual = rational_roots(p)
-    expected = sympy.roots(_to_sympy(p), filter="Q")
+    expected = _to_sympy(p).ground_roots()
     assert roots == sorted((_to_fraction(r), m) for r, m in expected.items())
     product = residual
     for root, m in roots:
@@ -121,12 +121,13 @@ def integer_quadratics(draw):
 @example((-6, 3, -6 * 10**29))  # a < 0 with 30 digits
 @example((10**30 - 1, 0, -1))  # +-(10^30 - 1)^(1/2): irrational
 @example((-(10**30), 0, 1))  # roots -+10^15
+@example((10**30 - 1, 1, 10**30 - 1))  # sympy.roots raised ValueError on its discriminant
 def test_quadratic_roots_match_sympy(cba):
-    """The integer routine gives sympy's rational roots with their multiplicities, ascending,
-    each (u, v) in lowest terms with v > 0."""
+    """The integer routine gives the rational roots of sympy's factorization over the
+    integers with their multiplicities, ascending, each (u, v) in lowest terms with v > 0."""
     c, b, a = cba
     roots = _quadratic_roots(c, b, a)
-    expected = sympy.roots(sympy.Poly([a, b, c], X), filter="Q")
+    expected = sympy.Poly([a, b, c], X).ground_roots()
     assert [(sympy.Rational(u, v), m) for u, v, m in roots] == sorted(expected.items())
     assert all(v > 0 and gcd(u, v) == 1 for u, v, _ in roots)
 
