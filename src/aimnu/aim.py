@@ -37,7 +37,7 @@ from itertools import count, islice, repeat, zip_longest
 from operator import attrgetter
 
 from .algebra import Poly, RatFunc, _dot, _poly, _shifted, cleared
-from .errors import EvaluationPole, IncompleteSpectrum, NoRootInBracket
+from .errors import BadParameter, EvaluationPole, IncompleteSpectrum, NoRootInBracket, OutOfRange
 from .hypergeometric import HypergeometricProblem
 from .rationals import MAX_MODES
 
@@ -53,7 +53,7 @@ def iterate(problem: HypergeometricProblem, energy: Fraction, k: int) -> list[Ra
     value, by one pass of the recursion on RatFuncs from lambda0 and s0: the
     levels of ``determinants`` by an independent route, its oracle."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise OutOfRange("k must be >= 0")
     lam0, s0 = (RatFunc(-f.substitute(energy), problem.sigma) for f in (problem.tau, problem.gamma))
     lam, s, deltas = lam0, s0, [-s0]
     for _ in range(k):
@@ -232,7 +232,7 @@ def solve_iterative(
         r0 = next(x for x in (Fraction(1, j) for j in count(1)) if problem.sigma.evaluate(x))
     lo, hi = bracket
     if not lo < hi:
-        raise ValueError("empty bracket")
+        raise BadParameter("empty bracket")
     levels = list(islice(determinants(problem, r0), 3))
     for k in (1, 2):  # delta_0 = 0 makes delta_1 = 0
         if levels[k].is_zero:

@@ -134,10 +134,7 @@ def _parse_bracket(text: str) -> tuple[Fraction, Fraction]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise BadParameter(f"expected lo:hi, got {text!r}")
-    lo, hi = parse_rational(lo), parse_rational(hi)
-    if not lo < hi:
-        raise BadParameter("empty bracket")
-    return lo, hi
+    return parse_rational(lo), parse_rational(hi)
 
 
 def _cell(value) -> str:

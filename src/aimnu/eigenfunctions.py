@@ -155,7 +155,7 @@ def rodrigues(tau: Poly, sigma: Poly, n: int) -> Poly:
         Q_(k+1)[i] = S0 (i+1) Q_k[i+1] + (S1 i + L0) Q_k[i] + (S2 (i-1) + L1) Q_k[i-1].
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise OutOfRange("n must be non-negative")
     (t0, t1), (s0, s1, s2), m = _cleared(tau, sigma)
     Q = [1]
     for j in range(n - 1, -1, -1):  # j = n-k-1 at step k

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all aimnu modules.
+"""Exception hierarchy shared by all aimnu modules: every refusal is an ``AimnuError``.
 
 Two groups, told apart by class, set the command-line exit code:
 ``InputError`` and its subclasses (``InvalidRational``, ``BadParameter``,

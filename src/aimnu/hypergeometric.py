@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Affine, Poly
-from .errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
+from .errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType, OutOfRange
 
 __all__ = [
     "HypergeometricProblem",
@@ -91,7 +91,7 @@ def gamma_n(tau: Poly, sigma: Poly, n: int) -> Fraction:
     where the closed form does not hold.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise OutOfRange("n must be non-negative")
     if tau.degree > 1 or sigma.degree > 2:
         raise NotHypergeometricType(f"deg(tau) = {tau.degree}, deg(sigma) = {sigma.degree}")
     (t1, dt), (s2, ds) = tau.coeff_pair(1), sigma.coeff_pair(2)
@@ -104,13 +104,13 @@ def eigenvalue(problem: HypergeometricProblem, n: int) -> Fraction:
     Both tau' and gamma may depend on p, so the gap gamma_n(p) - gamma(p)
     is affine in p, with constant gamma_n(tau.const) - gamma.const and
     slope -n tau.slope' - gamma.slope (sigma does not depend on p); its
-    root is the exact n-th spectrum value.  Raises ValueError for n < 0, as
+    root is the exact n-th spectrum value.  Raises OutOfRange for n < 0, as
     ``gamma_n`` does, and DegenerateParameterMap when the slope vanishes.  Both
     run on integer numerators over their denominators (``Poly.coeff_pair``):
     the root is one Fraction of two integers.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise OutOfRange("n must be non-negative")
     c, e = problem.gamma.const, problem.gamma.slope
     (a1, da), (b1, db) = problem.tau.const.coeff_pair(1), problem.tau.slope.coeff_pair(1)
     s2, ds = problem.sigma.coeff_pair(2)

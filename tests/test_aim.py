@@ -14,8 +14,10 @@ from aimnu.errors import (
     DegenerateParameterMap,
     EvaluationPole,
     IncompleteSpectrum,
+    InputError,
     NoRootInBracket,
     NotHypergeometricType,
+    OutOfRange,
 )
 from aimnu.hypergeometric import HypergeometricProblem, eigenvalue, gamma_n, validate
 
@@ -41,7 +43,7 @@ class TestRecursion:
         assert iterate(problem, F(2), 1) == [-s0, delta_1]
 
     def test_iterate_rejects_negative_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="k must be >= 0"):
             iterate(HERMITE, F(1), -1)
 
 
@@ -99,7 +101,7 @@ class TestSolveIterative:
     def test_input_validation(self):
         problem = catalog_get("hermite")
         for bracket in [(F(1), F(0)), (F(1), F(1))]:  # reversed, and one point
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError, match="empty bracket"):
                 solve_iterative(problem, F(1), bracket)
 
     def test_agrees_with_closed_form(self):

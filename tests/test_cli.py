@@ -234,8 +234,9 @@ class TestAim:
     def test_bad_bracket_exits_2(self, runner):
         result = runner.invoke(main, ["aim", "hermite", "--bracket", "zero-one"])
         assert result.exit_code == 2
-        result = runner.invoke(main, ["aim", "hermite", "--bracket", "1:0"])
-        assert result.exit_code == 2 and "error: " in result.output
+        for bracket in ("1:0", "1:1"):  # solve_iterative refuses both
+            result = runner.invoke(main, ["aim", "hermite", "--bracket", bracket])
+            assert (result.exit_code, result.output) == (2, "error: empty bracket\n")
 
     def test_zero_gamma_exits_1(self, runner, tmp_path):
         # gamma = 0 makes s0 and every s_k vanish: delta_0 = 0 is no error, delta_1 = 0 is

@@ -72,7 +72,7 @@ class TestPolynomialSolution:
             polynomial_solution(Poly(), R * R, 1)
 
     def test_negative_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="n must be non-negative"):
             polynomial_solution(*HERMITE, -1)
 
     def test_residual_check_can_fail(self, monkeypatch):
@@ -148,7 +148,7 @@ class TestRodrigues:
                 )
 
     def test_negative_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="n must be non-negative"):
             rodrigues(*HERMITE, -1)
 
     def test_degree_drop_raises(self):

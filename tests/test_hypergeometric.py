@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aimnu.algebra import Affine, Poly
 from aimnu.catalog import catalog_get
-from aimnu.errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType
+from aimnu.errors import DegenerateParameterMap, InvalidInput, NotHypergeometricType, OutOfRange
 from aimnu.hypergeometric import (
     HypergeometricProblem,
     eigenvalue,
@@ -141,7 +141,7 @@ class TestGammaN:
             )
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="n must be non-negative"):
             gamma_n(R, R, -1)
 
     @pytest.mark.parametrize(
@@ -174,7 +174,7 @@ class TestEigenvalue:
 
     def test_negative_n_rejected(self):
         # the n = -1 "mode" once gave -1; gamma_n refuses it with the same error
-        with pytest.raises(ValueError, match="n must be non-negative"):
+        with pytest.raises(OutOfRange, match="n must be non-negative"):
             eigenvalue(catalog_get("hermite"), -1)
 
     def test_degenerate_map(self):

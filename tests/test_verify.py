@@ -151,6 +151,15 @@ def test_refused_construction_fails_the_nu_suite(monkeypatch):
     assert [(row.ok, row.name) for row in rows] == [(False, "raised NoRationalReduction: refused")]
 
 
+def test_mode_minus_one_fails_its_row(monkeypatch):
+    # a side that asks for mode n - 1 reaches n = -1 at once: OutOfRange is an
+    # aimnu error, so the residual row fails and the spectrum row still passes
+    original = verify._residual
+    monkeypatch.setattr(verify, "_residual", lambda problem, n: original(problem, n - 1))
+    rows = verify.run_suites("kratzer")
+    assert [(row.ok, row.detail) for row in rows] == [(True, ""), (False, "raised OutOfRange: n must be non-negative")]
+
+
 def test_every_row_has_a_failing_mutant():
     for key, suite in verify.SUITES.items():
         covered = {i for k, _, failing in MUTANTS if k == key for i in failing}
